@@ -116,7 +116,7 @@ impl std::fmt::Display for Protocol {
 ///
 /// A message of `L` words occupies the bus for
 /// `t(L) = L + stall · ⌈L / max_burst⌉` cycles — the same tenure
-/// duration the TLM kernel batches (`L` data cycles plus the per-grant
+/// duration the fleet's tenure batching replays (`L` data cycles plus the per-grant
 /// stall of [`BusConfig::grant_stall`] for each of the `⌈L / B⌉`
 /// grants the burst limit splits the message into). All moments are
 /// computed exactly by enumerating the size distribution's finite

@@ -168,14 +168,10 @@ impl Arbiter for ArbiterKind {
                 Some(Box::new(SoaDeficitRoundRobin::lower(&collect!(DeficitRoundRobin))))
             }
             ArbiterKind::Tdma(_) => Some(Box::new(SoaTdma::lower(&collect!(Tdma)))),
-            ArbiterKind::StaticLottery(_) => {
-                SoaStaticLottery::lower(&collect!(StaticLottery))
-                    .map(|k| Box::new(k) as Box<dyn SoaKernel>)
-            }
-            ArbiterKind::DynamicLottery(_) => {
-                SoaDynamicLottery::lower(&collect!(DynamicLottery))
-                    .map(|k| Box::new(k) as Box<dyn SoaKernel>)
-            }
+            ArbiterKind::StaticLottery(_) => SoaStaticLottery::lower(&collect!(StaticLottery))
+                .map(|k| Box::new(k) as Box<dyn SoaKernel>),
+            ArbiterKind::DynamicLottery(_) => SoaDynamicLottery::lower(&collect!(DynamicLottery))
+                .map(|k| Box::new(k) as Box<dyn SoaKernel>),
             _ => None,
         }
     }

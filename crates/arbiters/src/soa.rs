@@ -22,9 +22,7 @@ use crate::deficit_rr::DeficitRoundRobinArbiter;
 use crate::round_robin::RoundRobinArbiter;
 use crate::static_priority::StaticPriorityArbiter;
 use crate::tdma::TdmaArbiter;
-use lotterybus::{
-    DynamicLotteryArbiter, RandomSourceKind, StaticLotteryArbiter, TicketAssignment,
-};
+use lotterybus::{DynamicLotteryArbiter, RandomSourceKind, StaticLotteryArbiter, TicketAssignment};
 use socsim::{Cycle, Grant, MasterId, RequestMap, SoaKernel, WheelWalk};
 
 /// Index of `entry` in `tables`, appending it if absent — the shared-
@@ -276,8 +274,7 @@ impl SoaTdma {
             })
             .collect();
         let wheel_off = slot_table.iter().map(|&t| table_off[t as usize]).collect();
-        let wheel_len =
-            slot_table.iter().map(|&t| tables[t as usize].wheel.len() as u32).collect();
+        let wheel_len = slot_table.iter().map(|&t| tables[t as usize].wheel.len() as u32).collect();
         SoaTdma {
             tables,
             slot_table,

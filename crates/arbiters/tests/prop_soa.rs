@@ -59,13 +59,13 @@ fn assert_lockstep(
     for (t, step) in stream[..mid].iter().enumerate() {
         let map = map_for(masters, step);
         let now = Cycle::new(t as u64);
-        for slot in 0..slots {
+        for (slot, scalar) in scalars.iter_mut().enumerate() {
             if step.2 > 0 {
-                scalars[slot].skip_idle(u64::from(step.2));
+                scalar.skip_idle(u64::from(step.2));
                 kernel.skip_idle_slot(slot, u64::from(step.2));
             }
             prop_assert_eq!(
-                scalars[slot].arbitrate(&map, now),
+                scalar.arbitrate(&map, now),
                 kernel.arbitrate_slot(slot, &map, now),
                 "slot {} diverged lowered at step {}",
                 slot,
@@ -90,9 +90,9 @@ fn assert_lockstep(
     for (t, step) in stream[mid..tail].iter().enumerate() {
         let map = map_for(masters, step);
         let now = Cycle::new((mid + t) as u64);
-        for slot in 0..slots {
+        for (slot, scalar) in scalars.iter_mut().enumerate() {
             prop_assert_eq!(
-                scalars[slot].arbitrate(&map, now),
+                scalar.arbitrate(&map, now),
                 kernel.arbitrate_slot(slot, &map, now),
                 "slot {} diverged after re-lower at step {}",
                 slot,

@@ -1,8 +1,8 @@
-//! The three simulation kernels (cycle, fast-forward, TLM) on the
-//! paper's workload shapes (Figures 4/5/6): mostly-idle periodic
-//! traffic (the skipping kernels' best case), the Figure 5 TDMA
-//! replay, and a saturated four-master system (their worst case — the
-//! skip paths must cost nothing when there is nothing to skip).
+//! The two simulation kernels (cycle, fast-forward) on the paper's
+//! workload shapes (Figures 4/5/6): mostly-idle periodic traffic (the
+//! skipping kernel's best case), the Figure 5 TDMA replay, and a
+//! saturated four-master system (its worst case — the skip path must
+//! cost nothing when there is nothing to skip).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use experiments::common::{low_utilization_specs, protocol_arbiter};
@@ -12,7 +12,7 @@ use traffic_gen::classes::saturating_specs;
 use traffic_gen::GeneratorSpec;
 
 const CYCLES: u64 = 50_000;
-const KERNELS: [Kernel; 3] = [Kernel::Cycle, Kernel::Fast, Kernel::Tlm];
+const KERNELS: [Kernel; 2] = [Kernel::Cycle, Kernel::Fast];
 
 fn run_workload(specs: &[GeneratorSpec], kernel: Kernel) -> f64 {
     let mut builder = SystemBuilder::new(BusConfig::default()).kernel(kernel);

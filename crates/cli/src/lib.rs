@@ -77,7 +77,8 @@
 //! `kernel = fast` runs the event-driven fast-forward kernel, which
 //! skips provably idle spans instead of stepping them cycle by cycle.
 //! Both kernels produce byte-identical reports (and traces and
-//! waveforms); only wall-clock time changes.
+//! waveforms); only wall-clock time changes. `kernel = tlm` is
+//! accepted as an alias of `fast`.
 //!
 //! ## Scenarios & fuzzing
 //!
@@ -118,4 +119,4 @@ pub mod search_cmd;
 pub mod spec;
 
 pub use report::{render_metrics, render_report};
-pub use spec::{ArbiterKind, KernelKind, MasterSpec, ParseSpecError, SimSpec, TraceSinkSpec};
+pub use spec::{ArbiterKind, MasterSpec, ParseSpecError, SimSpec, TraceSinkSpec};

@@ -25,9 +25,9 @@ use std::time::Instant;
 
 const USAGE: &str = "\
 usage: lotterybus-sim <spec-file | -> [--vcd <file>] [--jobs <n>]
-       lotterybus-sim scenario <files-or-dirs>... [--kernel cycle|fast|tlm] [--jobs <n>] [--bench <file>] [--fleet]
+       lotterybus-sim scenario <files-or-dirs>... [--kernel cycle|fast] [--jobs <n>] [--bench <file>] [--fleet]
        lotterybus-sim fuzz [--seed <n>] [--iters <n>] [--out <dir>] [--demo-failure]
-       lotterybus-sim search <file.scenario> [--points <n>] [--top <k>] [--confirm <k>] [--kernel cycle|fast|tlm] [--bursts <a,b>] [--load-scales <x,y>] [--max-tickets <n>]
+       lotterybus-sim search <file.scenario> [--points <n>] [--top <k>] [--confirm <k>] [--kernel cycle|fast] [--bursts <a,b>] [--load-scales <x,y>] [--max-tickets <n>]
        lotterybus-sim --example";
 
 const EXAMPLE_SPEC: &str = "\
@@ -59,10 +59,8 @@ master dma   weight=1 load=0.15 size=8  periodic
 # trace sink=vcd:waves.vcd        # or stream a VCD waveform
 
 # Optional kernel selection. `fast` skips provably idle spans and is
-# byte-identical to `cycle`; `tlm` also batches whole bus tenures —
-# exact for periodic/burst arrivals, a bounded approximation for
-# memoryless (poisson) ones.
-# kernel = fast                   # cycle | fast | tlm (default cycle)
+# byte-identical to `cycle`; `tlm` is accepted as an alias of `fast`.
+# kernel = fast                   # cycle | fast (default cycle)
 ";
 
 fn main() -> ExitCode {
@@ -194,7 +192,7 @@ fn simulate(spec: &SimSpec, vcd: Option<&str>) -> Result<SimOutcome, String> {
         builder = builder.trace_capacity(3 * spec.cycles as usize);
     }
     let mut system = builder
-        .kernel(spec.kernel.to_kernel())
+        .kernel(spec.kernel)
         .arbiter(spec.build_arbiter().map_err(|e| e.to_string())?)
         .build()
         .map_err(|e| e.to_string())?;
@@ -343,22 +341,7 @@ mod tests {
             report
         };
         assert_eq!(render("cycle"), render("fast"), "kernels must render identically");
-        assert_eq!(render("cycle"), render("tlm"), "tlm is exact for periodic arrivals");
-    }
-
-    #[test]
-    fn tlm_kernel_report_is_byte_identical_without_metrics() {
-        // Without a metrics window the TLM kernel actually batches
-        // tenures (metrics force the exact fallback); periodic
-        // arrivals keep it byte-exact regardless.
-        let base = "arbiter = lottery\ncycles = 5000\nwarmup = 500\n\
-                    master cpu weight=3 load=0.2 size=16 periodic\n\
-                    master dma weight=1 load=0.1 size=8 periodic\n";
-        let render = |kernel: &str| -> String {
-            let spec = SimSpec::parse(&format!("kernel = {kernel}\n{base}")).expect("valid spec");
-            render_report(&spec, &simulate(&spec, None).expect("runs").stats)
-        };
-        assert_eq!(render("cycle"), render("tlm"), "tlm must render identically");
+        assert_eq!(render("cycle"), render("tlm"), "tlm is an alias of fast");
     }
 
     #[test]

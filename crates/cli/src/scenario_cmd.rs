@@ -65,8 +65,10 @@ pub fn parse_scenario_args(args: &[String]) -> Result<ScenarioArgs, String> {
         match arg.as_str() {
             "--kernel" => {
                 let word = it.next().map(String::as_str).unwrap_or("nothing");
-                parsed.kernel = Kernel::parse(word)
-                    .ok_or(format!("`--kernel` must be `cycle`, `fast`, or `tlm`, got {word:?}"))?;
+                parsed.kernel = Kernel::parse(word).ok_or(format!(
+                    "`--kernel` must be `cycle` or `fast` (`tlm` is an alias of `fast`), \
+                     got {word:?}"
+                ))?;
             }
             "--jobs" => {
                 parsed.jobs =

@@ -6,7 +6,7 @@ use arbiters::{
     WheelLayout,
 };
 use lotterybus::{DynamicLotteryArbiter, StaticLotteryArbiter, TicketAssignment};
-use socsim::{BusConfig, FaultConfig, RetryPolicy};
+use socsim::{BusConfig, FaultConfig, Kernel, RetryPolicy};
 use std::error::Error;
 use std::fmt;
 use traffic_gen::{GeneratorSpec, SizeDist};
@@ -50,53 +50,6 @@ impl ArbiterKind {
             ArbiterKind::Tdma => "tdma",
             ArbiterKind::RoundRobin => "rr",
             ArbiterKind::TokenRing => "token",
-        }
-    }
-}
-
-/// Which simulation kernel the spec selects
-/// (`kernel = cycle|fast|tlm`).
-///
-/// `cycle` and `fast` produce byte-identical reports; `fast` skips
-/// provably idle spans (see `socsim::fastforward`) and only changes
-/// wall-clock time. `tlm` additionally batches whole bus tenures into
-/// single events: exact for catch-up arrival processes (periodic,
-/// on/off) but a bounded approximation for memoryless (Bernoulli)
-/// arrivals, whose thinning against a busy bus differs when polls are
-/// deferred. The report never mentions the kernel, so outputs stay
-/// diffable wherever the kernels agree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// Step every cycle (the reference kernel).
-    #[default]
-    Cycle,
-    /// Fast-forward across provably idle spans.
-    Fast,
-    /// Transaction-level: idle skips plus whole-tenure batching.
-    Tlm,
-}
-
-impl KernelKind {
-    fn parse(word: &str) -> Option<Self> {
-        Some(match word {
-            "cycle" => KernelKind::Cycle,
-            "fast" => KernelKind::Fast,
-            "tlm" => KernelKind::Tlm,
-            _ => return None,
-        })
-    }
-
-    /// Whether this kernel runs with fast-forward enabled.
-    pub fn is_fast(self) -> bool {
-        self != KernelKind::Cycle
-    }
-
-    /// The `socsim` kernel this spec keyword selects.
-    pub fn to_kernel(self) -> socsim::Kernel {
-        match self {
-            KernelKind::Cycle => socsim::Kernel::Cycle,
-            KernelKind::Fast => socsim::Kernel::Fast,
-            KernelKind::Tlm => socsim::Kernel::Tlm,
         }
     }
 }
@@ -203,11 +156,10 @@ pub struct SimSpec {
     /// Streaming trace destination from a `trace sink=<kind>:<path>`
     /// line; requires `replicas = 1`.
     pub trace_sink: Option<TraceSinkSpec>,
-    /// Simulation kernel from a `kernel = cycle|fast|tlm` line
-    /// (default `cycle`). `cycle` and `fast` never affect results;
-    /// `tlm` is exact except under memoryless arrivals (see
-    /// [`KernelKind`]).
-    pub kernel: KernelKind,
+    /// Simulation kernel from a `kernel = cycle|fast` line (default
+    /// `cycle`; `tlm` is accepted as an alias of `fast`). The kernel
+    /// only changes wall-clock time, never the report.
+    pub kernel: Kernel,
     /// The masters, in declaration order.
     pub masters: Vec<MasterSpec>,
 }
@@ -229,7 +181,7 @@ impl Default for SimSpec {
             jobs: 0,
             metrics: None,
             trace_sink: None,
-            kernel: KernelKind::Cycle,
+            kernel: Kernel::Cycle,
             masters: Vec::new(),
         }
     }
@@ -320,10 +272,13 @@ impl SimSpec {
                 "replicas" => spec.replicas = parse_num(line_no, key, value)?,
                 "jobs" => spec.jobs = parse_num(line_no, key, value)?,
                 "kernel" => {
-                    spec.kernel = KernelKind::parse(value).ok_or_else(|| {
+                    spec.kernel = Kernel::parse(value).ok_or_else(|| {
                         err(
                             line_no,
-                            format!("unknown kernel `{value}` (expected cycle, fast, or tlm)"),
+                            format!(
+                                "unknown kernel `{value}` (expected cycle or fast; tlm is \
+                                 accepted as an alias of fast)"
+                            ),
                         )
                     })?;
                 }
@@ -721,25 +676,21 @@ mod tests {
     #[test]
     fn kernel_key_parses_and_defaults_to_cycle() {
         let spec = SimSpec::parse("kernel = fast\nmaster m load=0.1\n").expect("valid");
-        assert_eq!(spec.kernel, KernelKind::Fast);
-        assert!(spec.kernel.is_fast());
-        assert_eq!(spec.kernel.to_kernel(), socsim::Kernel::Fast);
+        assert_eq!(spec.kernel, Kernel::Fast);
 
         let spec = SimSpec::parse("kernel = tlm\nmaster m load=0.1\n").expect("valid");
-        assert_eq!(spec.kernel, KernelKind::Tlm);
-        assert!(spec.kernel.is_fast());
-        assert_eq!(spec.kernel.to_kernel(), socsim::Kernel::Tlm);
+        assert_eq!(spec.kernel, Kernel::Tlm, "tlm stays accepted as an alias of fast");
+        assert!(spec.kernel.skips_idle());
 
         let spec = SimSpec::parse("kernel = cycle\nmaster m load=0.1\n").expect("valid");
-        assert_eq!(spec.kernel, KernelKind::Cycle);
-        assert_eq!(spec.kernel.to_kernel(), socsim::Kernel::Cycle);
+        assert_eq!(spec.kernel, Kernel::Cycle);
 
         let spec = SimSpec::parse("master m load=0.1\n").expect("valid");
-        assert_eq!(spec.kernel, KernelKind::Cycle, "default is the reference kernel");
+        assert_eq!(spec.kernel, Kernel::Cycle, "default is the reference kernel");
 
         let e = SimSpec::parse("kernel = warp\nmaster m load=0.1\n").unwrap_err();
         assert!(e.message.contains("unknown kernel"), "{e}");
-        assert!(e.message.contains("tlm"), "error must list tlm: {e}");
+        assert!(e.message.contains("alias of fast"), "error must name the tlm alias: {e}");
     }
 
     #[test]

@@ -265,11 +265,7 @@ mod tests {
                 for _ in 0..bits {
                     reference = (reference << 1) | slow.step();
                 }
-                assert_eq!(
-                    fast.next_bits(bits),
-                    reference,
-                    "width {width} bits {bits} diverge"
-                );
+                assert_eq!(fast.next_bits(bits), reference, "width {width} bits {bits} diverge");
                 assert_eq!(fast.state(), slow.state(), "width {width} register diverges");
             }
         }

@@ -13,13 +13,10 @@
 //!   in every simulation. The samples are discarded, so the JSON output
 //!   is byte-identical with or without this flag; it exists to exercise
 //!   and measure the observability layer.
-//! * `--kernel K` — simulation kernel, `cycle` (default), `fast`, or
-//!   `tlm`. The fast-forward kernel skips provably idle spans and the
-//!   JSON output is byte-identical (the CI kernel-diff gate checks
-//!   exactly that). The TLM kernel additionally collapses whole bus
-//!   tenures into single events: exact for catch-up arrival processes
-//!   (periodic, on/off, replay), a bounded approximation for
-//!   memoryless (Bernoulli) arrivals against a contended bus.
+//! * `--kernel K` — simulation kernel, `cycle` (default) or `fast`
+//!   (`tlm` is accepted as an alias of `fast`). The fast-forward kernel
+//!   skips provably idle spans and the JSON output is byte-identical
+//!   (the CI kernel-diff gate checks exactly that).
 //! * `--validate-analytic` — additionally run the analytic-model
 //!   validation grid (48 simulations, each compared against the
 //!   closed-form predictors of the `analytic` crate) and embed the
@@ -32,16 +29,14 @@
 //!   and once under the fast-forward kernel; assert all result
 //!   documents are byte-identical, profile the cycle kernel's phases,
 //!   time the fast kernel against the cycle kernel on a low-utilization
-//!   and a saturated workload, probe the TLM kernel (byte-exactness
-//!   plus speedup on the low-utilization workload, measured error
-//!   bounds on the saturated one), run the saturated hot-path lineup
+//!   and a saturated workload, run the saturated hot-path lineup
 //!   (steady-state cycles/sec per protocol), pack the same lineup as
 //!   one SoA lockstep fleet and time it against the summed scalar runs
 //!   (lane exactness hard-asserted, aggregate speedup reported), and
 //!   write the wall-clock report to FILE (the `BENCH_PR9.json`
 //!   artifact: parallel speedup, metrics overhead, kernel speedups,
-//!   the `tlm` probe section, per-phase breakdown, per-protocol
-//!   hot-path throughput, and the `fleet` section).
+//!   per-phase breakdown, per-protocol hot-path throughput, and the
+//!   `fleet` section).
 //!
 //! Timing telemetry always goes to **stderr** so stdout stays a clean,
 //! diffable result stream.
@@ -52,7 +47,7 @@ use socsim::Kernel;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: suite [--quick] [--jobs N] [--metrics W] [--kernel cycle|fast|tlm] \
+        "usage: suite [--quick] [--jobs N] [--metrics W] [--kernel cycle|fast] \
          [--validate-analytic] [--out FILE] [--bench FILE]"
     );
     std::process::exit(2);
@@ -191,25 +186,6 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         lowutil.speedup, saturated.speedup
     );
 
-    // TLM probes. On the low-utilization periodic workload every
-    // arbitration outcome is forced, so the TLM kernel must be
-    // byte-exact and much faster than the cycle kernel. On the
-    // saturated Bernoulli workload it is an approximation: measure the
-    // deviation instead of asserting identity, and publish the error
-    // bounds so regressions (accuracy or speed) are visible in the
-    // bench artifact.
-    let tlm_lowutil = tlm_exact_probe(&experiments::common::low_utilization_specs(4), &probe);
-    let tlm_saturated = tlm_error_probe(&traffic_gen::classes::saturating_specs(4), &probe);
-    eprintln!(
-        "tlm kernel: low-utilization {:.2}x (byte-exact), saturated {:.2}x \
-         (util err {:.4}, share err {:.4}, p99 ratio err {:.3})",
-        tlm_lowutil.speedup,
-        tlm_saturated.speedup,
-        tlm_saturated.utilization_abs_error,
-        tlm_saturated.bandwidth_share_max_abs_error,
-        tlm_saturated.p99_latency_max_ratio_error,
-    );
-
     // The analytic crate's two headline numbers: how close the closed
     // forms track the simulator across the validation grid, and how
     // fast the design-space search scans. Both land in the bench
@@ -286,12 +262,6 @@ fn run_bench(opts: &SuiteOptions, workers: usize, bench_path: &str) -> String {
         .field("kernel_byte_identical", true)
         .field("kernel_lowutil", lowutil.to_json())
         .field("kernel_saturated", saturated.to_json())
-        .field(
-            "tlm",
-            experiments::json::Json::obj()
-                .field("lowutil", tlm_lowutil.to_json())
-                .field("saturated", tlm_saturated.to_json()),
-        )
         .field("analytic", analytic_probe.to_json())
         .field("hot", experiments::hotpath::hot_json(&hot))
         .field("fleet", fleet.to_json())
@@ -342,7 +312,7 @@ fn kernel_probe(
         settings,
     );
     let (cycle_wall_secs, cycle_stats) = time_best(specs, settings);
-    let (fast_wall_secs, fast_stats) = time_best(specs, &settings.with_fast_forward(true));
+    let (fast_wall_secs, fast_stats) = time_best(specs, &settings.with_kernel(Kernel::Fast));
     assert_eq!(cycle_stats, fast_stats, "kernel probe results diverged");
     let speedup = if fast_wall_secs > 0.0 { cycle_wall_secs / fast_wall_secs } else { 1.0 };
     KernelProbe { cycle_wall_secs, fast_wall_secs, speedup }
@@ -364,125 +334,6 @@ fn time_best(
         stats = Some(run);
     }
     (best, stats.expect("ran at least once"))
-}
-
-/// The TLM exactness probe: on a forced-outcome workload the TLM kernel
-/// must reproduce the cycle kernel's stats exactly *and* beat it on
-/// wall clock by a wide margin (the ≥10x acceptance target).
-struct TlmExactProbe {
-    cycle_wall_secs: f64,
-    tlm_wall_secs: f64,
-    speedup: f64,
-}
-
-impl TlmExactProbe {
-    fn to_json(&self) -> experiments::json::Json {
-        experiments::json::Json::obj()
-            .field("cycle_wall_secs", self.cycle_wall_secs)
-            .field("tlm_wall_secs", self.tlm_wall_secs)
-            .field("speedup", self.speedup)
-            .field("byte_identical", true)
-    }
-}
-
-fn tlm_exact_probe(
-    specs: &[traffic_gen::GeneratorSpec],
-    settings: &experiments::RunSettings,
-) -> TlmExactProbe {
-    experiments::common::run_system(
-        specs,
-        experiments::common::protocol_arbiter(4, settings.seed),
-        settings,
-    );
-    let (cycle_wall_secs, cycle_stats) = time_best(specs, settings);
-    let (tlm_wall_secs, tlm_stats) = time_best(specs, &settings.with_kernel(Kernel::Tlm));
-    assert_eq!(cycle_stats, tlm_stats, "tlm kernel diverged on a forced-outcome workload");
-    let speedup = if tlm_wall_secs > 0.0 { cycle_wall_secs / tlm_wall_secs } else { 1.0 };
-    TlmExactProbe { cycle_wall_secs, tlm_wall_secs, speedup }
-}
-
-/// The TLM error probe: on a saturated Bernoulli workload tenure
-/// batching thins the arrival polls, so instead of asserting identity
-/// we measure how far utilization, per-master bandwidth shares, and
-/// latency quantiles drift from the cycle kernel's ground truth.
-struct TlmErrorProbe {
-    cycle_wall_secs: f64,
-    tlm_wall_secs: f64,
-    speedup: f64,
-    utilization_abs_error: f64,
-    bandwidth_share_max_abs_error: f64,
-    p50_latency_max_ratio_error: f64,
-    p99_latency_max_ratio_error: f64,
-}
-
-impl TlmErrorProbe {
-    fn to_json(&self) -> experiments::json::Json {
-        experiments::json::Json::obj()
-            .field("cycle_wall_secs", self.cycle_wall_secs)
-            .field("tlm_wall_secs", self.tlm_wall_secs)
-            .field("speedup", self.speedup)
-            .field("utilization_abs_error", self.utilization_abs_error)
-            .field("bandwidth_share_max_abs_error", self.bandwidth_share_max_abs_error)
-            .field("p50_latency_max_ratio_error", self.p50_latency_max_ratio_error)
-            .field("p99_latency_max_ratio_error", self.p99_latency_max_ratio_error)
-    }
-}
-
-fn tlm_error_probe(
-    specs: &[traffic_gen::GeneratorSpec],
-    settings: &experiments::RunSettings,
-) -> TlmErrorProbe {
-    experiments::common::run_system(
-        specs,
-        experiments::common::protocol_arbiter(4, settings.seed),
-        settings,
-    );
-    let (cycle_wall_secs, cycle_stats) = time_best(specs, settings);
-    let (tlm_wall_secs, tlm_stats) = time_best(specs, &settings.with_kernel(Kernel::Tlm));
-    let speedup = if tlm_wall_secs > 0.0 { cycle_wall_secs / tlm_wall_secs } else { 1.0 };
-
-    let utilization_abs_error = (cycle_stats.bus_utilization() - tlm_stats.bus_utilization()).abs();
-    // Bandwidth *shares* are relative: each master's fraction of the
-    // words actually delivered. Utilization error measures how much
-    // total throughput the approximation loses; share error measures
-    // whether it distorts the split between masters (fairness).
-    let relative_share = |stats: &socsim::stats::BusStats, id: socsim::MasterId| -> f64 {
-        let total: f64 =
-            (0..specs.len()).map(|j| stats.bandwidth_fraction(socsim::MasterId::new(j))).sum();
-        if total > 0.0 {
-            stats.bandwidth_fraction(id) / total
-        } else {
-            0.0
-        }
-    };
-    let mut bandwidth_share_max_abs_error = 0.0f64;
-    let mut p50_latency_max_ratio_error = 0.0f64;
-    let mut p99_latency_max_ratio_error = 0.0f64;
-    for i in 0..specs.len() {
-        let id = socsim::MasterId::new(i);
-        bandwidth_share_max_abs_error = bandwidth_share_max_abs_error
-            .max((relative_share(&cycle_stats, id) - relative_share(&tlm_stats, id)).abs());
-        let quantile_ratio_error = |q: f64| -> f64 {
-            let cycle_q = cycle_stats.master(id).latency_quantile(q);
-            let tlm_q = tlm_stats.master(id).latency_quantile(q);
-            match (cycle_q, tlm_q) {
-                (Some(c), Some(t)) if c > 0 => (t as f64 - c as f64).abs() / c as f64,
-                _ => 0.0,
-            }
-        };
-        p50_latency_max_ratio_error = p50_latency_max_ratio_error.max(quantile_ratio_error(0.5));
-        p99_latency_max_ratio_error = p99_latency_max_ratio_error.max(quantile_ratio_error(0.99));
-    }
-
-    TlmErrorProbe {
-        cycle_wall_secs,
-        tlm_wall_secs,
-        speedup,
-        utilization_abs_error,
-        bandwidth_share_max_abs_error,
-        p50_latency_max_ratio_error,
-        p99_latency_max_ratio_error,
-    }
 }
 
 /// One fleet probe: a saturated protocol lineup packed as lanes of one

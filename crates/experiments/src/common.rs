@@ -29,11 +29,9 @@ pub struct RunSettings {
     /// observability overhead with `suite --bench`.
     pub metrics_window: Option<u64>,
     /// Which simulation kernel every system built by [`run_system`]
-    /// runs under (see `socsim::fastforward`). [`Kernel::Fast`]
-    /// results are byte-identical to the cycle kernel;
-    /// [`Kernel::Tlm`] additionally batches whole bus tenures and is
-    /// exact only for catch-up arrival processes (periodic, on/off) —
-    /// the suite JSON never records this field.
+    /// runs under (see `socsim::fastforward`). Every kernel's results
+    /// are byte-identical to the cycle kernel's, so the suite JSON
+    /// never records this field.
     pub kernel: Kernel,
 }
 
@@ -64,12 +62,6 @@ impl RunSettings {
     /// These settings with windowed metrics enabled in every run.
     pub fn with_metrics(self, window: u64) -> Self {
         RunSettings { metrics_window: Some(window), ..self }
-    }
-
-    /// These settings with the fast-forward kernel enabled (or not) in
-    /// every run.
-    pub fn with_fast_forward(self, enabled: bool) -> Self {
-        self.with_kernel(if enabled { Kernel::Fast } else { Kernel::Cycle })
     }
 
     /// These settings running every system under `kernel`.
@@ -345,25 +337,27 @@ mod tests {
         let fast = run_system(
             &saturating_specs(4),
             Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings.with_fast_forward(true),
+            &settings.with_kernel(Kernel::Fast),
         );
         assert_eq!(cycle, fast, "fast-forward kernel perturbed the simulation");
     }
 
     #[test]
-    fn tlm_kernel_is_exact_on_periodic_low_utilization_traffic() {
+    fn fast_and_tlm_kernels_are_exact_on_periodic_low_utilization_traffic() {
         let settings = RunSettings { warmup: 1_000, measure: 20_000, ..RunSettings::quick() };
         let cycle = run_system(
             &low_utilization_specs(4),
             Box::new(RoundRobinArbiter::new(4).expect("valid")),
             &settings,
         );
-        let tlm = run_system(
-            &low_utilization_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings.with_kernel(Kernel::Tlm),
-        );
-        assert_eq!(cycle, tlm, "TLM kernel perturbed a forced-outcome workload");
+        for kernel in [Kernel::Fast, Kernel::Tlm] {
+            let other = run_system(
+                &low_utilization_specs(4),
+                Box::new(RoundRobinArbiter::new(4).expect("valid")),
+                &settings.with_kernel(kernel),
+            );
+            assert_eq!(cycle, other, "{} kernel perturbed an idle-heavy workload", kernel.name());
+        }
     }
 
     #[test]

@@ -91,9 +91,8 @@ pub fn run_jobs(jobs: usize) -> Fig5 {
 }
 
 /// [`run_jobs`] with an explicit kernel choice: every kernel produces
-/// the identical `Fig5` — the replayed request trace announces its
-/// arrival times, so even the TLM kernel stays exact here (the
-/// suite's kernel-diff gate checks this byte for byte).
+/// the identical `Fig5` (the suite's kernel-diff gate checks this byte
+/// for byte).
 pub fn run_kernel(jobs: usize, kernel: Kernel) -> Fig5 {
     let (aligned, misaligned) =
         socsim::pool::join(jobs, || replay_run(0, 12, kernel), || replay_run(3, 12, kernel));

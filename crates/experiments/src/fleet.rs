@@ -65,7 +65,8 @@ pub fn run_systems_fleet(jobs: Vec<FleetJob>, settings: &RunSettings) -> Vec<Bus
 /// Whether `settings` allow an experiment to swap its per-point scalar
 /// runs for one fleet pack without changing results or what `--bench`
 /// is trying to measure: the fleet is the cycle kernel's lane-exact
-/// batch form, so a `fast`/`tlm` request must keep the scalar path,
+/// batch form, so a `fast` request (or its alias `tlm`) must keep the
+/// scalar path,
 /// and a metrics window changes each lane's layout enough that the
 /// overhead measurement should stay per-system.
 pub fn fleet_pack_allowed(settings: &RunSettings) -> bool {
@@ -121,7 +122,8 @@ mod tests {
         let base = RunSettings::quick();
         assert!(fleet_pack_allowed(&base));
         assert!(!fleet_pack_allowed(&base.with_metrics(500)));
-        assert!(!fleet_pack_allowed(&base.with_kernel(socsim::Kernel::Fast)));
-        assert!(!fleet_pack_allowed(&base.with_kernel(socsim::Kernel::Tlm)));
+        for kernel in [socsim::Kernel::Fast, socsim::Kernel::Tlm] {
+            assert!(!fleet_pack_allowed(&base.with_kernel(kernel)));
+        }
     }
 }

@@ -25,12 +25,9 @@ pub struct SuiteOptions {
     /// JSON is byte-identical either way; `suite --bench` uses this to
     /// measure the observability overhead.
     pub metrics_window: Option<u64>,
-    /// Which simulation kernel every simulation runs under. `fast`
-    /// keeps the result JSON byte-identical (the CI kernel-diff gate
-    /// checks exactly that); `tlm` batches whole bus tenures and is
-    /// exact only where no memoryless arrival process feeds a
-    /// contended bus — `suite --bench` reports its error bounds
-    /// instead of asserting identity.
+    /// Which simulation kernel every simulation runs under. Every
+    /// kernel keeps the result JSON byte-identical (the CI kernel-diff
+    /// gate checks exactly that).
     pub kernel: socsim::Kernel,
     /// Also run the analytic-model validation grid
     /// ([`crate::validate`]) and embed its per-cell error table as an
@@ -140,13 +137,13 @@ mod tests {
             quick: false,
             jobs: 0,
             metrics_window: Some(1_000),
-            kernel: Kernel::Tlm,
+            kernel: Kernel::Fast,
             validate_analytic: true,
         }
         .settings();
         assert_eq!(full.measure, RunSettings::new().measure);
         assert_eq!(full.jobs, 0);
         assert_eq!(full.metrics_window, Some(1_000));
-        assert_eq!(full.kernel, Kernel::Tlm);
+        assert_eq!(full.kernel, Kernel::Fast);
     }
 }

@@ -11,7 +11,7 @@
 //! Verdicts serialize to deterministic JSON via
 //! [`experiments::json::Json`] and deliberately contain no wall-clock
 //! or kernel information — the same scenario run under the
-//! cycle-accurate, fast-forward and TLM kernels must produce
+//! cycle-accurate and fast-forward kernels must produce
 //! byte-identical verdicts, and CI diffs exactly that.
 
 use crate::model::{ArbiterSel, Expectation, Scenario};
@@ -190,12 +190,7 @@ pub(crate) fn probe(arb: &ArbiterKind) -> (u64, u64) {
 }
 
 /// Runs one scenario under the chosen kernel and evaluates its SLAs.
-///
-/// Scenario runs always sample windowed metrics (SLA starvation
-/// checks need them), so [`Kernel::Tlm`] degrades to the exact
-/// fast-forward path here: verdicts are byte-identical across all
-/// three kernels by construction. The TLM tenure-batching win shows
-/// up in the experiment suite, which runs without metrics.
+/// Verdicts are byte-identical under every kernel.
 pub fn run_scenario(sc: &Scenario, kernel: Kernel) -> Result<Outcome, String> {
     run_scenario_inner(sc, kernel, false).map(|(outcome, _)| outcome)
 }

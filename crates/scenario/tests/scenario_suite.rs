@@ -37,16 +37,12 @@ fn library_verdicts_match_expectations_and_kernels_agree_bytewise() {
     let library = load_library();
     let cycle = run_plan(&library, Kernel::Cycle, 0).expect("cycle plan runs");
     assert!(cycle.all_as_expected(), "cycle verdicts: {}", cycle.to_json().render());
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        let other = run_plan(&library, kernel, 0)
-            .unwrap_or_else(|e| panic!("{} plan runs: {e}", kernel.name()));
-        assert_eq!(
-            cycle.to_json().render(),
-            other.to_json().render(),
-            "verdict JSON must be byte-identical between cycle and {}",
-            kernel.name()
-        );
-    }
+    let fast = run_plan(&library, Kernel::Fast, 0).expect("fast plan runs");
+    assert_eq!(
+        cycle.to_json().render(),
+        fast.to_json().render(),
+        "verdict JSON must be byte-identical between cycle and fast"
+    );
 }
 
 #[test]

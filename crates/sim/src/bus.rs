@@ -248,71 +248,6 @@ impl Bus {
         }
     }
 
-    /// Fast-forwards through the interior of the tenure in flight,
-    /// batching up to `max_cycles` of its remaining stall and burst
-    /// cycles into arithmetic updates — the TLM kernel's sibling of the
-    /// fast kernel's idle skip. Returns how many cycles were consumed,
-    /// leaving the bus, master port, statistics, and trace in exactly
-    /// the state the per-cycle [`Bus::step`] loop would have reached.
-    ///
-    /// The arbiter is never consulted here, mirroring the cycle kernel:
-    /// `step` does not arbitrate during `Stalled`/`Bursting` cycles
-    /// either. The batch replays what those arms do per cycle — stall
-    /// cycles count into [`BusStats::record_stall`] without trace
-    /// events, word cycles count words and emit per-cycle
-    /// [`TraceEvent::Word`] events, and a transaction completing on the
-    /// batch's final word is recorded with its exact finish cycle.
-    ///
-    /// Must not be called with a fault layer attached: `step`'s
-    /// per-cycle fault prepass (master-stall draws, watchdog arming on
-    /// *waiting* masters) cannot be replicated arithmetically.
-    pub(crate) fn skip_tenure(
-        &mut self,
-        masters: &mut [MasterPort],
-        now: Cycle,
-        max_cycles: u64,
-        stats: &mut BusStats,
-        trace: &mut BusTrace,
-    ) -> u64 {
-        debug_assert!(self.faults.is_none(), "tenure skipping requires a fault-free bus");
-        let mut consumed = 0u64;
-        if let State::Stalled { master, words, stall_left } = self.state {
-            let pay = u64::from(stall_left).min(max_cycles) as u32;
-            if pay > 0 {
-                stats.record_stall(pay);
-                consumed += u64::from(pay);
-                self.state = if pay == stall_left {
-                    State::Bursting { master, words_left: words }
-                } else {
-                    State::Stalled { master, words, stall_left: stall_left - pay }
-                };
-            }
-        }
-        if let State::Bursting { master, words_left } = self.state {
-            let burst = u64::from(words_left).min(max_cycles - consumed) as u32;
-            if burst > 0 {
-                let start = now + consumed;
-                stats.record_words(master, burst);
-                trace.record_word_span(start, burst, master);
-                // A tenure never covers more words than its head
-                // transaction has left (the grant clamps to
-                // `pending_words`), so at most one completion can
-                // occur, on the batch's final word.
-                let last = start + (u64::from(burst) - 1);
-                if let Some(done) = masters[master.index()].transfer(burst, last) {
-                    stats.record_completion(master, &done);
-                }
-                consumed += u64::from(burst);
-                self.state = if burst == words_left {
-                    State::Idle
-                } else {
-                    State::Bursting { master, words_left: words_left - burst }
-                };
-            }
-        }
-        consumed
-    }
-
     /// Applies grant-path faults: the grant may be dropped outright or
     /// delivered to the wrong (pending) master. Returns the master that
     /// actually receives the bus, or `None` if the grant was lost (the
@@ -528,72 +463,6 @@ mod tests {
         bus.step(&mut arb, &mut ports, &[], Cycle::ZERO, 0, &mut stats, &mut trace);
         assert_eq!(trace.render_owners(0..1), ".");
         assert!(!bus.is_busy());
-    }
-
-    #[test]
-    fn skip_tenure_matches_stepped_interior() {
-        // Arbitration overhead 2 + slave wait 1 → 3 stall cycles, then a
-        // 5-word burst. Step the grant cycle, then batch the rest and
-        // compare against the fully stepped reference.
-        let cfg = BusConfig { arbitration_overhead: 2, ..BusConfig::default() };
-        let slaves = vec![Slave::with_wait_states(SlaveId::new(0), "slow", 1)];
-        let run = |skip: bool| {
-            let mut bus = Bus::new(cfg);
-            let mut ports = vec![MasterPort::new(MasterId::new(0), "a")];
-            let mut stats = BusStats::new(1);
-            let mut trace = BusTrace::enabled(64);
-            let mut arb = FixedOrderArbiter::new(1);
-            ports[0].enqueue(Transaction::new(SlaveId::new(0), 5, Cycle::ZERO));
-            bus.step(&mut arb, &mut ports, &slaves, Cycle::ZERO, 0, &mut stats, &mut trace);
-            stats.record_cycle();
-            let mut c = 1u64;
-            if skip {
-                let consumed =
-                    bus.skip_tenure(&mut ports, Cycle::new(c), u64::MAX, &mut stats, &mut trace);
-                assert_eq!(consumed, 7, "2 remaining stalls + 5 words");
-                stats.record_cycles(consumed);
-                c += consumed;
-            }
-            while c < 10 {
-                bus.step(&mut arb, &mut ports, &slaves, Cycle::new(c), 0, &mut stats, &mut trace);
-                stats.record_cycle();
-                c += 1;
-            }
-            assert!(!bus.is_busy());
-            (stats, trace)
-        };
-        let (stepped_stats, stepped_trace) = run(false);
-        let (skipped_stats, skipped_trace) = run(true);
-        assert_eq!(stepped_stats, skipped_stats);
-        assert_eq!(stepped_trace, skipped_trace);
-        assert_eq!(skipped_stats.master(MasterId::new(0)).transactions, 1);
-    }
-
-    #[test]
-    fn partial_tenure_skips_resume_mid_burst() {
-        // A budget smaller than the tenure leaves the bus mid-flight in
-        // the exact state the stepped loop reaches.
-        let cfg = BusConfig { arbitration_overhead: 3, ..BusConfig::default() };
-        let mut bus = Bus::new(cfg);
-        let mut ports = vec![MasterPort::new(MasterId::new(0), "a")];
-        let mut stats = BusStats::new(1);
-        let mut trace = BusTrace::enabled(64);
-        let mut arb = FixedOrderArbiter::new(1);
-        ports[0].enqueue(Transaction::new(SlaveId::new(0), 4, Cycle::ZERO));
-        bus.step(&mut arb, &mut ports, &[], Cycle::ZERO, 0, &mut stats, &mut trace);
-        // 2 remaining stalls + 4 words = 6 interior cycles; pay 1, then 3, then the rest.
-        assert_eq!(bus.skip_tenure(&mut ports, Cycle::new(1), 1, &mut stats, &mut trace), 1);
-        assert!(bus.is_busy());
-        assert_eq!(bus.skip_tenure(&mut ports, Cycle::new(2), 3, &mut stats, &mut trace), 3);
-        assert!(bus.is_busy(), "two burst words remain");
-        assert_eq!(bus.skip_tenure(&mut ports, Cycle::new(5), u64::MAX, &mut stats, &mut trace), 2);
-        assert!(!bus.is_busy());
-        assert_eq!(stats.stall_cycles, 3);
-        assert_eq!(stats.master(MasterId::new(0)).words, 4);
-        assert_eq!(stats.master(MasterId::new(0)).transactions, 1);
-        // Words moved in cycles 3..7 (grant 0, stalls 0..3 inclusive of
-        // the grant cycle's recorded stall).
-        assert_eq!(trace.render_owners(0..7), "   0000");
     }
 
     fn run_with_faults(layer: FaultLayer, cycles: u64, words: u32) -> (Bus, BusStats, BusTrace) {

@@ -47,7 +47,7 @@ impl BusConfig {
     /// Stall cycles inserted before the first word of a grant whose
     /// addressed slave uses `wait_states`: arbitration overhead plus the
     /// slave's wait states. This is the per-tenure fixed cost — the bus
-    /// step loop, the TLM tenure batch, and the `analytic` predictors
+    /// step loop, the fleet's tenure batch, and the `analytic` predictors
     /// all derive tenure durations from it.
     #[inline]
     pub fn grant_stall(&self, wait_states: u32) -> u32 {

@@ -3,7 +3,7 @@
 //! The cycle-accurate kernel pays full per-cycle cost even when every
 //! master is between bursts — exactly the idle gaps the paper's
 //! low-duty-cycle traffic classes create. The fast-forward kernel
-//! (enabled with [`crate::SystemBuilder::fast_forward`]) closes those
+//! (selected with [`crate::SystemBuilder::kernel`]) closes those
 //! gaps in one jump: each step it computes the **event horizon** — the
 //! earliest future cycle at which any component does something that
 //! batched accounting cannot replicate — and, when the bus is idle and
@@ -42,31 +42,24 @@ use crate::slave::Slave;
 
 /// Which simulation kernel drives [`crate::System::run`].
 ///
-/// All three kernels share the per-cycle [`crate::System::step`] as
-/// their ground truth; they differ only in which spans of cycles they
-/// replace with batched arithmetic:
+/// Both kernels share the per-cycle [`crate::System::step`] as their
+/// ground truth and produce byte-identical results:
 ///
 /// * [`Kernel::Cycle`] — steps every cycle. The reference kernel.
 /// * [`Kernel::Fast`] — additionally jumps over provably idle gaps
-///   (see the module docs). Byte-exact for every system.
-/// * [`Kernel::Tlm`] — additionally models each uncontended bus tenure
-///   as one event (`System::skip_tenure`): once a grant is issued, the
-///   stall and burst cycles it implies are replayed arithmetically up
-///   to the next component horizon. Byte-exact when every traffic
-///   source announces true future horizons (periodic, on–off/burst,
-///   replay, silent); *approximate* for sources that must be polled
-///   every cycle (Bernoulli/Poisson, saturate probes), whose polls are
-///   deferred to the next arbitration boundary. Tenure skipping
-///   disables itself (degrading to [`Kernel::Fast`], which is exact)
-///   when fault injection or windowed metrics are active.
+///   (see the module docs).
+/// * [`Kernel::Tlm`] — the name `tlm`, kept so spec files and
+///   `--kernel tlm` flags written for the retired transaction-level
+///   kernel still work. It runs exactly what [`Kernel::Fast`] runs.
+///   Exact tenure batching lives in [`crate::fleet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Cycle-accurate reference kernel.
     #[default]
     Cycle,
-    /// Idle-skipping event kernel (PR-4 fast-forward).
+    /// Idle-skipping event kernel.
     Fast,
-    /// Transaction-level kernel: idle skipping plus tenure batching.
+    /// Alias of [`Kernel::Fast`] under the name `tlm`.
     Tlm,
 }
 
@@ -93,11 +86,6 @@ impl Kernel {
     /// Whether the kernel jumps over idle gaps.
     pub fn skips_idle(self) -> bool {
         !matches!(self, Kernel::Cycle)
-    }
-
-    /// Whether the kernel batches uncontended bus tenures.
-    pub fn skips_tenures(self) -> bool {
-        matches!(self, Kernel::Tlm)
     }
 }
 
@@ -184,8 +172,7 @@ mod tests {
         assert_eq!(Kernel::parse("TLM"), None, "names are case-sensitive");
         assert_eq!(Kernel::default(), Kernel::Cycle);
         assert!(!Kernel::Cycle.skips_idle());
-        assert!(Kernel::Fast.skips_idle() && !Kernel::Fast.skips_tenures());
-        assert!(Kernel::Tlm.skips_idle() && Kernel::Tlm.skips_tenures());
+        assert!(Kernel::Fast.skips_idle() && Kernel::Tlm.skips_idle());
     }
 
     #[test]

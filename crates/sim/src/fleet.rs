@@ -25,15 +25,14 @@
 //!    metrics window closes), which PR 4's differential harness proved
 //!    cycle-exact.
 //! 3. **Tenure batching** replays the interior of a bus tenure
-//!    arithmetically, like the TLM kernel — but unlike TLM it is only
-//!    entered when every elided poll is a *provable no-op*: the source
-//!    must declare [`TrafficSource::pure_while_backlogged`] and its
-//!    port's backlog must be nonempty for the whole batch. Sources that
-//!    cannot make that promise bound the batch (future horizons) or
-//!    force a per-cycle step (due polls), never an approximation.
-//!    Batching is skipped entirely on lanes with windowed metrics, whose
-//!    gauges sample every busy cycle boundary (mirroring the scalar
-//!    kernel's `tenure_skips_allowed`).
+//!    arithmetically, and is only entered when every elided poll is a
+//!    *provable no-op*: the source must declare
+//!    [`TrafficSource::pure_while_backlogged`] and its port's backlog
+//!    must be nonempty for the whole batch. Sources that cannot make
+//!    that promise bound the batch (future horizons) or force a
+//!    per-cycle step (due polls), never an approximation. Batching is
+//!    skipped entirely on lanes with windowed metrics, whose gauges
+//!    sample every busy cycle boundary.
 //!
 //! Point 3 is what makes fleets fast at saturation, where the scalar
 //! cycle kernel pays the full per-cycle cost: a saturated 8-word tenure
@@ -580,7 +579,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             }
         }
         let arbiter_horizon = match self.lowered[lane] {
-            Some((kernel, slot)) => self.kernels[kernel as usize].next_event_slot(slot as usize, now),
+            Some((kernel, slot)) => {
+                self.kernels[kernel as usize].next_event_slot(slot as usize, now)
+            }
             None => self.arbiters[lane].next_event(now),
         };
         fold_horizon(horizon, arbiter_horizon, now)
@@ -594,7 +595,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
         self.traces[lane].record_idle_span(now, delta);
         match self.lowered[lane] {
-            Some((kernel, slot)) => self.kernels[kernel as usize].skip_idle_slot(slot as usize, delta),
+            Some((kernel, slot)) => {
+                self.kernels[kernel as usize].skip_idle_slot(slot as usize, delta)
+            }
             None => self.arbiters[lane].skip_idle(delta),
         }
         self.stats[lane].record_cycles(delta);
@@ -607,9 +610,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
 
     /// Batches the interior of lane `lane`'s tenure in flight, exactly.
     ///
-    /// Unlike the scalar TLM kernel's tenure skip — which *defers* due
-    /// polls as a measured approximation — this batch only proceeds when
-    /// every due poll is a provable no-op: the source declares
+    /// The batch only proceeds when every due poll is a provable no-op
+    /// (deferring a due poll would thin the source's arrival process):
+    /// the source declares
     /// [`TrafficSource::pure_while_backlogged`] and its port has a
     /// nonempty backlog, which persists for the whole batch (the owner's
     /// head transaction pops only in the bus phase of its completion
@@ -660,9 +663,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     }
 
     /// Replays up to `max_cycles` of lane `lane`'s in-flight tenure
-    /// arithmetically over the SoA counters; the fleet twin of the bus
-    /// engine's tenure skip, leaving counters, ports, statistics and
-    /// trace exactly where per-cycle stepping would.
+    /// arithmetically over the SoA counters, leaving counters, ports,
+    /// statistics and trace exactly where per-cycle stepping would.
     fn batch_tenure(&mut self, lane: usize, now: Cycle, max_cycles: u64) -> u64 {
         let lo = self.offsets[lane];
         let master = MasterId::new(self.owner[lane] as usize);
@@ -769,9 +771,11 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 self.stats[lane].record_contended_arbitration();
             }
             let decision = match self.lowered[lane] {
-                Some((kernel, slot)) => {
-                    self.kernels[kernel as usize].arbitrate_slot(slot as usize, &self.scratch, cursor)
-                }
+                Some((kernel, slot)) => self.kernels[kernel as usize].arbitrate_slot(
+                    slot as usize,
+                    &self.scratch,
+                    cursor,
+                ),
                 None => self.arbiters[lane].arbitrate(&self.scratch, cursor),
             };
             let Some(grant) = decision else {
@@ -779,7 +783,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 // polls are no-ops and tracing is off on this path. Hand
                 // the (rare) idle lane back to the horizon machinery.
                 consumed_total += 1;
-                cursor = cursor + 1;
+                cursor += 1;
                 break;
             };
             debug_assert!(
@@ -791,8 +795,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             debug_assert!(grant.max_words > 0, "arbiter granted zero words");
             let winner = grant.master;
             let port = &mut self.ports[lo + winner.index()];
-            let words =
-                grant.max_words.min(self.configs[lane].max_burst).min(port.pending_words());
+            let words = grant.max_words.min(self.configs[lane].max_burst).min(port.pending_words());
             self.stats[lane].record_grant(winner);
             port.note_grant(cursor);
             // A zero-stall lane (no arbitration overhead, every slave at
@@ -836,7 +839,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             };
             debug_assert!(consumed > 0, "fused arbitration must consume cycles");
             consumed_total += consumed;
-            cursor = cursor + consumed;
+            cursor += consumed;
             if cursor >= limit || self.stall_left[lane] > 0 || self.words_left[lane] > 0 {
                 // Window exhausted (possibly mid-tenure, which the busy
                 // path resumes next window).
@@ -1358,8 +1361,11 @@ mod tests {
     /// `shape`'s lane with trace and metrics off — the configuration
     /// under which `fast_arbitrate_lane` is legal (`fast_ok`).
     fn untraced_lane_for(shape: &LaneShape) -> LaneBuilder<FixedOrderArbiter, TestSource> {
-        let mut lane = LaneBuilder::new(BusConfig::default())
-            .slave(Slave::with_wait_states(SlaveId::new(0), "s0", shape.wait_states));
+        let mut lane = LaneBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
+            SlaveId::new(0),
+            "s0",
+            shape.wait_states,
+        ));
         for m in 0..shape.masters {
             lane = lane.master(format!("m{m}"), source_for(shape, m));
         }
@@ -1368,8 +1374,11 @@ mod tests {
 
     /// The scalar twin of [`untraced_lane_for`].
     fn untraced_scalar_for(shape: &LaneShape) -> System<FixedOrderArbiter, TestSource> {
-        let mut builder = SystemBuilder::new(BusConfig::default())
-            .slave(Slave::with_wait_states(SlaveId::new(0), "s0", shape.wait_states));
+        let mut builder = SystemBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
+            SlaveId::new(0),
+            "s0",
+            shape.wait_states,
+        ));
         for m in 0..shape.masters {
             builder = builder.master(format!("m{m}"), source_for(shape, m));
         }
@@ -1390,8 +1399,7 @@ mod tests {
                 wait_states,
                 metrics: None,
             };
-            let mut fleet =
-                Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
+            let mut fleet = Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
             assert!(fleet.fast_ok[0], "untraced, metric-less lane must qualify for fusing");
             assert_eq!(fleet.zero_stall[0], wait_states == 0);
             let mut scalar = untraced_scalar_for(&shape);

@@ -260,25 +260,13 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
         self
     }
 
-    /// Selects the fast-forward kernel for [`System::run`] (see
-    /// [`crate::fastforward`]): whenever the bus is idle and every
-    /// component's event horizon lies in the future, the run jumps
-    /// straight to the horizon and replicates the skipped idle cycles'
-    /// accounting arithmetically. Results — statistics, metrics
-    /// time-series, traces, fault logs — are cycle-exact against the
-    /// default cycle kernel; only wall-clock time changes.
-    ///
-    /// Shorthand for `kernel(Kernel::Fast)` / `kernel(Kernel::Cycle)`;
-    /// kept for the many call sites that predate [`Kernel::Tlm`].
-    pub fn fast_forward(mut self, enabled: bool) -> Self {
-        self.kernel = if enabled { Kernel::Fast } else { Kernel::Cycle };
-        self
-    }
-
     /// Selects the simulation kernel for [`System::run`] (see
-    /// [`Kernel`]): the cycle-accurate reference, the idle-skipping
-    /// fast-forward kernel, or the transaction-level kernel that
-    /// additionally batches uncontended bus tenures.
+    /// [`Kernel`]): the cycle-accurate reference or the idle-skipping
+    /// fast-forward kernel (see [`crate::fastforward`]), which jumps
+    /// straight to the next event horizon whenever the bus is idle and
+    /// replicates the skipped cycles' accounting arithmetically.
+    /// Results — statistics, metrics time-series, traces, fault logs —
+    /// are cycle-exact under either; only wall-clock time changes.
     pub fn kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
@@ -547,12 +535,6 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
         self.now += 1;
     }
 
-    /// Whether [`System::run`] uses an idle-skipping kernel (selected
-    /// via [`SystemBuilder::fast_forward`] or [`SystemBuilder::kernel`]).
-    pub fn is_fast_forward(&self) -> bool {
-        self.kernel.skips_idle()
-    }
-
     /// The kernel [`System::run`] uses.
     pub fn run_kernel(&self) -> Kernel {
         self.kernel
@@ -624,88 +606,20 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
         self.now = target;
     }
 
-    /// Whether the TLM kernel may batch tenures on this system. Fault
-    /// machinery draws per-cycle state in [`System::step`]'s prepass
-    /// (master-stall lotteries, watchdog arming on waiting masters) and
-    /// windowed metrics sample gauges at every busy cycle boundary;
-    /// neither survives batching, so the TLM kernel degrades to the
-    /// (exact) fast kernel when either is active.
-    fn tenure_skips_allowed(&self) -> bool {
-        self.bus.faults.is_none() && self.metrics.is_none()
-    }
-
-    /// Batches the interior of the tenure in flight up to the earliest
-    /// *future* poll horizon (and `end`), deferring the polls of
-    /// sources pinned at `now` to the next unskipped cycle. Returns
-    /// whether any cycles were consumed; `false` means the caller must
-    /// fall back to a per-cycle step.
-    ///
-    /// Deferred polls are the TLM approximation: sources announcing
-    /// true future horizons (periodic, on–off, replay, silent) lose
-    /// nothing — their generators back-fill skipped cycles at the next
-    /// poll with exact `issued_at` stamps, so every arbitration cycle
-    /// still sees identical request lines and queue heads, and results
-    /// stay byte-identical. Sources that must be polled every cycle
-    /// (Bernoulli/Poisson draws, saturate probes) have those polls
-    /// elided, thinning their arrival process — a measured, bounded
-    /// error reported by the TLM harness, never silently absorbed.
-    fn skip_tenure(&mut self, end: Cycle) -> bool {
-        let now = self.now;
-        let mut limit = end;
-        for (source, &cached) in self.sources.iter().zip(&self.poll_horizon) {
-            if cached > now {
-                // A true future horizon: nothing to poll before it, so
-                // it bounds the batch and the source stays exact.
-                limit = limit.min(cached);
-                continue;
-            }
-            // A poll is due. A source that pins its horizon at every
-            // cycle (Bernoulli draws, saturate probes, the conservative
-            // default) is deferred; one whose next event lies beyond
-            // `now + 1` announced a real event *at* `now`, which a batch
-            // would lose — step instead so the poll happens.
-            if source.next_event(now + 1) > now + 1 {
-                return false;
-            }
-        }
-        if limit <= now {
-            return false;
-        }
-        let mut lap = self.profiler.start();
-        let consumed = self.bus.skip_tenure(
-            &mut self.masters,
-            now,
-            limit - now,
-            &mut self.stats,
-            &mut self.trace,
-        );
-        if consumed == 0 {
-            return false;
-        }
-        self.profiler.lap_span(SimPhase::Bus, consumed, &mut lap);
-        self.stats.record_cycles(consumed);
-        self.stats.failovers = self.arbiter.failovers() - self.failover_baseline;
-        self.now = now + consumed;
-        true
-    }
-
     /// Simulates `cycles` bus cycles and returns the statistics so far.
     ///
     /// Under the default cycle kernel this is `cycles` calls to
     /// [`System::step`]. Under the fast-forward kernel (see
-    /// [`SystemBuilder::fast_forward`]) idle spans are jumped in one
-    /// step each, with cycle-exact results. The TLM kernel (see
-    /// [`Kernel::Tlm`]) additionally batches the interior of each bus
-    /// tenure; see [`crate::fastforward`] for its exactness contract.
+    /// [`SystemBuilder::kernel`]) idle spans are jumped in one step
+    /// each, with cycle-exact results.
     pub fn run(&mut self, cycles: u64) -> &BusStats {
         if self.kernel.skips_idle() {
-            let tenures = self.kernel.skips_tenures() && self.tenure_skips_allowed();
             let end = self.now + cycles;
             while self.now < end {
                 let target = self.idle_horizon().min(end);
                 if target > self.now {
                     self.skip_to(target);
-                } else if !(tenures && self.bus.is_busy() && self.skip_tenure(end)) {
+                } else {
                     self.step();
                 }
             }
@@ -878,7 +792,7 @@ mod tests {
 
     #[test]
     fn fast_forward_is_cycle_exact_and_actually_skips() {
-        let run = |fast: bool| {
+        let run = |kernel: Kernel| {
             let skipped = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
             let spy = SpyArbiter {
                 inner: FixedOrderArbiter::new(2),
@@ -890,7 +804,7 @@ mod tests {
                 .arbiter(spy)
                 .trace_capacity(4096)
                 .metrics_window(32)
-                .fast_forward(fast)
+                .kernel(kernel)
                 .build()
                 .expect("valid system");
             system.run(1_000);
@@ -903,8 +817,8 @@ mod tests {
                 skipped.load(std::sync::atomic::Ordering::Relaxed),
             )
         };
-        let (slow_stats, slow_trace, slow_metrics, slow_now, slow_skipped) = run(false);
-        let (fast_stats, fast_trace, fast_metrics, fast_now, fast_skipped) = run(true);
+        let (slow_stats, slow_trace, slow_metrics, slow_now, slow_skipped) = run(Kernel::Cycle);
+        let (fast_stats, fast_trace, fast_metrics, fast_now, fast_skipped) = run(Kernel::Fast);
         assert_eq!(slow_stats, fast_stats);
         assert_eq!(slow_trace, fast_trace);
         assert_eq!(slow_metrics, fast_metrics);
@@ -918,103 +832,15 @@ mod tests {
         let mut system = SystemBuilder::new(BusConfig::default())
             .master("quiet", SilentSource)
             .arbiter(FixedOrderArbiter::new(1))
-            .fast_forward(true)
+            .kernel(Kernel::Fast)
             .build()
             .expect("valid system");
-        assert!(system.is_fast_forward());
+        assert!(system.run_kernel().skips_idle());
         assert_eq!(system.idle_horizon(), Cycle::NEVER, "nothing scheduled");
         system.run(10_000);
         assert_eq!(system.now(), Cycle::new(10_000), "end clamps the jump");
         assert_eq!(system.stats().cycles, 10_000);
         assert_eq!(system.stats().bus_utilization(), 0.0);
-    }
-
-    /// Counts how many times [`System::step`] reaches the bus by spying
-    /// on arbitrations: the TLM kernel must arbitrate exactly as often
-    /// as the cycle kernel (once per tenure + once per unskipped idle
-    /// cycle) while *stepping* far fewer cycles.
-    fn run_kernel_matrix(kernel: Kernel) -> (BusStats, BusTrace, Cycle, u64) {
-        let skipped = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let spy = SpyArbiter {
-            inner: FixedOrderArbiter::new(2),
-            skipped: std::sync::Arc::clone(&skipped),
-        };
-        let mut system = SystemBuilder::new(BusConfig::default())
-            .master("a", EveryN { period: 50, words: 4 })
-            .master("b", EveryN { period: 70, words: 2 })
-            .arbiter(spy)
-            .trace_capacity(4096)
-            .kernel(kernel)
-            .build()
-            .expect("valid system");
-        system.run(1_000);
-        (
-            system.stats().clone(),
-            system.trace().clone(),
-            system.now(),
-            skipped.load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    #[test]
-    fn tlm_kernel_is_byte_exact_for_horizon_announcing_sources() {
-        let (cycle_stats, cycle_trace, cycle_now, _) = run_kernel_matrix(Kernel::Cycle);
-        let (tlm_stats, tlm_trace, tlm_now, tlm_skipped) = run_kernel_matrix(Kernel::Tlm);
-        assert_eq!(cycle_stats, tlm_stats);
-        assert_eq!(cycle_trace, tlm_trace);
-        assert_eq!(cycle_now, tlm_now);
-        assert!(tlm_skipped > 500, "tlm still skips idle gaps, got {tlm_skipped}");
-    }
-
-    #[test]
-    fn tlm_kernel_batches_tenures_with_overhead() {
-        // With arbitration overhead the tenure interior is long enough
-        // that batching is observable: the run must finish with the same
-        // results as the cycle kernel while the profiler (disabled) and
-        // stats stay identical.
-        let run = |kernel: Kernel| {
-            let cfg = BusConfig { arbitration_overhead: 4, ..BusConfig::default() };
-            let mut system = SystemBuilder::new(cfg)
-                .master("a", EveryN { period: 40, words: 8 })
-                .master("b", EveryN { period: 90, words: 8 })
-                .arbiter(FixedOrderArbiter::new(2))
-                .trace_capacity(8192)
-                .kernel(kernel)
-                .build()
-                .expect("valid system");
-            system.run(2_000);
-            (system.stats().clone(), system.trace().clone())
-        };
-        assert_eq!(run(Kernel::Cycle), run(Kernel::Tlm));
-    }
-
-    #[test]
-    fn tlm_degrades_to_fast_under_faults_and_metrics() {
-        // Fault injection and windowed metrics disable tenure batching;
-        // the run must remain byte-exact against the cycle kernel (the
-        // fast kernel's guarantee) rather than approximate.
-        let run = |kernel: Kernel| {
-            let mut system = SystemBuilder::new(BusConfig::default())
-                .master("a", EveryN { period: 30, words: 6 })
-                .arbiter(FixedOrderArbiter::new(1))
-                .trace_capacity(4096)
-                .metrics_window(64)
-                .faults(FaultConfig { seed: 9, slave_error_rate: 0.05, ..FaultConfig::default() })
-                .retry_policy(RetryPolicy::exponential(2, 4))
-                .timeout(200)
-                .kernel(kernel)
-                .build()
-                .expect("valid system");
-            system.run(3_000);
-            system.flush_metrics();
-            (
-                system.stats().clone(),
-                system.trace().clone(),
-                system.fault_events().to_vec(),
-                system.metrics().expect("metrics on").samples().to_vec(),
-            )
-        };
-        assert_eq!(run(Kernel::Cycle), run(Kernel::Tlm));
     }
 
     #[test]

@@ -371,7 +371,7 @@ impl BusTrace {
     }
 
     /// Records a [`TraceEvent::Word`] event for `master` at every cycle
-    /// in `start..start + words` — the TLM kernel's batched form of the
+    /// in `start..start + words` — the fleet's batched form of the
     /// per-cycle word recording the cycle kernel performs during a
     /// burst, preserving byte-identical buffers, drop counts, and sink
     /// streams across kernels. A no-op when the trace is disabled.

@@ -158,7 +158,7 @@ fn grouped_arbitration_steady_state_makes_zero_allocations() {
     // or per-decision heap traffic.
     let pack: Vec<&str> = ["lottery-static", "tdma"]
         .into_iter()
-        .flat_map(|protocol| std::iter::repeat(protocol).take(4))
+        .flat_map(|protocol| std::iter::repeat_n(protocol, 4))
         .collect();
     let lanes = pack
         .iter()

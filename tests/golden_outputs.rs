@@ -4,7 +4,7 @@
 //! The snapshot pins the *numbers*, not just the invariants: any change
 //! to arbiter decision order, RNG cadence, fault drawing, or kernel
 //! accounting shows up here as a byte diff. The same document is
-//! rendered under both kernels, so the golden file doubles as a
+//! rendered under every kernel name, so the golden file doubles as a
 //! kernel-equivalence witness in CI.
 //!
 //! To regenerate after an intentional behaviour change:
@@ -48,10 +48,10 @@ fn golden_document(kernel: Kernel) -> String {
 
 #[test]
 fn golden_suite_document_is_stable_under_both_exact_kernels() {
-    // The TLM kernel is deliberately absent here: fig4/starvation/
-    // energy drive Bernoulli traffic, where it is a bounded
-    // approximation rather than byte-exact (its exact subset — fig5 —
-    // is pinned by tests/kernel_equivalence.rs instead).
+    // Two kernels, three spellings: `tlm` is an alias of `fast`, so it
+    // must reproduce the snapshot too — including fig4/starvation/
+    // energy, whose Bernoulli traffic is where an approximate kernel
+    // would drift.
     let cycle = golden_document(Kernel::Cycle);
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &cycle).expect("write golden snapshot");
@@ -65,9 +65,12 @@ fn golden_suite_document_is_stable_under_both_exact_kernels() {
         "cycle-kernel output drifted from the golden snapshot; if the change is \
          intentional, regenerate with REGEN_GOLDEN=1 and review the diff"
     );
-    let fast = golden_document(Kernel::Fast);
-    assert_eq!(
-        fast, golden,
-        "fast-kernel output differs from the golden snapshot (kernel equivalence broken)"
-    );
+    for kernel in [Kernel::Fast, Kernel::Tlm] {
+        assert_eq!(
+            golden_document(kernel),
+            golden,
+            "{}-kernel output differs from the golden snapshot (kernel equivalence broken)",
+            kernel.name()
+        );
+    }
 }

@@ -1,4 +1,4 @@
-//! Differential testing harness for the fast-forward and TLM kernels.
+//! Differential testing harness for the fast-forward kernel.
 //!
 //! Every suite experiment — and a set of system-level scenarios
 //! covering fault injection, recovery, windowed metrics, traces,
@@ -6,14 +6,8 @@
 //! and the fast-forward kernel. The outputs must match exactly:
 //! statistics struct-for-struct, serialized JSON byte-for-byte, trace
 //! streams event-for-event. Fast-forward is a pure wall-clock
-//! optimization; any divergence here is a kernel bug.
-//!
-//! The TLM kernel joins the matrix wherever it claims exactness: on
-//! forced-outcome systems (periodic/replay arrivals, or any system
-//! with metrics or faults enabled, where tenure batching switches
-//! itself off) its output must also be byte-identical. Its bounded
-//! statistical error on contended memoryless traffic is measured by
-//! `suite --bench`, not asserted here.
+//! optimization; any divergence here is a kernel bug. (`tlm` names the
+//! same kernel; `tests/golden_outputs.rs` covers that alias.)
 
 use lotterybus_cli::{render_metrics, render_report, SimSpec};
 use lotterybus_repro::arbiters::FailoverArbiter;
@@ -38,7 +32,7 @@ where
     F: Fn(&RunSettings) -> T,
 {
     let cycle = experiment(&short());
-    let fast = experiment(&short().with_fast_forward(true));
+    let fast = experiment(&short().with_kernel(Kernel::Fast));
     assert_eq!(cycle, fast, "{name}: kernels disagree");
     assert_eq!(
         cycle.to_json().render(),
@@ -56,11 +50,9 @@ fn fig4_bandwidth_and_timeseries_match() {
 #[test]
 fn fig5_tdma_replay_matches() {
     let cycle = experiments::fig5::run_kernel(1, Kernel::Cycle);
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        let other = experiments::fig5::run_kernel(1, kernel);
-        assert_eq!(cycle, other, "fig5: {} kernel disagrees", kernel.name());
-        assert_eq!(cycle.to_json().render(), other.to_json().render());
-    }
+    let fast = experiments::fig5::run_kernel(1, Kernel::Fast);
+    assert_eq!(cycle, fast, "fig5: fast kernel disagrees");
+    assert_eq!(cycle.to_json().render(), fast.to_json().render());
 }
 
 #[test]
@@ -88,7 +80,7 @@ fn starvation_sweeps_energy_and_ablations_match() {
 /// periodic + bursty + poisson traffic, all five fault classes, retry
 /// with backoff, a watchdog timeout, a failover-wrapped lottery, a
 /// windowed metrics collector, and a buffered + streamed trace.
-fn build_full_system(seed: u64, fast_forward: bool) -> lotterybus_repro::socsim::System {
+fn build_full_system(seed: u64, kernel: Kernel) -> lotterybus_repro::socsim::System {
     let fault = FaultConfig {
         seed,
         slave_error_rate: 0.01,
@@ -104,7 +96,7 @@ fn build_full_system(seed: u64, fast_forward: bool) -> lotterybus_repro::socsim:
         Box::new(StaticLotteryArbiter::with_seed(tickets, seed as u32 | 1).expect("valid"));
     let arbiter = FailoverArbiter::with_patience(lottery, 3, 64).expect("valid");
     SystemBuilder::new(BusConfig::default())
-        .fast_forward(fast_forward)
+        .kernel(kernel)
         .master("periodic", GeneratorSpec::periodic(90, 7, SizeDist::fixed(8)).build_source(seed))
         .master(
             "bursty",
@@ -125,8 +117,8 @@ fn build_full_system(seed: u64, fast_forward: bool) -> lotterybus_repro::socsim:
 #[test]
 fn faulty_observed_system_matches_in_every_output_stream() {
     for seed in [3u64, 17, 101] {
-        let mut cycle = build_full_system(seed, false);
-        let mut fast = build_full_system(seed, true);
+        let mut cycle = build_full_system(seed, Kernel::Cycle);
+        let mut fast = build_full_system(seed, Kernel::Fast);
         for system in [&mut cycle, &mut fast] {
             system.warm_up(500);
             system.run(20_000);
@@ -158,9 +150,9 @@ fn replica_fanout_matches_across_kernels() {
     let base_seed = 0xC0FFEEu64;
     for r in 0..3u64 {
         let seed = base_seed.wrapping_add(r.wrapping_mul(0x9E37_79B9_97F4_A7C5));
-        let run = |fast: bool| {
+        let run = |kernel: Kernel| {
             let mut system = SystemBuilder::new(BusConfig::default())
-                .fast_forward(fast)
+                .kernel(kernel)
                 .master("a", GeneratorSpec::periodic(64, 0, SizeDist::fixed(8)).build_source(seed))
                 .master(
                     "b",
@@ -172,7 +164,7 @@ fn replica_fanout_matches_across_kernels() {
             system.run(15_000);
             system.stats().clone()
         };
-        assert_eq!(run(false), run(true), "replica {r} diverged between kernels");
+        assert_eq!(run(Kernel::Cycle), run(Kernel::Fast), "replica {r} diverged between kernels");
     }
 }
 
@@ -222,7 +214,7 @@ fn cli_spec_pipeline_matches_across_kernels() {
             builder = builder.metrics_window(window);
         }
         let mut system = builder
-            .fast_forward(spec.kernel.is_fast())
+            .kernel(spec.kernel)
             .arbiter(spec.build_arbiter().expect("arbiter"))
             .build()
             .expect("valid system");
@@ -244,9 +236,7 @@ fn cli_spec_pipeline_matches_across_kernels() {
 
 #[test]
 fn scenario_and_suite_experiment_match_across_the_full_kernel_matrix() {
-    // One declarative scenario: the runner always enables windowed
-    // metrics, so even the TLM kernel must render a byte-identical
-    // verdict (tenure batching disables itself under observation).
+    // One declarative scenario, whose verdict must be byte-identical.
     let text = "scenario kernel-matrix\n\
                 seed = 42\n\
                 arbiter = lottery\n\
@@ -256,34 +246,25 @@ fn scenario_and_suite_experiment_match_across_the_full_kernel_matrix() {
                 sla losses max=0\n";
     let sc = scenario::Scenario::parse(text).expect("valid scenario");
     let cycle = scenario::run_scenario(&sc, Kernel::Cycle).expect("cycle run");
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        let other = scenario::run_scenario(&sc, kernel).expect("kernel run");
-        assert_eq!(
-            cycle.to_json().render(),
-            other.to_json().render(),
-            "scenario verdict differs under the {} kernel",
-            kernel.name()
-        );
-    }
+    let fast = scenario::run_scenario(&sc, Kernel::Fast).expect("fast run");
+    assert_eq!(
+        cycle.to_json().render(),
+        fast.to_json().render(),
+        "scenario verdict differs under the fast kernel"
+    );
 
-    // One suite experiment on a forced-outcome workload: periodic
-    // low-utilization traffic, where the TLM kernel claims outright
-    // exactness (every arbitration outcome is forced, so whole-tenure
-    // batching loses nothing).
+    // One suite experiment on periodic low-utilization traffic, where
+    // the fast kernel skips most cycles.
     let settings = short();
     let specs = experiments::common::low_utilization_specs(4);
     let run = |s: &RunSettings| {
         experiments::common::run_system(&specs, experiments::common::protocol_arbiter(4, s.seed), s)
     };
-    let cycle_stats = run(&settings);
-    for kernel in [Kernel::Fast, Kernel::Tlm] {
-        assert_eq!(
-            cycle_stats,
-            run(&settings.with_kernel(kernel)),
-            "suite experiment stats differ under the {} kernel",
-            kernel.name()
-        );
-    }
+    assert_eq!(
+        run(&settings),
+        run(&settings.with_kernel(Kernel::Fast)),
+        "suite experiment stats differ under the fast kernel"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ use lotterybus_repro::lottery::{
     draw_winner, partial_sums, DynamicLotteryArbiter, Lfsr, StaticLotteryArbiter, TicketAssignment,
 };
 use lotterybus_repro::socsim::{Arbiter, Cycle, MasterId, RequestMap};
-use lotterybus_repro::socsim::{BusConfig, FaultConfig, RetryPolicy, System, SystemBuilder};
+use lotterybus_repro::socsim::{
+    BusConfig, FaultConfig, Kernel, RetryPolicy, System, SystemBuilder,
+};
 use lotterybus_repro::traffic::{GeneratorSpec, SizeDist};
 use proptest::prelude::*;
 
@@ -226,10 +228,10 @@ fn random_system(
     masters: &[(u8, u64, u64, u32)],
     with_faults: bool,
     seed: u64,
-    fast_forward: bool,
+    kernel: Kernel,
 ) -> System<lotterybus_repro::arbiters::ArbiterKind> {
     let mut builder =
-        SystemBuilder::new(BusConfig::default()).fast_forward(fast_forward).trace_capacity(1 << 15);
+        SystemBuilder::new(BusConfig::default()).kernel(kernel).trace_capacity(1 << 15);
     for (i, &(kind, a, b, size)) in masters.iter().enumerate() {
         builder = builder.master(
             format!("m{i}"),
@@ -262,8 +264,8 @@ proptest! {
         faults in prop::sample::select(vec![false, true]),
         seed in 1u64..1_000_000,
     ) {
-        let mut cycle = random_system(arb, &masters, faults, seed, false);
-        let mut fast = random_system(arb, &masters, faults, seed, true);
+        let mut cycle = random_system(arb, &masters, faults, seed, Kernel::Cycle);
+        let mut fast = random_system(arb, &masters, faults, seed, Kernel::Fast);
         cycle.run(2_500);
         fast.run(2_500);
         prop_assert_eq!(cycle.stats(), fast.stats(), "statistics diverged");
@@ -283,7 +285,7 @@ proptest! {
         // the *cycle* kernel one step at a time and asserts that every
         // cycle strictly below the advertised horizon really is
         // replicable idle time: no grants, no words, no fault events.
-        let mut system = random_system(arb, &masters, faults, seed, false);
+        let mut system = random_system(arb, &masters, faults, seed, Kernel::Cycle);
         for _ in 0..800u32 {
             let horizon = system.idle_horizon();
             let now = system.now();

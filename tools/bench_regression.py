@@ -26,21 +26,6 @@ SATURATED_MIN_RATIO = 0.95
 # section) may drop this far against the baseline before warning.
 HOT_NOISE_TOLERANCE = 0.25
 
-# TLM kernel gates. On the forced-outcome low-utilization workload the
-# TLM kernel is byte-exact and must deliver at least this speedup over
-# the cycle kernel (the PR-7 acceptance target; measured ~24x).
-TLM_LOWUTIL_MIN_SPEEDUP = 10.0
-# At saturation it is an approximation; it should still be clearly
-# faster (measured ~3.5x) ...
-TLM_SATURATED_MIN_SPEEDUP = 1.5
-# ... and its statistical error must stay inside these ceilings
-# (measured ~0.20 utilization, ~0.15 share, ~1.0x quantile shift; the
-# ceilings leave headroom for seed/window jitter without letting the
-# approximation drift into a different regime).
-TLM_MAX_UTILIZATION_ABS_ERROR = 0.30
-TLM_MAX_SHARE_ABS_ERROR = 0.25
-TLM_MAX_P99_RATIO_ERROR = 1.5
-
 # Fleet gates (the `fleet` section, PR-9). The SoA lockstep fleet must
 # beat the summed scalar cycle-kernel runs of the same lanes by at
 # least this factor on the saturated long-burst probe (the PR-9
@@ -92,48 +77,6 @@ ANALYTIC_MIN_LATENCY_CELLS = 15
 def load(path):
     with open(path) as handle:
         return json.load(handle)
-
-
-def check_tlm(tlm, warn):
-    """Gate the TLM kernel's speed and accuracy probes."""
-    lowutil = tlm.get("lowutil", {})
-    speedup = lowutil.get("speedup")
-    if speedup is None:
-        warn("tlm.lowutil lacks speedup")
-    elif speedup < TLM_LOWUTIL_MIN_SPEEDUP:
-        warn(
-            f"tlm kernel speedup on the low-utilization workload is {speedup:.2f}x "
-            f"(want >= {TLM_LOWUTIL_MIN_SPEEDUP:.1f}x)"
-        )
-    else:
-        print(f"ok: tlm low-utilization speedup {speedup:.2f}x (byte-exact)")
-    if lowutil.get("byte_identical") is not True:
-        warn("tlm.lowutil.byte_identical is not true")
-
-    saturated = tlm.get("saturated", {})
-    speedup = saturated.get("speedup")
-    if speedup is None:
-        warn("tlm.saturated lacks speedup")
-    elif speedup < TLM_SATURATED_MIN_SPEEDUP:
-        warn(
-            f"tlm kernel speedup at saturation is {speedup:.2f}x "
-            f"(want >= {TLM_SATURATED_MIN_SPEEDUP:.1f}x)"
-        )
-    else:
-        print(f"ok: tlm saturated speedup {speedup:.2f}x")
-
-    for key, ceiling in (
-        ("utilization_abs_error", TLM_MAX_UTILIZATION_ABS_ERROR),
-        ("bandwidth_share_max_abs_error", TLM_MAX_SHARE_ABS_ERROR),
-        ("p99_latency_max_ratio_error", TLM_MAX_P99_RATIO_ERROR),
-    ):
-        value = saturated.get(key)
-        if value is None:
-            warn(f"tlm.saturated lacks {key}")
-        elif value > ceiling:
-            warn(f"tlm {key} is {value:.4f} (ceiling {ceiling:.2f})")
-        else:
-            print(f"ok: tlm {key} {value:.4f} <= {ceiling:.2f}")
 
 
 def check_analytic(analytic, warn):
@@ -339,12 +282,6 @@ def main(argv):
     suite = current.get("kernel_suite_speedup")
     if suite is not None:
         print(f"info: whole-suite fast-kernel speedup {suite:.2f}x")
-
-    tlm = current.get("tlm")
-    if tlm is None:
-        warn("report lacks the tlm probe section (old report format?)")
-    else:
-        check_tlm(tlm, warn)
 
     analytic = current.get("analytic")
     if analytic is None:
