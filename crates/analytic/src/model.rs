@@ -95,6 +95,12 @@ impl Protocol {
         })
     }
 
+    /// Whether the model ignores arbitration weights, so every weight
+    /// vector predicts bit-identically (plain round-robin).
+    pub(crate) fn weight_blind(self) -> bool {
+        self == Protocol::RoundRobin
+    }
+
     pub(crate) fn space(self) -> Space {
         match self {
             Protocol::StaticPriority => Space::Waterfall,

@@ -5,12 +5,19 @@
 //!
 //! One point evaluation is a few hundred flops and allocates nothing,
 //! so a single thread covers a 4-master × 32-ticket grid (1,048,576
-//! points) in well under a second. Equivalent ticket vectors are
+//! points) in about a tenth of a second. Equivalent ticket vectors are
 //! folded together in the short list: scaling every ticket count by a
 //! common factor changes nothing for the lottery, deficit-RR, or
 //! priority models (only the order matters for the latter), so the
 //! short list reports each *allocation shape* once, at its smallest
 //! ticket sum.
+//!
+//! The short list costs little per offered point: each entry keeps
+//! its shape signature from when it entered, and a full list drops
+//! points below its worst margin before shaping them. The round-robin
+//! model ignores weights, so its scan evaluates one point per
+//! (burst, load-scale) cell and counts the rest
+//! ([`SearchReport::evaluated`] against [`SearchReport::scanned`]).
 //!
 //! ```
 //! use analytic::{Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
@@ -189,8 +196,12 @@ pub struct Candidate {
 /// The result of an analytic design-space scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SearchReport {
-    /// Design points evaluated.
+    /// Design points accounted for: every point of the space.
     pub scanned: u64,
+    /// Closed-form evaluations actually run. Equal to `scanned` except
+    /// for weight-blind protocols (round-robin), where one evaluation
+    /// stands for its whole (burst, load-scale) cell.
+    pub evaluated: u64,
     /// Points satisfying every target.
     pub feasible: u64,
     /// Best feasible candidates, one per allocation shape, by
@@ -219,8 +230,19 @@ pub fn search(
 
     let mut scratch = Scratch::new();
     let mut scanned = 0u64;
+    let mut evaluated = 0u64;
     let mut feasible = 0u64;
-    let mut shortlist: Vec<Candidate> = Vec::new();
+    let mut shortlist = Shortlist::new(top);
+    // A weight-blind model predicts every point of a cell exactly like
+    // its all-ones point, and the short list would keep only that one
+    // (its shape's smallest ticket sum), so the all-ones evaluation
+    // stands for the whole cell.
+    let blind = space.protocol.weight_blind();
+    let stands_for = if blind {
+        u64::from(space.max_tickets).checked_pow(n as u32).unwrap_or(u64::MAX)
+    } else {
+        1
+    };
 
     for &burst in &space.bursts {
         let bus = BusConfig { max_burst: burst, ..space.bus };
@@ -237,6 +259,7 @@ pub fn search(
                 )
             })
             .collect();
+        let ctx = ShapeCtx { protocol: space.protocol, drr_quantum: space.drr_quantum, burst };
         for &scale in &space.load_scales {
             let masters: Vec<MasterModel> =
                 base.iter().map(|m| MasterModel { lambda: m.lambda * scale, ..*m }).collect();
@@ -250,28 +273,18 @@ pub fn search(
                     m.weight = w;
                 }
                 model.evaluate(&mut scratch);
+                evaluated += 1;
                 let margin = targets
                     .iter()
                     .map(|t| t.slack(&scratch.preds[t.master]))
                     .fold(f64::INFINITY, f64::min);
-                scanned += 1;
+                scanned = scanned.saturating_add(stands_for);
                 if margin >= 0.0 {
-                    feasible += 1;
-                    let ctx = ShapeCtx {
-                        protocol: space.protocol,
-                        drr_quantum: space.drr_quantum,
-                        burst,
-                    };
-                    offer(
-                        &mut shortlist,
-                        top,
-                        ctx,
-                        &weights[..n],
-                        burst,
-                        scale,
-                        margin,
-                        &scratch.preds[..n],
-                    );
+                    feasible = feasible.saturating_add(stands_for);
+                    shortlist.offer(ctx, &weights[..n], scale, margin, &scratch.preds[..n]);
+                }
+                if blind {
+                    break;
                 }
                 // Odometer over the ticket grid.
                 let mut digit = 0;
@@ -290,8 +303,9 @@ pub fn search(
         }
     }
 
-    shortlist.sort_by(|a, b| b.margin.partial_cmp(&a.margin).expect("finite margins"));
-    Ok(SearchReport { scanned, feasible, candidates: shortlist })
+    let mut candidates = shortlist.candidates;
+    candidates.sort_by(|a, b| b.margin.partial_cmp(&a.margin).expect("finite margins"));
+    Ok(SearchReport { scanned, evaluated, feasible, candidates })
 }
 
 /// The dedup context of one scan cell: the protocol plus the knobs
@@ -344,60 +358,87 @@ fn gcd(a: u32, b: u32) -> u32 {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn offer(
-    shortlist: &mut Vec<Candidate>,
+/// The short list under construction: at most `top` feasible
+/// candidates, one per (burst, load-scale, shape), each with its shape
+/// signature computed once when it entered.
+struct Shortlist {
     top: usize,
-    ctx: ShapeCtx,
-    weights: &[u32],
-    burst: u32,
-    load_scale: f64,
-    margin: f64,
-    preds: &[Prediction],
-) {
-    if top == 0 {
-        return;
+    candidates: Vec<Candidate>,
+    /// `sigs[i]` is the shape of `candidates[i]`.
+    sigs: Vec<[u32; MAX_MASTERS]>,
+    /// The lowest margin on the list once it is full; `-∞` before.
+    floor: f64,
+}
+
+impl Shortlist {
+    fn new(top: usize) -> Self {
+        Shortlist { top, candidates: Vec::new(), sigs: Vec::new(), floor: f64::NEG_INFINITY }
     }
-    let mut sig = [0u32; MAX_MASTERS];
-    shape(ctx, weights, &mut sig);
-    let mut other = [0u32; MAX_MASTERS];
-    // Same shape in the same (burst, scale) cell: keep the best margin,
-    // and at equal margin the smallest ticket sum (the cheapest wheel).
-    if let Some(existing) = shortlist.iter_mut().find(|c| {
-        shape(ctx, &c.weights, &mut other);
-        c.burst == burst
-            && c.load_scale == load_scale
-            && other[..weights.len()] == sig[..weights.len()]
-    }) {
-        let sum: u32 = weights.iter().sum();
-        let existing_sum: u32 = existing.weights.iter().sum();
-        if margin > existing.margin + f64::EPSILON
-            || (margin >= existing.margin - f64::EPSILON && sum < existing_sum)
-        {
-            existing.weights.copy_from_slice(weights);
-            existing.margin = margin;
-            existing.predicted.copy_from_slice(preds);
-        }
-        return;
+
+    fn refresh_floor(&mut self) {
+        self.floor = if self.candidates.len() >= self.top {
+            self.candidates.iter().map(|c| c.margin).fold(f64::INFINITY, f64::min)
+        } else {
+            f64::NEG_INFINITY
+        };
     }
-    if shortlist.len() >= top {
-        let (worst_idx, worst) = shortlist
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.margin.partial_cmp(&b.1.margin).expect("finite"))
-            .expect("non-empty");
-        if margin <= worst.margin {
+
+    fn offer(
+        &mut self,
+        ctx: ShapeCtx,
+        weights: &[u32],
+        load_scale: f64,
+        margin: f64,
+        preds: &[Prediction],
+    ) {
+        // Below the floor of a full list a point can neither beat a
+        // same-shape entry nor evict the worst one.
+        if self.top == 0 || margin < self.floor - f64::EPSILON {
             return;
         }
-        shortlist.swap_remove(worst_idx);
+        let mut sig = [0u32; MAX_MASTERS];
+        shape(ctx, weights, &mut sig);
+        // Same shape in the same (burst, scale) cell: keep the best
+        // margin, and at equal margin the smallest ticket sum (the
+        // cheapest wheel).
+        if let Some(existing) = self.candidates.iter_mut().zip(&self.sigs).find_map(|(c, s)| {
+            (c.burst == ctx.burst && c.load_scale == load_scale && *s == sig).then_some(c)
+        }) {
+            let sum: u32 = weights.iter().sum();
+            let existing_sum: u32 = existing.weights.iter().sum();
+            if margin > existing.margin + f64::EPSILON
+                || (margin >= existing.margin - f64::EPSILON && sum < existing_sum)
+            {
+                existing.weights.copy_from_slice(weights);
+                existing.margin = margin;
+                existing.predicted.copy_from_slice(preds);
+                self.refresh_floor();
+            }
+            return;
+        }
+        if self.candidates.len() >= self.top {
+            let (worst_idx, worst) = self
+                .candidates
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.margin.partial_cmp(&b.1.margin).expect("finite"))
+                .expect("non-empty");
+            if margin <= worst.margin {
+                return;
+            }
+            self.candidates.swap_remove(worst_idx);
+            self.sigs.swap_remove(worst_idx);
+        }
+        self.candidates.push(Candidate {
+            weights: weights.to_vec(),
+            burst: ctx.burst,
+            load_scale,
+            margin,
+            predicted: preds.to_vec(),
+        });
+        self.sigs.push(sig);
+        self.refresh_floor();
     }
-    shortlist.push(Candidate {
-        weights: weights.to_vec(),
-        burst,
-        load_scale,
-        margin,
-        predicted: preds.to_vec(),
-    });
 }
 
 #[cfg(test)]
@@ -504,6 +545,27 @@ mod tests {
         let s = space(4);
         let bad = [SlaTarget { master: 9, kind: TargetKind::MinShare(0.1) }];
         assert!(search(&s, &bad, 5).is_err());
+    }
+
+    #[test]
+    fn weight_blind_scan_evaluates_one_point_per_cell() {
+        let mut s = space(5);
+        s.protocol = Protocol::RoundRobin;
+        s.bursts = vec![8, 16];
+        s.load_scales = vec![0.5, 1.0, 1.5];
+        let targets = [SlaTarget { master: 0, kind: TargetKind::MinShare(0.2) }];
+        let report = search(&s, &targets, 4).unwrap();
+        assert_eq!(report.evaluated, 6, "one evaluation per (burst, load-scale) cell");
+        assert_eq!(report.scanned, s.points());
+        assert!(report.feasible > 0);
+        assert_eq!(report.feasible % 625, 0, "feasibility holds for whole cells");
+        for c in &report.candidates {
+            assert!(c.weights.iter().all(|&w| w == 1), "{c:?}");
+        }
+        // A weight-aware protocol evaluates every point.
+        s.protocol = Protocol::LotteryStatic;
+        let report = search(&s, &targets, 4).unwrap();
+        assert_eq!(report.evaluated, report.scanned);
     }
 
     #[test]

@@ -75,6 +75,9 @@ pub fn parse_search_args(args: &[String]) -> Result<SearchArgs, String> {
             "--top" => {
                 parsed.top =
                     it.next().and_then(|v| v.parse().ok()).ok_or("`--top` requires a number")?;
+                if parsed.top == 0 {
+                    return Err("`--top` must be at least 1".to_owned());
+                }
             }
             "--confirm" => {
                 parsed.confirm = it
@@ -385,8 +388,10 @@ pub fn run_search_command(args: &[String]) -> Result<(String, bool), CommandErro
     let report = search(&space, &sla_targets, parsed.top).map_err(CommandError::Failure)?;
     let scan_wall = start.elapsed().as_secs_f64();
     eprintln!(
-        "scanned {} design points in {:.3}s ({:.0} points/s): {} feasible, {} short-listed",
+        "scanned {} design points ({} evaluated) in {:.3}s ({:.0} points/s): {} feasible, \
+         {} short-listed",
         report.scanned,
+        report.evaluated,
         scan_wall,
         report.scanned as f64 / scan_wall.max(f64::MIN_POSITIVE),
         report.feasible,
@@ -539,6 +544,10 @@ sla losses max=0
         assert!(e.contains("> 0"), "{e}");
         let e = parse_search_args(&args(&["x", "--bursts", "16,0"])).unwrap_err();
         assert!(e.contains("at least 1"), "{e}");
+        let e = parse_search_args(&args(&["x", "--top", "0"])).unwrap_err();
+        assert!(e.contains("--top") && e.contains("at least 1"), "{e}");
+        let e = parse_search_args(&args(&["x", "--max-tickets", "0"])).unwrap_err();
+        assert!(e.contains("--max-tickets") && e.contains("at least 1"), "{e}");
     }
 
     #[test]
