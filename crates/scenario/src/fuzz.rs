@@ -2,7 +2,7 @@
 //!
 //! The fuzzer generates random-but-valid scenarios from a splitmix64
 //! counter stream (fully deterministic for a given seed), runs each
-//! one under every kernel, and checks five invariants:
+//! one under every kernel, and checks six invariants:
 //!
 //! 1. **round-trip** — `parse(render(s)) == s`.
 //! 2. **kernel-equivalence** — the cycle-accurate and fast-forward
@@ -15,6 +15,9 @@
 //! 5. **no silent loss/starvation** — a scenario with no fault
 //!    machinery must end with zero aborted transactions and an empty
 //!    backlog after its drain phase.
+//! 6. **no panic** — a panic anywhere in the checks is caught and
+//!    reported as a `panic` finding (with the panic message), so it is
+//!    shrunk like any other breach and the campaign goes on.
 //!
 //! A failing scenario is *shrunk*: deterministic passes drop masters,
 //! phases, SLAs and fault classes, and halve durations, as long as
@@ -94,7 +97,7 @@ pub struct Finding {
     pub iteration: u32,
     /// Which invariant broke (`round-trip`, `kernel-divergence`,
     /// `fleet-divergence`, `verdict-fail`, `loss-without-fault`,
-    /// `silent-starvation`, `run-error`).
+    /// `silent-starvation`, `run-error`, `panic`).
     pub invariant: String,
     /// Details of the breach.
     pub detail: String,
@@ -216,6 +219,9 @@ fn arm_demo_failure(sc: &mut Scenario) {
     sc.slas.push(Sla { kind: SlaKind::Losses { master: None, max: 0 }, phase: None });
 }
 
+/// An invariant check: the first breach as `(invariant, detail)`.
+type Check = fn(&Scenario) -> Option<(String, String)>;
+
 /// Checks every invariant; returns the first breach as
 /// `(invariant, detail)`.
 fn check(sc: &Scenario) -> Option<(String, String)> {
@@ -282,6 +288,19 @@ fn check(sc: &Scenario) -> Option<(String, String)> {
         }
     }
     None
+}
+
+/// Runs `check` on `sc`, turning a panic into a `panic` breach that
+/// carries the panic message.
+fn guarded(check: Check, sc: &Scenario) -> Option<(String, String)> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(sc))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic with a non-string payload".to_owned());
+        Some(("panic".into(), message))
+    })
 }
 
 /// All single-step shrink candidates of `sc`, in a fixed order.
@@ -413,8 +432,12 @@ fn fault_zeroers() -> [fn(&mut Scenario); 5] {
 /// Deterministic: candidates are tried in a fixed order and the first
 /// still-failing one restarts the sweep.
 pub fn shrink(sc: &Scenario, invariant: &str) -> Scenario {
+    shrink_with(check, sc, invariant)
+}
+
+fn shrink_with(check: Check, sc: &Scenario, invariant: &str) -> Scenario {
     let still_fails = |c: &Scenario| -> bool {
-        c.validate().is_ok() && check(c).map(|(inv, _)| inv == invariant).unwrap_or(false)
+        c.validate().is_ok() && guarded(check, c).is_some_and(|(inv, _)| inv == invariant)
     };
     let mut best = sc.clone();
     loop {
@@ -434,6 +457,10 @@ pub fn shrink(sc: &Scenario, invariant: &str) -> Scenario {
 
 /// Runs a fuzzing campaign.
 pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
+    fuzz_with(check, config)
+}
+
+fn fuzz_with(check: Check, config: &FuzzConfig) -> FuzzReport {
     let mut rng = Rng::new(config.seed);
     let mut report = FuzzReport { iterations: config.iterations, ..Default::default() };
     for iteration in 0..config.iterations {
@@ -442,8 +469,8 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
             arm_demo_failure(&mut sc);
         }
         debug_assert_eq!(sc.validate(), Ok(()), "generator must emit valid scenarios");
-        if let Some((invariant, detail)) = check(&sc) {
-            let mut shrunk = shrink(&sc, &invariant);
+        if let Some((invariant, detail)) = guarded(check, &sc) {
+            let mut shrunk = shrink_with(check, &sc, &invariant);
             shrunk.name = format!("{}-min", sc.name);
             if invariant == "verdict-fail" {
                 // The reproducer *should* fail its SLA; mark it so the
@@ -455,4 +482,39 @@ pub fn fuzz(config: &FuzzConfig) -> FuzzReport {
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A check with a planted bug: it panics on any scenario with more
+    /// than one master.
+    fn panics_on_two_masters(sc: &Scenario) -> Option<(String, String)> {
+        assert!(sc.masters.len() < 2, "planted bug: {} masters", sc.masters.len());
+        None
+    }
+
+    #[test]
+    fn a_panicking_check_becomes_a_shrunk_finding_and_the_campaign_goes_on() {
+        let config = FuzzConfig { seed: 3, iterations: 3, demo_failure: false };
+        let report = fuzz_with(panics_on_two_masters, &config);
+        // Every generated scenario has 2-4 masters, so every iteration
+        // panics; none of them aborts the campaign.
+        assert_eq!(report.findings.len(), 3);
+        for finding in &report.findings {
+            assert_eq!(finding.invariant, "panic");
+            assert!(finding.detail.starts_with("planted bug:"), "{}", finding.detail);
+            // Shrinking keeps the scenario panicking: down to two
+            // masters, and no further.
+            assert_eq!(finding.shrunk.masters.len(), 2);
+            assert!(guarded(panics_on_two_masters, &finding.shrunk).is_some());
+        }
+    }
+
+    #[test]
+    fn a_quiet_check_reports_nothing() {
+        let config = FuzzConfig { seed: 3, iterations: 2, demo_failure: false };
+        assert!(fuzz_with(|_| None, &config).findings.is_empty());
+    }
 }

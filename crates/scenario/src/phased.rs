@@ -12,10 +12,11 @@
 //!
 //! * Periodic and on–off generators catch up when first polled at a
 //!   late cycle: they emit every arrival their schedule placed in the
-//!   skipped span, stamped in the past. (Bernoulli generators do not
-//!   — they draw once per poll and stamp at the polled cycle.) A
-//!   phase's generator is first polled at the phase start, so
-//!   arrivals stamped before the phase went live are discarded here.
+//!   skipped span, stamped in the past. (Bernoulli generators start
+//!   drawing at their first poll instead, so they have no such span.)
+//!   A phase's generator is first polled at the phase start, so
+//!   arrivals stamped before the phase went live are discarded here,
+//!   and a Bernoulli generator's draws always start at the phase start.
 //! * [`PhasedSource::next_event`] never reports a horizon past the
 //!   current phase's end, so the fast kernel cannot skip a boundary
 //!   and miss the generator switch.
@@ -195,9 +196,10 @@ mod tests {
 
     #[test]
     fn no_arrival_is_stamped_before_its_phase_started() {
-        // First poll of the flash phase happens at cycle 2000; the
-        // Bernoulli generator back-fills everything since cycle 0 and
-        // the wrapper must discard those stale stamps.
+        // First poll of the flash phase happens at cycle 2000. The
+        // Bernoulli generator starts drawing there, so nothing may be
+        // stamped earlier (periodic and on–off generators would back-fill
+        // from their schedule start, which the wrapper discards).
         let m = master(0.5, Arrival::Poisson);
         let mut src = PhasedSource::build(0, &m, &phases(), 11);
         let mut stamps = Vec::new();

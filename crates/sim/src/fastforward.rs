@@ -134,6 +134,64 @@ impl NextEvent for FaultPlan {
     }
 }
 
+/// How a [`crate::System`] or fleet lane advanced simulated time: the
+/// cycles each execution move covered, and the source polls actually
+/// run. The counts are deterministic (no timing), so a run that fell
+/// back to per-cycle stepping shows up here, not only as a slower wall
+/// time.
+///
+/// Every simulated cycle is counted under exactly one move. The
+/// counters cover the whole life of the system or lane: statistics
+/// resets (warm-up) do not clear them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MoveCounters {
+    /// Cycles simulated one at a time by the per-cycle step.
+    pub stepped: u64,
+    /// Idle cycles jumped by the idle skip.
+    pub idle_skipped: u64,
+    /// Busy cycles replayed by tenure batching.
+    pub tenure_batched: u64,
+    /// Cycles covered by the fused arbitrate-and-batch loop.
+    pub fused: u64,
+    /// Cycles covered by the arithmetic TDMA wheel walk.
+    pub wheel_batched: u64,
+    /// Moves made: one per step, skip or batch.
+    pub moves: u64,
+    /// Source polls actually run; polls elided on busy cycles or
+    /// jumped by a skip are not counted.
+    pub polls: u64,
+}
+
+impl MoveCounters {
+    /// Total simulated cycles, over all moves.
+    pub fn cycles(&self) -> u64 {
+        self.stepped + self.idle_skipped + self.tenure_batched + self.fused + self.wheel_batched
+    }
+
+    /// Share of the cycles simulated one at a time (0 before any cycle).
+    pub fn stepped_share(&self) -> f64 {
+        ratio(self.stepped, self.cycles())
+    }
+
+    /// Source polls run per simulated cycle (0 before any cycle).
+    pub fn polls_per_cycle(&self) -> f64 {
+        ratio(self.polls, self.cycles())
+    }
+
+    /// Mean cycles covered per move (0 before any move).
+    pub fn cycles_per_move(&self) -> f64 {
+        ratio(self.cycles(), self.moves)
+    }
+}
+
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
+}
+
 /// Folds a component horizon into an accumulated minimum, saturating at
 /// `now` (horizons in the past mean "cannot skip", not "skip backwards").
 pub fn fold_horizon(acc: Cycle, component: Cycle, now: Cycle) -> Cycle {
@@ -173,6 +231,22 @@ mod tests {
         assert_eq!(Kernel::default(), Kernel::Cycle);
         assert!(!Kernel::Cycle.skips_idle());
         assert!(Kernel::Fast.skips_idle() && Kernel::Tlm.skips_idle());
+    }
+
+    #[test]
+    fn move_counter_ratios_are_zero_before_any_cycle() {
+        let none = MoveCounters::default();
+        assert_eq!(
+            (none.stepped_share(), none.polls_per_cycle(), none.cycles_per_move()),
+            (0.0, 0.0, 0.0)
+        );
+        let some =
+            MoveCounters { stepped: 1, idle_skipped: 3, fused: 4, moves: 4, polls: 2, ..none };
+        assert_eq!(some.cycles(), 8);
+        assert_eq!(
+            (some.stepped_share(), some.polls_per_cycle(), some.cycles_per_move()),
+            (0.125, 0.25, 2.0)
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ use crate::arbiter::{Arbiter, IntoArbiter, SoaKernel};
 use crate::config::BusConfig;
 use crate::cycle::Cycle;
 use crate::error::BuildSystemError;
-use crate::fastforward::fold_horizon;
+use crate::fastforward::{fold_horizon, MoveCounters};
 use crate::ids::MasterId;
 use crate::master::{Completion, MasterPort};
 use crate::metrics::BusMetrics;
@@ -231,6 +231,8 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     failover_baseline: Vec<u64>,
     /// Per-lane simulation time (the next cycle to simulate).
     now: Vec<Cycle>,
+    /// Per-lane cycles per execution move and polls run, since build.
+    moves: Vec<MoveCounters>,
     /// Shared arbitration scratch map, rebuilt in place per idle cycle.
     scratch: RequestMap,
     /// Reusable per-lane target buffer for [`Fleet::run`], kept on the
@@ -280,6 +282,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             metrics: Vec::with_capacity(lanes.len()),
             failover_baseline: vec![0; lanes.len()],
             now: vec![Cycle::ZERO; lanes.len()],
+            moves: vec![MoveCounters::default(); lanes.len()],
             scratch: RequestMap::new(1),
             targets: Vec::with_capacity(lanes.len()),
         };
@@ -377,6 +380,13 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// Simulation time of lane `lane` (the next cycle to simulate).
     pub fn now(&self, lane: usize) -> Cycle {
         self.now[lane]
+    }
+
+    /// How lane `lane` has advanced time since the fleet was built:
+    /// cycles per move (stepped, idle-skipped, tenure-batched, fused,
+    /// wheel-batched) and source polls actually run.
+    pub fn moves(&self, lane: usize) -> &MoveCounters {
+        &self.moves[lane]
     }
 
     /// Accumulated statistics of lane `lane`.
@@ -605,6 +615,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         if let Some(metrics) = self.metrics[lane].as_mut() {
             metrics.skip_cycles(now, delta, &self.stats[lane], &self.ports[lo..hi]);
         }
+        self.moves[lane].idle_skipped += delta;
+        self.moves[lane].moves += 1;
         self.now[lane] = target;
     }
 
@@ -658,6 +670,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         // `next_event` is the identity while backlogged, so per-cycle
         // stepping would also leave them due at the new `now` — they are
         // re-polled at the next unskipped cycle either way.
+        self.moves[lane].tenure_batched += consumed;
+        self.moves[lane].moves += 1;
         self.now[lane] = now + consumed;
         true
     }
@@ -766,6 +780,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         // non-owners transfer nothing.
         let mut cursor = now;
         let mut consumed_total = 0u64;
+        let mut polls = 0u64;
         loop {
             if self.scratch.pending_count() >= 2 {
                 self.stats[lane].record_contended_arbitration();
@@ -856,6 +871,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             {
                 let port = &mut self.ports[wi];
                 let source = &mut self.sources[wi];
+                polls += 1;
                 if let Some(txn) = source.poll_with_backlog(cursor, port.backlog_transactions()) {
                     port.enqueue(txn);
                 }
@@ -880,6 +896,10 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         }
         self.stats[lane].record_cycles(consumed_total);
         self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
+        let moves = &mut self.moves[lane];
+        moves.fused += consumed_total;
+        moves.moves += 1;
+        moves.polls += polls;
         self.now[lane] = cursor;
         true
     }
@@ -936,6 +956,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         self.kernels[kernel].advance_wheel(slot, span);
         self.stats[lane].record_cycles(span);
         self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
+        self.moves[lane].wheel_batched += span;
+        self.moves[lane].moves += 1;
         self.now[lane] = now + span;
         true
     }
@@ -946,6 +968,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     fn step_lane(&mut self, lane: usize) {
         let now = self.now[lane];
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
+        let mut polls = 0u64;
         {
             let ports = &mut self.ports[lo..hi];
             let sources = &mut self.sources[lo..hi];
@@ -956,6 +979,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 if *horizon > now {
                     continue;
                 }
+                polls += 1;
                 if let Some(txn) = source.poll_with_backlog(now, port.backlog_transactions()) {
                     port.enqueue(txn);
                 }
@@ -971,6 +995,10 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             }
             metrics.end_cycle(now, &self.stats[lane], &self.ports[lo..hi]);
         }
+        let moves = &mut self.moves[lane];
+        moves.stepped += 1;
+        moves.moves += 1;
+        moves.polls += polls;
         self.now[lane] = now + 1;
     }
 

@@ -78,7 +78,7 @@ pub use bus::Bus;
 pub use config::BusConfig;
 pub use cycle::Cycle;
 pub use error::BuildSystemError;
-pub use fastforward::{Kernel, NextEvent};
+pub use fastforward::{Kernel, MoveCounters, NextEvent};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultLog, FaultPlan, RetryPolicy};
 pub use fleet::{Fleet, FleetBuildError, LaneBuilder};
 pub use ids::{MasterId, SlaveId};

@@ -5,7 +5,7 @@ use crate::bus::Bus;
 use crate::config::BusConfig;
 use crate::cycle::Cycle;
 use crate::error::BuildSystemError;
-use crate::fastforward::Kernel;
+use crate::fastforward::{Kernel, MoveCounters};
 use crate::fault::{FaultConfig, FaultEvent, RetryPolicy};
 use crate::ids::MasterId;
 use crate::master::MasterPort;
@@ -19,11 +19,13 @@ use crate::trace::{BusTrace, TraceSink};
 /// A source of communication transactions for one master — the
 /// simulator-side stand-in for the component's computation.
 ///
-/// The system polls every source exactly once per cycle, *before*
+/// The system polls a source at most once per cycle, *before*
 /// arbitration, so a transaction returned for cycle `c` can be granted in
-/// cycle `c`. A source that needs to issue several transactions in the
-/// same cycle should keep an internal backlog and emit them on successive
-/// polls with the original `issued_at` stamp — latency accounting uses the
+/// cycle `c`; it skips the polls that the source's
+/// [`TrafficSource::next_event`] horizon proves to be no-ops. A source
+/// that needs to issue several transactions in the same cycle should
+/// keep an internal backlog and emit them on successive polls with the
+/// original `issued_at` stamp — latency accounting uses the
 /// transaction's own timestamp, not the poll cycle.
 pub trait TrafficSource {
     /// Returns the transaction (if any) this component issues at `now`.
@@ -44,10 +46,14 @@ pub trait TrafficSource {
     /// poll could return a transaction or mutate internal state, or
     /// [`Cycle::NEVER`] if the source is permanently silent.
     ///
-    /// The default returns `now`, which forbids the kernel from ever
-    /// skipping past a poll — always correct, never fast. Deterministic
-    /// sources whose poll is a pure no-op until a known cycle override
-    /// this to unlock fast-forwarding.
+    /// A poll before the horizon must be a pure no-op, so skipping it
+    /// changes nothing. The default returns `now`, which forbids the
+    /// kernel from ever skipping past a poll — always correct, never
+    /// fast. Sources whose arrivals are a schedule known ahead of time
+    /// override this to unlock poll elision, idle skipping and tenure
+    /// batching: the deterministic ones directly, the stochastic
+    /// `StochasticSource` of the `traffic-gen` crate by drawing its
+    /// arrival process ahead.
     fn next_event(&self, now: Cycle) -> Cycle {
         now
     }
@@ -352,6 +358,7 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
             now: Cycle::ZERO,
             failover_baseline: 0,
             kernel: self.kernel,
+            moves: MoveCounters::default(),
         })
     }
 }
@@ -381,6 +388,8 @@ pub struct System<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     failover_baseline: u64,
     /// Which kernel [`System::run`] uses.
     kernel: Kernel,
+    /// Cycles per execution move and polls run, since build.
+    moves: MoveCounters,
 }
 
 impl<A: Arbiter, S: TrafficSource> std::fmt::Debug for System<A, S> {
@@ -456,6 +465,12 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
         }
     }
 
+    /// How this system has advanced time since it was built: cycles per
+    /// move (stepped or idle-skipped) and source polls actually run.
+    pub fn moves(&self) -> &MoveCounters {
+        &self.moves
+    }
+
     /// The wall-clock phase profiler (disabled unless enabled via
     /// [`SystemBuilder::profiling`]).
     pub fn profiler(&self) -> &PhaseProfiler {
@@ -507,11 +522,14 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
             if *horizon > now {
                 continue;
             }
+            self.moves.polls += 1;
             if let Some(txn) = source.poll_with_backlog(now, port.backlog_transactions()) {
                 port.enqueue(txn);
             }
             *horizon = source.next_event(now + 1);
         }
+        self.moves.stepped += 1;
+        self.moves.moves += 1;
         self.profiler.lap(SimPhase::Poll, &mut lap);
         let completed = self.bus.step(
             &mut self.arbiter,
@@ -603,6 +621,8 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
             metrics.skip_cycles(self.now, delta, &self.stats, &self.masters);
         }
         self.profiler.lap_span(SimPhase::Accounting, delta, &mut lap);
+        self.moves.idle_skipped += delta;
+        self.moves.moves += 1;
         self.now = target;
     }
 

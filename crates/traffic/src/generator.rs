@@ -6,12 +6,33 @@ use rand::{Rng, SeedableRng};
 use socsim::{Cycle, SlaveId, TrafficSource, Transaction};
 use std::collections::VecDeque;
 
+/// Cycles a Bernoulli source draws ahead of a poll while looking for
+/// its next hit. A window without one ends at a checkpoint horizon, so
+/// a sparse source is polled about once per arrival, and at least once
+/// every this many cycles.
+const DRAW_AHEAD: u64 = 4096;
+
+/// `next_event` of a Bernoulli source that has not been polled yet: its
+/// draws start at its first poll, wherever that falls.
+const UNANCHORED: u64 = u64::MAX;
+
 /// A deterministic (seeded) stochastic traffic source.
 ///
 /// Internally the source keeps a small queue of generated-but-not-yet-due
 /// messages so that bursty arrival processes can stamp several messages
 /// with their true arrival cycles while the bus interface consumes them
 /// one per cycle.
+///
+/// Every arrival process is a schedule known ahead of time, so
+/// [`TrafficSource::next_event`] always reports a real horizon. The
+/// memoryless (Bernoulli) process makes one `gen_bool(rate)` draw per
+/// cycle from its first poll on, samples the message size right after
+/// each hit, and stamps the message with the hit's cycle. A poll draws
+/// ahead up to the next hit, so the cycles before it need no poll; a
+/// poll that comes later than the horizon catches up over the skipped
+/// cycles and stamps their arrivals in the past, like the periodic and
+/// on–off processes do. The stream is therefore a function of the
+/// seed and the first poll's cycle alone, however often it is polled.
 ///
 /// ```
 /// use traffic_gen::{GeneratorSpec, SizeDist, StochasticSource};
@@ -29,7 +50,9 @@ pub struct StochasticSource {
     rng: StdRng,
     /// Messages stamped with their arrival cycle, awaiting emission.
     pending: VecDeque<Transaction>,
-    /// Next arrival event for the periodic / on–off processes.
+    /// Next arrival event for the periodic / on–off processes; for the
+    /// Bernoulli process, the first cycle not drawn yet ([`UNANCHORED`]
+    /// before the first poll).
     next_event: u64,
 }
 
@@ -38,7 +61,7 @@ impl StochasticSource {
     pub fn new(spec: GeneratorSpec, seed: u64) -> Self {
         let next_event = match spec.arrival {
             ArrivalSpec::Periodic { phase, .. } => phase,
-            ArrivalSpec::Bernoulli { .. } => 0,
+            ArrivalSpec::Bernoulli { .. } => UNANCHORED,
             ArrivalSpec::OnOff { phase, .. } => phase,
         };
         StochasticSource {
@@ -73,8 +96,33 @@ impl StochasticSource {
                 }
             }
             ArrivalSpec::Bernoulli { rate } => {
-                if rate > 0.0 && self.rng.gen_bool(rate.min(1.0)) {
-                    self.push_message(now);
+                if rate <= 0.0 {
+                    return;
+                }
+                if self.next_event == UNANCHORED {
+                    self.next_event = now;
+                }
+                // Draw only once the horizon has come, and only if no
+                // earlier poll drew past `now` already; otherwise the
+                // poll just drains the queue.
+                let due = self.next_event <= now
+                    || self.pending.front().is_some_and(|t| t.issued_at().index() <= now);
+                if !due || self.next_event > now + 1 {
+                    return;
+                }
+                // Catch up on every cycle up to `now`, then draw ahead to
+                // the next hit. An empty window leaves `next_event` as
+                // the checkpoint horizon.
+                let window_end = now.saturating_add(DRAW_AHEAD);
+                while self.next_event <= window_end {
+                    let cycle = self.next_event;
+                    self.next_event += 1;
+                    if self.rng.gen_bool(rate.min(1.0)) {
+                        self.push_message(cycle);
+                        if cycle > now {
+                            return;
+                        }
+                    }
                 }
             }
             ArrivalSpec::OnOff { burst_min, burst_max, intra_gap, off_min, off_max, .. } => {
@@ -113,8 +161,11 @@ impl TrafficSource for StochasticSource {
     /// The earliest cycle at which a poll could emit a message or draw
     /// from the RNG (see [`socsim::fastforward`]).
     ///
-    /// * Bernoulli with a positive rate draws every single poll, so its
-    ///   horizon is always `now`; a zero rate never draws nor emits.
+    /// * A Bernoulli source that has not been polled yet reports `now`:
+    ///   its draws start at its first poll. After that its horizon is
+    ///   its next hit (drawn ahead by the last poll) or, when the
+    ///   draw-ahead window held none, the first cycle not drawn yet. A
+    ///   zero rate never draws nor emits.
     /// * Periodic and on–off processes mutate state only once
     ///   `next_event` comes due, so the horizon is the earlier of that
     ///   arrival event and the earliest already-generated message
@@ -123,13 +174,9 @@ impl TrafficSource for StochasticSource {
     fn next_event(&self, now: Cycle) -> Cycle {
         let pending = self.pending.iter().map(Transaction::issued_at).min();
         let horizon = match self.spec.arrival {
-            ArrivalSpec::Bernoulli { rate } => {
-                if rate > 0.0 {
-                    return now;
-                }
-                pending.unwrap_or(Cycle::NEVER)
-            }
-            ArrivalSpec::Periodic { .. } | ArrivalSpec::OnOff { .. } => {
+            ArrivalSpec::Bernoulli { rate } if rate <= 0.0 => pending.unwrap_or(Cycle::NEVER),
+            ArrivalSpec::Bernoulli { .. } if self.next_event == UNANCHORED => return now,
+            _ => {
                 let arrival = Cycle::new(self.next_event);
                 pending.map_or(arrival, |p| p.min(arrival))
             }
@@ -210,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn horizon_is_exact_for_deterministic_processes() {
+    fn horizon_is_exact_for_every_arrival_process() {
         // Whenever a poll emits, the horizon computed just before must
         // have been exactly that cycle — the fast-forward kernel's "time
         // never jumps past an event" invariant, checked per cycle.
@@ -218,6 +265,7 @@ mod tests {
             GeneratorSpec::periodic(25, 5, SizeDist::fixed(3)),
             GeneratorSpec::periodic_jittered(20, 0, 5, SizeDist::fixed(1)),
             GeneratorSpec::bursty(2, 4, 3, 40, 80, 7, SizeDist::uniform(1, 8)),
+            GeneratorSpec::poisson(0.02, SizeDist::uniform(1, 8)),
         ];
         for (i, spec) in specs.into_iter().enumerate() {
             let mut source = StochasticSource::new(spec, 31 + i as u64);
@@ -233,11 +281,31 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_horizon_pins_every_cycle() {
-        let live = StochasticSource::new(GeneratorSpec::poisson(0.01, SizeDist::fixed(1)), 3);
+    fn bernoulli_horizon_is_the_next_hit() {
+        let spec = GeneratorSpec::poisson(0.01, SizeDist::fixed(1));
+        let mut live = StochasticSource::new(spec, 3);
+        // Unpolled, the draws have not started: the first poll is due.
         assert_eq!(live.next_event(Cycle::new(42)), Cycle::new(42));
+        // After a poll, the horizon is the next cycle that emits when
+        // an identical source is polled every cycle.
+        let mut reference = StochasticSource::new(spec, 3);
+        assert_eq!(live.poll(Cycle::new(42)), reference.poll(Cycle::new(42)));
+        let next_hit = (43..)
+            .find(|&c| reference.poll(Cycle::new(c)).is_some())
+            .expect("a positive rate hits eventually");
+        assert_eq!(live.next_event(Cycle::new(43)), Cycle::new(next_hit));
         let dead = StochasticSource::new(GeneratorSpec::poisson(0.0, SizeDist::fixed(1)), 3);
         assert_eq!(dead.next_event(Cycle::new(42)), Cycle::NEVER);
+    }
+
+    #[test]
+    fn empty_draw_ahead_window_ends_at_a_checkpoint() {
+        // A rate this low almost surely draws no hit in one window: the
+        // horizon is then the first cycle not drawn yet.
+        let spec = GeneratorSpec::poisson(1e-9, SizeDist::fixed(1));
+        let mut source = StochasticSource::new(spec, 5);
+        assert!(source.poll(Cycle::new(100)).is_none());
+        assert_eq!(source.next_event(Cycle::new(101)), Cycle::new(101 + DRAW_AHEAD));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use std::fmt;
 
 /// Enum dispatch over the built-in [`TrafficSource`] implementations.
 ///
-/// The simulator polls every source once per (non-skipped) cycle; with
+/// The simulator polls a source on every cycle its horizon is due; with
 /// the sources stored as this enum the poll is a direct call the
 /// compiler can inline, instead of a `Box<dyn TrafficSource>` vtable
 /// hop per master per cycle. [`SourceKind::Custom`] keeps arbitrary

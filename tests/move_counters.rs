@@ -1,0 +1,109 @@
+//! The execution-move counters of `System` and `Fleet`, on the paper's
+//! saturating memoryless workload (`saturating_specs(4)`, the traffic of
+//! Figures 4 and 6(a)).
+//!
+//! Each run is paired with a control whose sources hide their horizon
+//! (they keep the trait's every-cycle default, so they are polled every
+//! cycle and never let a busy cycle batch). The pair must agree on every
+//! statistic — the drawn-ahead Bernoulli schedule is exact — while the
+//! counters show where the work went: far fewer polls, and most busy
+//! cycles covered by batched moves instead of per-cycle steps.
+
+use lotterybus_repro::arbiters::ArbiterKind;
+use lotterybus_repro::experiments::common::protocol_arbiter;
+use lotterybus_repro::socsim::fleet::{Fleet, LaneBuilder};
+use lotterybus_repro::socsim::{
+    BusConfig, BusStats, Cycle, MoveCounters, SystemBuilder, TrafficSource, Transaction,
+};
+use lotterybus_repro::traffic::classes::saturating_specs;
+
+const WARMUP: u64 = 2_000;
+const MEASURE: u64 = 20_000;
+const SEED: u64 = 0x5A7;
+
+/// Forwards polls but keeps the default horizon (`next_event == now`).
+struct Pinned(Box<dyn TrafficSource>);
+
+impl TrafficSource for Pinned {
+    fn poll(&mut self, now: Cycle) -> Option<Transaction> {
+        self.0.poll(now)
+    }
+}
+
+fn sources(pinned: bool) -> Vec<Box<dyn TrafficSource>> {
+    saturating_specs(4)
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let source = spec.build_source(SEED + i as u64);
+            if pinned {
+                Box::new(Pinned(source)) as Box<dyn TrafficSource>
+            } else {
+                source
+            }
+        })
+        .collect()
+}
+
+fn system_run(protocol: usize, pinned: bool) -> (BusStats, MoveCounters) {
+    let mut builder = SystemBuilder::new(BusConfig::default());
+    for (i, source) in sources(pinned).into_iter().enumerate() {
+        builder = builder.master(format!("C{}", i + 1), source);
+    }
+    let mut system = builder.arbiter(protocol_arbiter(protocol, SEED)).build().expect("valid");
+    system.warm_up(WARMUP);
+    system.run(MEASURE);
+    (system.stats().clone(), *system.moves())
+}
+
+fn fleet_run(pinned: bool) -> Vec<(BusStats, MoveCounters)> {
+    let lanes = (0..5)
+        .map(|protocol| {
+            let mut lane: LaneBuilder<ArbiterKind> = LaneBuilder::new(BusConfig::default());
+            for (i, source) in sources(pinned).into_iter().enumerate() {
+                lane = lane.master(format!("C{}", i + 1), source);
+            }
+            lane.arbiter(protocol_arbiter(protocol, SEED))
+        })
+        .collect();
+    let mut fleet = Fleet::build(lanes).expect("valid fleet");
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    (0..fleet.len()).map(|lane| (fleet.stats(lane).clone(), *fleet.moves(lane))).collect()
+}
+
+#[test]
+fn system_polls_bernoulli_sources_only_at_their_horizons() {
+    for protocol in 0..5 {
+        let (stats, moves) = system_run(protocol, false);
+        let (control_stats, control) = system_run(protocol, true);
+        assert_eq!(stats, control_stats, "protocol {protocol}: statistics differ");
+        for counters in [moves, control] {
+            assert_eq!(counters.cycles(), WARMUP + MEASURE, "every cycle counted once");
+            assert_eq!(counters.stepped, counters.cycles(), "the cycle kernel only steps");
+            assert_eq!(counters.moves, counters.cycles());
+        }
+        assert_eq!(control.polls_per_cycle(), 4.0, "pinned sources poll every cycle");
+        assert!(
+            moves.polls_per_cycle() < 0.5,
+            "protocol {protocol}: {:.3} polls per cycle",
+            moves.polls_per_cycle()
+        );
+    }
+}
+
+#[test]
+fn fleet_batches_most_busy_cycles_of_bernoulli_lanes() {
+    let lanes = fleet_run(false);
+    let control = fleet_run(true);
+    for (lane, ((stats, moves), (control_stats, control_moves))) in
+        lanes.iter().zip(&control).enumerate()
+    {
+        assert_eq!(stats, control_stats, "lane {lane}: statistics differ");
+        assert_eq!(moves.cycles(), WARMUP + MEASURE, "lane {lane}: every cycle counted once");
+        assert_eq!(control_moves.stepped_share(), 1.0, "lane {lane}: pinned lanes only step");
+        assert!(moves.stepped_share() < 0.25, "lane {lane}: {moves:?}");
+        assert!(moves.cycles_per_move() > 2.0, "lane {lane}: {moves:?}");
+        assert!(moves.polls_per_cycle() < 0.5, "lane {lane}: {moves:?}");
+    }
+}
