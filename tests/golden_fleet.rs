@@ -16,7 +16,7 @@
 //! ```
 
 use lotterybus_repro::arbiters::ArbiterKind;
-use lotterybus_repro::experiments::hotpath::{hot_arbiter, HOT_PROTOCOLS};
+use lotterybus_repro::experiments::hotpath::{hot_arbiter, HOT_MASTERS, HOT_PROTOCOLS, HOT_WORDS};
 use lotterybus_repro::experiments::json::Json;
 use lotterybus_repro::socsim::{BusConfig, BusStats, Fleet, LaneBuilder, MasterId, SystemBuilder};
 use lotterybus_repro::traffic::{GeneratorSpec, SaturateSource, SizeDist, SourceKind};
@@ -142,4 +142,64 @@ fn golden_fleet_pack_is_stable_and_lane_exact() {
         golden,
         "solo scalar runs differ from the golden fleet snapshot (lane exactness broken)"
     );
+}
+
+/// Packs `protocols` as lanes of saturating `words`-word masters on a
+/// bus whose `max_burst` is `words`, and checks the pack against solo
+/// runs: every lane lowers into a grouped decision kernel, reproduces
+/// its scalar `System` run exactly, and keeps the bus saturated.
+/// Returns the pack's kernel count.
+fn check_saturated_pack(protocols: &[&str], words: u32) -> usize {
+    let bus = BusConfig { max_burst: words, ..BusConfig::default() };
+    let lanes = protocols
+        .iter()
+        .map(|&protocol| {
+            let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(bus);
+            for i in 0..HOT_MASTERS {
+                lane = lane
+                    .master(format!("C{}", i + 1), SourceKind::from(SaturateSource::new(0, words)));
+            }
+            lane.arbiter(arbiter(protocol))
+        })
+        .collect();
+    let mut fleet = Fleet::build(lanes).expect("saturated pack is valid");
+    assert_eq!(
+        fleet.lowered_lanes(),
+        protocols.len(),
+        "every lane of {protocols:?} must lower into an SoA decision kernel"
+    );
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    for (i, &protocol) in protocols.iter().enumerate() {
+        let mut builder: SystemBuilder<ArbiterKind, SourceKind> = SystemBuilder::new(bus);
+        for m in 0..HOT_MASTERS {
+            builder = builder
+                .master(format!("C{}", m + 1), SourceKind::from(SaturateSource::new(0, words)));
+        }
+        let mut system = builder.arbiter(arbiter(protocol)).build().expect("solo lane is valid");
+        system.warm_up(WARMUP);
+        system.run(MEASURE);
+        let lane = fleet.stats(i);
+        assert_eq!(lane, system.stats(), "{words}-word {protocol} lane diverged from its solo run");
+        assert!(
+            lane.bus_utilization() > 0.95,
+            "{words}-word {protocol} lane is not saturated: utilization {}",
+            lane.bus_utilization()
+        );
+    }
+    fleet.kernel_count()
+}
+
+#[test]
+fn saturated_lineups_lower_every_lane_and_match_their_solo_runs() {
+    // The short-burst lineup: every protocol, 8-word messages.
+    check_saturated_pack(&HOT_PROTOCOLS, HOT_WORDS);
+    // DMA-style 64-word tenures on every protocol whose grants can span
+    // a multi-cycle tenure, where exact tenure batching does the work.
+    check_saturated_pack(
+        &["static-priority", "round-robin", "deficit-rr", "lottery-static", "lottery-dynamic"],
+        64,
+    );
+    // Identical TDMA lanes share one timing-wheel kernel.
+    assert_eq!(check_saturated_pack(&["tdma"; 5], 64), 1, "identical TDMA lanes share one kernel");
 }

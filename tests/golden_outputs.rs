@@ -4,8 +4,9 @@
 //! The snapshot pins the *numbers*, not just the invariants: any change
 //! to arbiter decision order, RNG cadence, fault drawing, or kernel
 //! accounting shows up here as a byte diff. The same document is
-//! rendered under every kernel name, so the golden file doubles as a
-//! kernel-equivalence witness in CI.
+//! rendered under every kernel name, and once more with windowed
+//! metrics collected in every simulation, so the golden file doubles
+//! as a kernel-equivalence and metrics-inertness witness.
 //!
 //! To regenerate after an intentional behaviour change:
 //!
@@ -28,9 +29,8 @@ fn golden_settings(kernel: Kernel) -> RunSettings {
         .with_kernel(kernel)
 }
 
-/// Renders the miniature suite document under the chosen kernel.
-fn golden_document(kernel: Kernel) -> String {
-    let settings = golden_settings(kernel);
+/// Renders the miniature suite document under `settings`.
+fn golden_document(settings: &RunSettings) -> String {
     let doc = Json::obj()
         .field(
             "meta",
@@ -39,10 +39,10 @@ fn golden_document(kernel: Kernel) -> String {
                 .field("warmup", settings.warmup)
                 .field("measure", settings.measure),
         )
-        .field("fig4", experiments::fig4::run(&settings).to_json())
-        .field("fig5", experiments::fig5::run_kernel(1, kernel).to_json())
-        .field("starvation", experiments::starvation::run(&settings).to_json())
-        .field("energy", experiments::energy::run(&settings).to_json());
+        .field("fig4", experiments::fig4::run(settings).to_json())
+        .field("fig5", experiments::fig5::run_kernel(1, settings.kernel).to_json())
+        .field("starvation", experiments::starvation::run(settings).to_json())
+        .field("energy", experiments::energy::run(settings).to_json());
     doc.render() + "\n"
 }
 
@@ -52,7 +52,7 @@ fn golden_suite_document_is_stable_under_both_exact_kernels() {
     // must reproduce the snapshot too — including fig4/starvation/
     // energy, whose Bernoulli traffic is where an approximate kernel
     // would drift.
-    let cycle = golden_document(Kernel::Cycle);
+    let cycle = golden_document(&golden_settings(Kernel::Cycle));
     if std::env::var_os("REGEN_GOLDEN").is_some() {
         std::fs::write(GOLDEN_PATH, &cycle).expect("write golden snapshot");
         eprintln!("regenerated {GOLDEN_PATH}");
@@ -67,10 +67,17 @@ fn golden_suite_document_is_stable_under_both_exact_kernels() {
     );
     for kernel in [Kernel::Fast, Kernel::Tlm] {
         assert_eq!(
-            golden_document(kernel),
+            golden_document(&golden_settings(kernel)),
             golden,
             "{}-kernel output differs from the golden snapshot (kernel equivalence broken)",
             kernel.name()
         );
     }
+    // Windowed metrics only observe: collecting them in every
+    // simulation must not change a byte.
+    assert_eq!(
+        golden_document(&golden_settings(Kernel::Cycle).with_metrics(1_000)),
+        golden,
+        "output with windowed metrics (window 1000) differs from the golden snapshot"
+    );
 }

@@ -69,4 +69,23 @@ fn golden_grid_errors_stay_inside_the_documented_bounds() {
         "latency error blew up: {}",
         summary.latency_max_rel_error
     );
+
+    // The `RunSettings::quick()` grid (60k measured cycles) is held to
+    // tighter ceilings and to cell floors, so a doubled error or a
+    // shrinking grid fails here instead of hiding under a slack bound.
+    // Measured: share max 0.0141 / mean 0.0031, latency max 0.51 /
+    // mean 0.165, 75 share and 22 latency cells. The 0.02 share
+    // ceiling is for this grid only: the 30k-cycle grid above measures
+    // 0.0251.
+    let quick = validate::run(&RunSettings::quick().with_jobs(1)).summary();
+    for (what, value, ceiling) in [
+        ("share max abs", quick.share_max_abs_error, 0.02),
+        ("share mean abs", quick.share_mean_abs_error, 0.02),
+        ("latency max rel", quick.latency_max_rel_error, 1.0),
+        ("latency mean rel", quick.latency_mean_rel_error, 0.40),
+    ] {
+        assert!(value <= ceiling, "quick grid {what} error {value:.4} exceeds {ceiling}");
+    }
+    assert!(quick.share_cells >= 50, "quick grid lost share cells: {}", quick.share_cells);
+    assert!(quick.latency_cells >= 15, "quick grid lost latency cells: {}", quick.latency_cells);
 }
