@@ -8,8 +8,9 @@
 //! NoC models. One evaluation costs about a tenth of a microsecond,
 //! which turns ticket-allocation tuning from an overnight sweep into a
 //! scan of about ten million design points per second ([`search()`];
-//! the benchmark's traced run measures 9.8 M points/s over the library
-//! scans, `analytic.points_per_s`, on a 2-vCPU shared virtual machine).
+//! the benchmark's traced run measures 9.2 M points/s over the library
+//! scans, `analytic.points_per_s`, median of five runs with a 16%
+//! interquartile spread on a 2-vCPU shared virtual machine).
 //!
 //! The model rests on three explicit approximations, stated once here
 //! and assumed everywhere:
@@ -32,9 +33,10 @@
 //!    formula for static priority.
 //!
 //! Every prediction is validated against simulation across the
-//! experiment sweep grid (`suite --validate-analytic`); the measured
-//! per-cell error table lives in EXPERIMENTS.md and is regression-gated
-//! through BENCH_PR8.json.
+//! experiment sweep grid (the `validate` binary of the `experiments`
+//! crate); the measured per-cell error table lives in EXPERIMENTS.md,
+//! and `tests/golden_validation.rs` holds the grid to its error
+//! ceilings and cell floors.
 //!
 //! ```
 //! use analytic::{MasterModel, Protocol, SystemModel};

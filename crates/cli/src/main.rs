@@ -25,7 +25,7 @@ use std::time::Instant;
 
 const USAGE: &str = "\
 usage: lotterybus-sim <spec-file | -> [--vcd <file>] [--jobs <n>]
-       lotterybus-sim scenario <files-or-dirs>... [--kernel cycle|fast] [--jobs <n>] [--bench <file>] [--fleet]
+       lotterybus-sim scenario <files-or-dirs>... [--kernel cycle|fast] [--jobs <n>] [--fleet]
        lotterybus-sim fuzz [--seed <n>] [--iters <n>] [--out <dir>] [--demo-failure]
        lotterybus-sim search <file.scenario> [--points <n>] [--top <k>] [--confirm <k>] [--kernel cycle|fast] [--bursts <a,b>] [--load-scales <x,y>] [--max-tickets <n>]
        lotterybus-sim --example";

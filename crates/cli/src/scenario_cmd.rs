@@ -12,7 +12,7 @@
 //! its report JSON; `--out <dir>` additionally writes each finding's
 //! shrunk minimal reproducer as a committable `.scenario` file.
 
-use scenario::{fuzz, run_scenario_profiled, FuzzConfig, PlanReport, Scenario};
+use scenario::{fuzz, FuzzConfig, Scenario};
 use socsim::Kernel;
 use std::path::{Path, PathBuf};
 
@@ -44,8 +44,6 @@ pub struct ScenarioArgs {
     pub kernel: Kernel,
     /// Worker threads (0 = all cores).
     pub jobs: usize,
-    /// Write a wall-clock bench report to this file.
-    pub bench: Option<String>,
     /// Pack each plan level into one lockstep fleet (lane-exact, so
     /// output is byte-identical to the default path).
     pub fleet: bool,
@@ -53,13 +51,8 @@ pub struct ScenarioArgs {
 
 /// Parses the arguments after `scenario`.
 pub fn parse_scenario_args(args: &[String]) -> Result<ScenarioArgs, String> {
-    let mut parsed = ScenarioArgs {
-        paths: Vec::new(),
-        kernel: Kernel::Cycle,
-        jobs: 0,
-        bench: None,
-        fleet: false,
-    };
+    let mut parsed =
+        ScenarioArgs { paths: Vec::new(), kernel: Kernel::Cycle, jobs: 0, fleet: false };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -74,13 +67,10 @@ pub fn parse_scenario_args(args: &[String]) -> Result<ScenarioArgs, String> {
                 parsed.jobs =
                     it.next().and_then(|v| v.parse().ok()).ok_or("`--jobs` requires a number")?;
             }
-            "--bench" => {
-                parsed.bench = Some(it.next().ok_or("`--bench` requires a file argument")?.clone());
-            }
             "--fleet" => parsed.fleet = true,
             flag if flag.starts_with("--") => {
                 return Err(format!(
-                    "unknown scenario flag `{flag}`: expected --kernel, --jobs, --bench or --fleet"
+                    "unknown scenario flag `{flag}`: expected --kernel, --jobs or --fleet"
                 ))
             }
             path => parsed.paths.push(path.to_owned()),
@@ -140,10 +130,6 @@ pub fn run_scenario_command(args: &[String]) -> Result<(String, bool), CommandEr
     } else {
         scenario::run_plan(&scenarios, parsed.kernel, parsed.jobs).map_err(CommandError::Failure)?
     };
-    if let Some(bench_path) = &parsed.bench {
-        write_bench(bench_path, &scenarios, &report, parsed.kernel)
-            .map_err(CommandError::Failure)?;
-    }
     let ok = report.all_as_expected();
     eprintln!(
         "ran {} scenario(s) under the {} kernel: {}",
@@ -152,42 +138,6 @@ pub fn run_scenario_command(args: &[String]) -> Result<(String, bool), CommandEr
         if ok { "all as expected" } else { "unexpected verdicts" },
     );
     Ok((report.to_json().render() + "\n", ok))
-}
-
-/// Re-runs the suite serially with the phase profiler enabled and
-/// writes the wall-clock report. Bench numbers never touch stdout —
-/// the verdict stream stays diffable.
-fn write_bench(
-    path: &str,
-    scenarios: &[Scenario],
-    report: &PlanReport,
-    kernel: Kernel,
-) -> Result<(), String> {
-    use experiments::json::Json;
-    let mut total = std::time::Duration::ZERO;
-    let mut timed = 0u64;
-    for sc in scenarios {
-        // Skipped scenarios cost nothing in the plan; keep the bench
-        // consistent with what actually ran.
-        let ran = report
-            .entries
-            .iter()
-            .any(|(name, o)| name == &sc.name && matches!(o, scenario::PlanOutcome::Ran(_)));
-        if !ran {
-            continue;
-        }
-        let (_, wall) = run_scenario_profiled(sc, kernel)?;
-        total += wall;
-        timed += 1;
-    }
-    let json = Json::obj()
-        .field("scenario_suite_wall_secs", total.as_secs_f64())
-        .field("scenarios_timed", timed)
-        .field("kernel", kernel.name());
-    std::fs::write(path, json.render() + "\n")
-        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    eprintln!("scenario bench: {timed} scenario(s) in {:.3}s -> {path}", total.as_secs_f64());
-    Ok(())
 }
 
 /// Parsed flags of the `fuzz` subcommand.
@@ -271,23 +221,14 @@ mod tests {
 
     #[test]
     fn scenario_flags_parse() {
-        let parsed = parse_scenario_args(&args(&[
-            "scenarios",
-            "--kernel",
-            "fast",
-            "--jobs",
-            "2",
-            "--bench",
-            "b.json",
-        ]))
-        .expect("valid");
+        let parsed = parse_scenario_args(&args(&["scenarios", "--kernel", "fast", "--jobs", "2"]))
+            .expect("valid");
         assert_eq!(
             parsed,
             ScenarioArgs {
                 paths: vec!["scenarios".into()],
                 kernel: Kernel::Fast,
                 jobs: 2,
-                bench: Some("b.json".into()),
                 fleet: false,
             }
         );
@@ -304,7 +245,13 @@ mod tests {
         let e = parse_scenario_args(&args(&["dir", "--kernel", "warp"])).unwrap_err();
         assert!(e.contains("cycle") && e.contains("fast") && e.contains("tlm"), "{e}");
         let e = parse_scenario_args(&args(&["dir", "--frobnicate"])).unwrap_err();
-        assert!(e.contains("--frobnicate") && e.contains("--bench"), "{e}");
+        assert!(e.contains("--frobnicate") && e.contains("--fleet"), "{e}");
+        // An unknown flag is a usage error (exit 2), not a runtime
+        // failure, even when it takes an argument.
+        let e = parse_scenario_args(&args(&["dir", "--bench", "x"])).unwrap_err();
+        assert!(e.contains("--bench"), "{e}");
+        let err = run_scenario_command(&args(&["dir", "--bench", "x"])).unwrap_err();
+        assert!(matches!(err, CommandError::Usage(_)), "--bench must be a usage error");
         let e = parse_scenario_args(&args(&[])).unwrap_err();
         assert!(e.contains(".scenario"), "{e}");
     }

@@ -1,9 +1,7 @@
 //! Shared experiment plumbing: system assembly, runs, permutations.
 
 use arbiters::ArbiterKind;
-use socsim::{
-    Arbiter, BusConfig, BusStats, Kernel, MasterId, PhaseProfiler, SystemBuilder, WindowSample,
-};
+use socsim::{Arbiter, BusConfig, BusStats, Kernel, MasterId, SystemBuilder, WindowSample};
 use traffic_gen::{GeneratorSpec, SourceKind};
 
 /// Simulation window settings shared by all experiments.
@@ -24,9 +22,8 @@ pub struct RunSettings {
     pub jobs: usize,
     /// When set, every system built by [`run_system`] also collects
     /// windowed metrics with this window length. The samples are
-    /// collected and discarded, so results (and the suite JSON) stay
-    /// byte-identical to a metrics-off run; the point is to measure the
-    /// observability overhead with `suite --bench`.
+    /// collected and discarded, so results stay byte-identical to a
+    /// metrics-off run (`tests/golden_outputs.rs` checks exactly that).
     pub metrics_window: Option<u64>,
     /// Which simulation kernel every system built by [`run_system`]
     /// runs under (see `socsim::fastforward`). Every kernel's results
@@ -119,25 +116,6 @@ pub fn run_system_timeseries<A: Arbiter>(
     (system.stats().clone(), samples)
 }
 
-/// Like [`run_system`], but with the cycle kernel's phase profiler on;
-/// returns the per-phase wall-clock breakdown of the measured interval
-/// alongside the statistics. Used by `suite --bench` to report where
-/// simulation time goes.
-pub fn run_system_profiled<A: Arbiter>(
-    specs: &[GeneratorSpec],
-    arbiter: A,
-    settings: &RunSettings,
-) -> (BusStats, PhaseProfiler) {
-    let mut builder = system_builder(specs, settings).profiling(true);
-    if let Some(window) = settings.metrics_window {
-        builder = builder.metrics_window(window);
-    }
-    let mut system = builder.arbiter(arbiter).build().expect("experiment system is valid");
-    system.warm_up(settings.warmup);
-    system.run(settings.measure);
-    (system.stats().clone(), system.profiler().clone())
-}
-
 fn system_builder<A: Arbiter>(
     specs: &[GeneratorSpec],
     settings: &RunSettings,
@@ -202,8 +180,8 @@ pub fn protocol_arbiter(index: usize, seed: u64) -> ArbiterKind {
 /// A mostly-idle four-master workload for kernel benchmarking: each
 /// master issues one short periodic message per long period (staggered
 /// phases), so the bus sits idle for the vast majority of cycles. This
-/// is the best case for the fast-forward kernel — `suite --bench` uses
-/// it to demonstrate the skip-path speedup — while
+/// is the best case for the fast-forward kernel — `lbbench` times its
+/// skip path on it (`socsim.skip_ns`) — while
 /// [`traffic_gen::classes::saturating_specs`] is the worst case.
 ///
 /// # Panics
@@ -311,19 +289,6 @@ mod tests {
         let words: u64 = samples.iter().flat_map(|s| s.per_master.iter().map(|m| m.words)).sum();
         let total: u64 = stats.masters().iter().map(|m| m.words).sum();
         assert_eq!(words, total, "window word counts add up to the run total");
-    }
-
-    #[test]
-    fn profiled_run_attributes_wall_time() {
-        let settings = RunSettings { warmup: 500, measure: 4_000, ..RunSettings::quick() };
-        let (stats, profiler) = run_system_profiled(
-            &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings,
-        );
-        assert_eq!(stats.cycles, 4_000);
-        assert_eq!(profiler.laps(), 4_000, "warm-up laps are discarded");
-        assert!(profiler.total_wall() > std::time::Duration::ZERO);
     }
 
     #[test]

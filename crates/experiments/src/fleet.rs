@@ -63,12 +63,12 @@ pub fn run_systems_fleet(jobs: Vec<FleetJob>, settings: &RunSettings) -> Vec<Bus
 }
 
 /// Whether `settings` allow an experiment to swap its per-point scalar
-/// runs for one fleet pack without changing results or what `--bench`
-/// is trying to measure: the fleet is the cycle kernel's lane-exact
-/// batch form, so a `fast` request (or its alias `tlm`) must keep the
-/// scalar path,
-/// and a metrics window changes each lane's layout enough that the
-/// overhead measurement should stay per-system.
+/// runs for one fleet pack. The fleet is the cycle kernel's lane-exact
+/// batch form, so a `fast` request (or its alias `tlm`) keeps the
+/// scalar path it asked for. A metrics window keeps it too: lanes with
+/// metrics forgo tenure batching, so packing them buys little, and
+/// metrics-on runs stay on the same per-system path as
+/// [`crate::common::run_system`].
 pub fn fleet_pack_allowed(settings: &RunSettings) -> bool {
     settings.kernel == socsim::Kernel::Cycle && settings.metrics_window.is_none()
 }

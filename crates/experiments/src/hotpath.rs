@@ -1,69 +1,34 @@
-//! The saturated hot-path probe behind `suite --bench`.
+//! The saturated protocol lineup shared by the tests and `lbbench`.
 //!
-//! Every probe system puts four [`SaturateSource`] masters — request
+//! Every lineup system puts [`HOT_MASTERS`]
+//! [`SaturateSource`](traffic_gen::SaturateSource) masters — request
 //! lines permanently asserted, no RNG, no per-cycle allocation — behind
-//! one of the built-in protocols, so the measurement isolates exactly
-//! the per-cycle machinery the enum-dispatch kernel devirtualizes:
-//! polling, arbitration, and word transfer. The reported number is
-//! steady-state **cycles per wall-clock second** (build and warm-up sit
-//! outside the timed window), taken as the best of several runs because
-//! a single short run is dominated by scheduler noise.
-//!
-//! `tools/bench_regression.py` consumes the per-protocol numbers as a
-//! soft gate: a saturated-throughput regression prints a warning
-//! without failing CI, while the byte-identity and zero-allocation
-//! guarantees stay hard gates elsewhere (the suite binary and the
-//! `alloc_steady_state` test).
+//! one of the built-in protocols built by [`hot_arbiter`], so a run
+//! isolates exactly the per-cycle machinery the enum-dispatch kernel
+//! devirtualizes: polling, arbitration, and word transfer.
+//! `tests/golden_fleet.rs` packs the lineup as fleet lanes and checks
+//! lowering, saturation and lane exactness; `lbbench` times the same
+//! lineup (`socsim.step_ns`, `arbiters.decide_ns.*`, the `dma-sweep`
+//! workload).
 
-use crate::common::RunSettings;
-use crate::json::Json;
 use arbiters::{
     ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter,
     WheelLayout,
 };
 use lotterybus::{DynamicLotteryArbiter, StaticLotteryArbiter, TicketAssignment};
-use socsim::SystemBuilder;
-use traffic_gen::{SaturateSource, SourceKind};
 
-/// Masters in every hot-probe system (the paper's four-component SoC).
+/// Masters in every lineup system (the paper's four-component SoC).
 pub const HOT_MASTERS: usize = 4;
 
 /// Words per message; long enough that arbitration is amortized the
 /// same way the paper's traffic classes amortize it.
 pub const HOT_WORDS: u32 = 8;
 
-/// Timed repetitions per protocol; the best run is reported.
-const HOT_REPEATS: usize = 3;
-
 /// Protocol names of the saturated lineup, in report order. This is the
 /// five-protocol comparison lineup of the paper plus the dynamic
 /// lottery, whose decision cache only earns its keep under contention.
 pub const HOT_PROTOCOLS: [&str; 6] =
     ["static-priority", "round-robin", "deficit-rr", "tdma", "lottery-static", "lottery-dynamic"];
-
-/// One protocol's saturated hot-path measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotProbe {
-    /// Protocol name (one of [`HOT_PROTOCOLS`]).
-    pub protocol: &'static str,
-    /// Measured steady-state cycles (warm-up excluded).
-    pub cycles: u64,
-    /// Best wall-clock time for the measured window, seconds.
-    pub wall_secs: f64,
-    /// `cycles / wall_secs` — the headline throughput number.
-    pub cycles_per_sec: f64,
-}
-
-impl HotProbe {
-    /// The probe as a JSON object for the bench report.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("protocol", self.protocol)
-            .field("cycles", self.cycles)
-            .field("wall_secs", self.wall_secs)
-            .field("cycles_per_sec", self.cycles_per_sec)
-    }
-}
 
 /// Builds the arbiter for one lineup `protocol` name with the standard
 /// 1:2:3:4 weighting.
@@ -90,73 +55,6 @@ pub fn hot_arbiter(protocol: &str, seed: u64) -> ArbiterKind {
     }
 }
 
-/// Runs the saturated probe for one lineup `protocol` and returns its
-/// measurement. Each repetition builds a fresh system, warms it up
-/// outside the timer, and times only the measured window; repeats must
-/// agree on statistics (the run is deterministic) and the best time
-/// wins.
-///
-/// # Panics
-///
-/// Panics if `protocol` is unknown, the system fails to build, or the
-/// probe fails its saturation sanity check (bus utilization must
-/// exceed 95% — an idle "saturated" probe would measure the wrong
-/// path).
-pub fn hot_probe(protocol: &'static str, settings: &RunSettings) -> HotProbe {
-    let mut best = f64::INFINITY;
-    let mut reference = None;
-    for _ in 0..HOT_REPEATS {
-        let mut builder = SystemBuilder::new(settings.bus);
-        for i in 0..HOT_MASTERS {
-            builder = builder
-                .master(format!("C{}", i + 1), SourceKind::from(SaturateSource::new(0, HOT_WORDS)));
-        }
-        let mut system = builder
-            .arbiter(hot_arbiter(protocol, settings.seed))
-            .build()
-            .expect("hot-probe system is valid");
-        system.warm_up(settings.warmup);
-        let start = std::time::Instant::now();
-        system.run(settings.measure);
-        best = best.min(start.elapsed().as_secs_f64());
-        let stats = system.stats().clone();
-        assert!(
-            stats.bus_utilization() > 0.95,
-            "{protocol} probe is not saturated: utilization {}",
-            stats.bus_utilization()
-        );
-        if let Some(previous) = reference.replace(stats) {
-            assert_eq!(
-                previous,
-                *reference.as_ref().expect("just set"),
-                "{protocol} probe repeats diverged"
-            );
-        }
-    }
-    let cycles = settings.measure;
-    let cycles_per_sec = if best > 0.0 { cycles as f64 / best } else { 0.0 };
-    HotProbe { protocol, cycles, wall_secs: best, cycles_per_sec }
-}
-
-/// Runs the whole lineup and returns the measurements in
-/// [`HOT_PROTOCOLS`] order.
-pub fn hot_lineup(settings: &RunSettings) -> Vec<HotProbe> {
-    HOT_PROTOCOLS.iter().map(|protocol| hot_probe(protocol, settings)).collect()
-}
-
-/// The bench-report JSON for a lineup run: probe geometry plus one
-/// object per protocol (keyed by name, insertion order = lineup order).
-pub fn hot_json(probes: &[HotProbe]) -> Json {
-    let mut protocols = Json::obj();
-    for probe in probes {
-        protocols = protocols.field(probe.protocol, probe.to_json());
-    }
-    Json::obj()
-        .field("masters", HOT_MASTERS)
-        .field("words", u64::from(HOT_WORDS))
-        .field("protocols", protocols)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,17 +75,5 @@ mod tests {
     #[should_panic(expected = "unknown hot-probe protocol")]
     fn unknown_protocol_is_rejected() {
         hot_arbiter("token-ring", 1);
-    }
-
-    #[test]
-    fn probe_reports_saturated_throughput() {
-        let settings = RunSettings { warmup: 500, measure: 4_000, ..RunSettings::quick() };
-        let probe = hot_probe("round-robin", &settings);
-        assert_eq!(probe.cycles, 4_000);
-        assert!(probe.wall_secs > 0.0);
-        assert!(probe.cycles_per_sec > 0.0);
-        let json = hot_json(&[probe]).render();
-        assert!(json.contains("\"round-robin\""), "json: {json}");
-        assert!(json.contains("\"cycles_per_sec\""), "json: {json}");
     }
 }

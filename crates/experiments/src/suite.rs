@@ -20,32 +20,17 @@ pub struct SuiteOptions {
     pub quick: bool,
     /// Worker threads (`0` = all available cores).
     pub jobs: usize,
-    /// When set, every simulation also collects windowed metrics with
-    /// this window length. The samples are discarded, so the result
-    /// JSON is byte-identical either way; `suite --bench` uses this to
-    /// measure the observability overhead.
-    pub metrics_window: Option<u64>,
     /// Which simulation kernel every simulation runs under. Every
     /// kernel keeps the result JSON byte-identical (the CI kernel-diff
     /// gate checks exactly that).
     pub kernel: socsim::Kernel,
-    /// Also run the analytic-model validation grid
-    /// ([`crate::validate`]) and embed its per-cell error table as an
-    /// `analytic_validation` field. Off by default so the core result
-    /// document — the one the CI determinism and kernel gates diff —
-    /// is unchanged.
-    pub validate_analytic: bool,
 }
 
 impl SuiteOptions {
     /// The settings implied by these options.
     pub fn settings(&self) -> RunSettings {
         let base = if self.quick { RunSettings::quick() } else { RunSettings::new() };
-        let base = base.with_jobs(self.jobs).with_kernel(self.kernel);
-        match self.metrics_window {
-            Some(window) => base.with_metrics(window),
-            None => base,
-        }
+        base.with_jobs(self.jobs).with_kernel(self.kernel)
     }
 }
 
@@ -80,11 +65,8 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteRun {
     let sweeps = t.time("sweeps", 39, || crate::sweeps::run(&settings));
     let energy = t.time("energy", 5, || crate::energy::run(&settings));
     let ablations = t.time("ablations", 12, || crate::ablations::run(&settings));
-    let validation = opts
-        .validate_analytic
-        .then(|| t.time("analytic_validation", 48, || crate::validate::run(&settings)));
 
-    let mut doc = Json::obj()
+    let doc = Json::obj()
         .field(
             "meta",
             Json::obj()
@@ -107,9 +89,6 @@ pub fn run_suite(opts: &SuiteOptions) -> SuiteRun {
         .field("sweeps", sweeps.to_json())
         .field("energy", energy.to_json())
         .field("ablations", ablations.to_json());
-    if let Some(grid) = validation {
-        doc = doc.field("analytic_validation", grid.to_json());
-    }
 
     SuiteRun { json: doc.render(), telemetry: t }
 }
@@ -121,29 +100,16 @@ mod tests {
     #[test]
     fn options_map_to_settings() {
         use socsim::Kernel;
-        let opts = SuiteOptions {
-            quick: true,
-            jobs: 3,
-            metrics_window: None,
-            kernel: Kernel::Cycle,
-            validate_analytic: false,
-        };
+        let opts = SuiteOptions { quick: true, jobs: 3, kernel: Kernel::Cycle };
         let s = opts.settings();
         assert_eq!(s.jobs, 3);
         assert_eq!(s.measure, RunSettings::quick().measure);
         assert_eq!(s.metrics_window, None);
         assert_eq!(s.kernel, Kernel::Cycle);
-        let full = SuiteOptions {
-            quick: false,
-            jobs: 0,
-            metrics_window: Some(1_000),
-            kernel: Kernel::Fast,
-            validate_analytic: true,
-        }
-        .settings();
+        let full = SuiteOptions { quick: false, jobs: 0, kernel: Kernel::Fast }.settings();
         assert_eq!(full.measure, RunSettings::new().measure);
         assert_eq!(full.jobs, 0);
-        assert_eq!(full.metrics_window, Some(1_000));
+        assert_eq!(full.metrics_window, None);
         assert_eq!(full.kernel, Kernel::Fast);
     }
 }

@@ -1,13 +1,11 @@
 //! Wall-clock telemetry for experiment runs.
 //!
 //! Records per-phase timings (phase name, wall time, number of
-//! simulation jobs executed) so the suite can report throughput and the
-//! parallel speedup vs a serial run. Telemetry is **never** mixed into
-//! the deterministic result stream — timings go to stderr and to the
-//! separate `BENCH_PR2.json` artifact, keeping the diffable experiment
-//! JSON byte-identical across `--jobs` values.
+//! simulation jobs executed) so the suite can report its throughput.
+//! Telemetry is **never** mixed into the deterministic result stream —
+//! timings go to stderr only, keeping the diffable experiment JSON
+//! byte-identical across `--jobs` values.
 
-use crate::json::Json;
 use std::time::{Duration, Instant};
 
 /// Wall time and job count of one timed phase.
@@ -98,79 +96,11 @@ impl Telemetry {
         ));
         out
     }
-
-    /// The JSON form used by `BENCH_PR2.json`.
-    pub fn to_json(&self) -> Json {
-        let phases: Vec<Json> = self
-            .phases
-            .iter()
-            .map(|p| {
-                Json::obj()
-                    .field("name", p.name.as_str())
-                    .field("wall_secs", p.wall.as_secs_f64())
-                    .field("jobs", p.jobs)
-                    .field("jobs_per_sec", p.jobs_per_sec())
-            })
-            .collect();
-        Json::obj()
-            .field("total_wall_secs", self.total_wall().as_secs_f64())
-            .field("total_jobs", self.total_jobs())
-            .field("jobs_per_sec", self.jobs_per_sec())
-            .field("phases", Json::Arr(phases))
-    }
-}
-
-/// The per-simulation-phase JSON breakdown of a profiled run (the
-/// `sim_phases` section of the bench artifact): where wall-clock time
-/// goes *inside* the cycle kernel — polling sources, stepping the bus,
-/// or accounting — as measured by [`socsim::PhaseProfiler`].
-pub fn sim_phases_json(profiler: &socsim::PhaseProfiler) -> Json {
-    let phases: Vec<Json> = socsim::SimPhase::ALL
-        .iter()
-        .map(|&phase| {
-            Json::obj()
-                .field("name", phase.label())
-                .field("wall_secs", profiler.total(phase).as_secs_f64())
-                .field("fraction", profiler.fraction(phase))
-        })
-        .collect();
-    Json::obj()
-        .field("cycles", profiler.laps())
-        .field("total_wall_secs", profiler.total_wall().as_secs_f64())
-        .field("phases", Json::Arr(phases))
-}
-
-/// A human-readable one-liner-per-phase table for stderr.
-pub fn sim_phases_report(profiler: &socsim::PhaseProfiler) -> String {
-    let mut out = format!("cycle kernel profile ({} cycles):\n", profiler.laps());
-    for &phase in &socsim::SimPhase::ALL {
-        let pct = profiler.fraction(phase).map_or(0.0, |f| f * 100.0);
-        out.push_str(&format!(
-            "  {:<12} {:>8.3}s  {:>5.1}%\n",
-            phase.label(),
-            profiler.total(phase).as_secs_f64(),
-            pct
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_phase_json_and_report_are_stable() {
-        let profiler = socsim::PhaseProfiler::disabled();
-        let json = sim_phases_json(&profiler).render();
-        assert!(json.starts_with("{\"cycles\":0,"), "{json}");
-        assert!(json.contains("\"name\":\"poll\""), "{json}");
-        assert!(json.contains("\"name\":\"bus\""), "{json}");
-        assert!(json.contains("\"name\":\"accounting\""), "{json}");
-        let report = sim_phases_report(&profiler);
-        assert!(report.contains("cycle kernel profile"), "{report}");
-        assert!(report.contains("accounting"), "{report}");
-    }
 
     #[test]
     fn timed_phases_accumulate() {
@@ -193,15 +123,6 @@ mod tests {
         assert!(report.contains("fig4"));
         assert!(report.contains("total"));
         assert!(report.contains("2 worker"));
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let mut t = Telemetry::new();
-        t.time("one", 1, || ());
-        let json = t.to_json().render();
-        assert!(json.starts_with("{\"total_wall_secs\":"));
-        assert!(json.contains("\"phases\":[{\"name\":\"one\""));
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //!   lottery: mixed under- and over-subscribed systems with periodic,
 //!   bursty and memoryless sources all mapped to Bernoulli rates.
 //!
-//! The grid is deterministic under the settings' seed, so `suite
-//! --validate-analytic` can embed it in the result document and the
-//! bench artifact can gate its summary errors.
+//! The grid is deterministic under the settings' seed, so
+//! `tests/golden_validation.rs` snapshots it byte for byte and holds
+//! its summary errors to fixed ceilings.
 
 use crate::common::{self, RunSettings};
 use crate::json::{Json, ToJson};

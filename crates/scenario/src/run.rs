@@ -192,25 +192,6 @@ pub(crate) fn probe(arb: &ArbiterKind) -> (u64, u64) {
 /// Runs one scenario under the chosen kernel and evaluates its SLAs.
 /// Verdicts are byte-identical under every kernel.
 pub fn run_scenario(sc: &Scenario, kernel: Kernel) -> Result<Outcome, String> {
-    run_scenario_inner(sc, kernel, false).map(|(outcome, _)| outcome)
-}
-
-/// Like [`run_scenario`], but with the simulator's phase profiler
-/// enabled; additionally returns the run's simulation wall-clock.
-/// Verdicts are unaffected — profiling only observes. The scenario
-/// bench (`lotterybus-sim scenario --bench`) sums these.
-pub fn run_scenario_profiled(
-    sc: &Scenario,
-    kernel: Kernel,
-) -> Result<(Outcome, std::time::Duration), String> {
-    run_scenario_inner(sc, kernel, true)
-}
-
-fn run_scenario_inner(
-    sc: &Scenario,
-    kernel: Kernel,
-    profiling: bool,
-) -> Result<(Outcome, std::time::Duration), String> {
     sc.validate()?;
     let config = BusConfig { max_burst: sc.burst, ..BusConfig::new() };
     let mut builder: SystemBuilder<ArbiterKind, PhasedSource> = SystemBuilder::new(config);
@@ -231,7 +212,6 @@ fn run_scenario_inner(
     }
     let mut system: System<ArbiterKind, PhasedSource> = builder
         .metrics_window(sc.metrics_window)
-        .profiling(profiling)
         .kernel(kernel)
         .arbiter(build_arbiter(sc)?)
         .build()
@@ -252,8 +232,7 @@ fn run_scenario_inner(
             (port.issued_transactions(), port.backlog_transactions() as u64)
         })
         .collect();
-    let outcome = assemble_outcome(sc, &snaps, &probes, &samples, &counts);
-    Ok((outcome, system.profiler().total_wall()))
+    Ok(assemble_outcome(sc, &snaps, &probes, &samples, &counts))
 }
 
 /// Evaluates the SLAs and the conservation check and assembles the

@@ -3,8 +3,9 @@
 //! Each [`crate::System::step`] passes through three phases: polling
 //! the traffic sources, stepping the bus/arbiter, and accounting
 //! (statistics, metrics, failover bookkeeping). The [`PhaseProfiler`]
-//! attributes wall-clock time to each, so `suite --bench` can report
-//! *where* simulation time goes instead of only totals.
+//! attributes wall-clock time to each, so a run can report *where*
+//! simulation time goes instead of only totals. `lbbench` measures the
+//! profiler's own cost as `socsim.profile_overhead_frac`.
 //!
 //! Profiling is wall-clock measurement, not simulated time — it never
 //! participates in deterministic results, and a disabled profiler costs
@@ -27,7 +28,7 @@ impl SimPhase {
     /// All phases in execution order.
     pub const ALL: [SimPhase; 3] = [SimPhase::Poll, SimPhase::Bus, SimPhase::Accounting];
 
-    /// A stable lowercase label (used in reports and bench JSON).
+    /// A stable lowercase label (used in reports).
     pub fn label(self) -> &'static str {
         match self {
             SimPhase::Poll => "poll",

@@ -864,6 +864,22 @@ mod tests {
     }
 
     #[test]
+    fn profiler_discards_warm_up_laps() {
+        let mut system = SystemBuilder::new(BusConfig::default())
+            .master("a", EveryN { period: 3, words: 2 })
+            .master("b", EveryN { period: 5, words: 4 })
+            .arbiter(FixedOrderArbiter::new(2))
+            .profiling(true)
+            .build()
+            .expect("valid system");
+        system.warm_up(500);
+        system.run(4_000);
+        assert_eq!(system.stats().cycles, 4_000);
+        assert_eq!(system.profiler().laps(), 4_000, "warm-up laps are discarded");
+        assert!(system.profiler().total_wall() > std::time::Duration::ZERO);
+    }
+
+    #[test]
     fn two_masters_share_in_fixed_order() {
         let mut system = SystemBuilder::new(BusConfig::default())
             .master("a", one_shot(3))
