@@ -119,4 +119,4 @@ pub mod search_cmd;
 pub mod spec;
 
 pub use report::{render_metrics, render_report};
-pub use spec::{ArbiterKind, MasterSpec, ParseSpecError, SimSpec, TraceSinkSpec};
+pub use spec::{ParseSpecError, SimSpec, TraceSinkSpec};

@@ -161,29 +161,9 @@ fn min_max(values: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SimSpec;
+    use crate::spec::{run_spec, simulate, SimSpec};
     use arbiters::{FailoverArbiter, StaticPriorityArbiter};
-    use socsim::{Arbiter, Cycle, Grant, RequestMap, System, SystemBuilder};
-
-    fn build_system<A: Arbiter>(spec: &SimSpec, arbiter: A) -> System<A> {
-        let mut builder = SystemBuilder::new(spec.bus_config());
-        for (i, master) in spec.masters.iter().enumerate() {
-            builder = builder.master(
-                master.name.clone(),
-                master.generator(i).build_source(spec.seed + i as u64),
-            );
-        }
-        if let Some(fault) = spec.fault {
-            builder = builder.faults(fault);
-        }
-        if let Some(retry) = spec.retry {
-            builder = builder.retry_policy(retry);
-        }
-        if let Some(timeout) = spec.timeout {
-            builder = builder.timeout(timeout);
-        }
-        builder.arbiter(arbiter).build().expect("valid")
-    }
+    use socsim::{Arbiter, Cycle, Grant, RequestMap, SystemBuilder};
 
     #[test]
     fn report_contains_every_master_and_totals() {
@@ -191,9 +171,7 @@ mod tests {
                     master cpu weight=3 load=0.4 size=16\n\
                     master dsp weight=1 load=0.3 size=16\n";
         let spec = SimSpec::parse(text).expect("valid");
-        let mut system = build_system(&spec, spec.build_arbiter().expect("builds"));
-        system.run(spec.cycles);
-        let report = render_report(&spec, system.stats());
+        let report = run_spec(&spec, None).expect("runs");
         assert!(report.contains("cpu"));
         assert!(report.contains("dsp"));
         assert!(report.contains("bus utilization"));
@@ -210,11 +188,9 @@ mod tests {
                     master cpu weight=3 load=0.4 size=16\n\
                     master dsp weight=1 load=0.3 size=16\n";
         let spec = SimSpec::parse(text).expect("valid");
-        let mut system = build_system(&spec, spec.build_arbiter().expect("builds"));
-        system.run(spec.cycles);
-        let stats = system.stats();
+        let stats = simulate(&spec, None).expect("runs").stats;
         assert!(stats.slave_errors > 0, "rate 0.2 over 5000 cycles injects errors");
-        let report = render_report(&spec, stats);
+        let report = render_report(&spec, &stats);
         assert!(report.contains(&format!("{} slave errors", stats.slave_errors)));
         assert!(report.contains(&format!("{} retries", stats.retries)));
     }
@@ -226,12 +202,7 @@ mod tests {
                     master dsp weight=1 load=0.3 size=16\n";
         let spec = SimSpec::parse(text).expect("valid");
         let runs: Vec<socsim::BusStats> = (0..spec.replicas)
-            .map(|r| {
-                let rspec = spec.replica(r);
-                let mut system = build_system(&rspec, rspec.build_arbiter().expect("builds"));
-                system.run(rspec.cycles);
-                system.stats().clone()
-            })
+            .map(|r| simulate(&spec.replica(r), None).expect("runs").stats)
             .collect();
         let summary = render_replica_summary(&spec, &runs);
         assert!(summary.contains("replica aggregate over 3 runs"), "{summary}");
@@ -246,21 +217,7 @@ mod tests {
                     master cpu weight=2 load=0.9 size=16\n\
                     master dsp weight=1 load=0.9 size=16\n";
         let spec = SimSpec::parse(text).expect("valid");
-        let mut builder = SystemBuilder::new(spec.bus_config());
-        for (i, master) in spec.masters.iter().enumerate() {
-            builder = builder.master(
-                master.name.clone(),
-                master.generator(i).build_source(spec.seed + i as u64),
-            );
-        }
-        let mut system = builder
-            .metrics_window(spec.metrics.expect("metrics configured"))
-            .arbiter(spec.build_arbiter().expect("builds"))
-            .build()
-            .expect("valid");
-        system.run(spec.cycles);
-        system.flush_metrics();
-        let samples = system.metrics().expect("metrics on").samples().to_vec();
+        let samples = simulate(&spec, None).expect("runs").samples.expect("metrics on");
         assert_eq!(samples.len(), 10);
         let section = render_metrics(&spec, 1000, &samples);
         assert!(section.contains("windowed metrics (10 windows of 1000 cycles)"), "{section}");
@@ -311,7 +268,13 @@ mod tests {
             spec.failover.expect("failover configured"),
         )
         .expect("valid");
-        let mut system = build_system(&spec, arbiter);
+        let mut builder = SystemBuilder::new(spec.bus_config());
+        for (i, master) in spec.masters.iter().enumerate() {
+            let generator = master.generator(i, master.load, 0).expect("positive load");
+            builder =
+                builder.master(master.name.clone(), generator.build_source(spec.seed + i as u64));
+        }
+        let mut system = builder.arbiter(arbiter).build().expect("valid");
         system.run(spec.cycles);
         let stats = system.stats();
         assert_eq!(stats.failovers, 1, "wedged primary tripped the failover");

@@ -68,6 +68,17 @@ fn bad_specs_fail_with_line_numbers() {
 }
 
 #[test]
+fn duplicate_master_names_exit_1_with_the_line() {
+    let path = write_spec("dup", "master a load=0.1\nmaster b load=0.1\nmaster a load=0.2\n");
+    let out = binary().arg(&path).output().expect("run");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty(), "no report for a rejected spec");
+    let err = String::from_utf8(out.stderr).expect("utf8");
+    assert!(err.contains("line 3: duplicate master name `a`"), "{err}");
+}
+
+#[test]
 fn missing_file_reports_cleanly() {
     let out = binary().arg("/nonexistent/definitely-missing.spec").output().expect("run");
     assert!(!out.status.success());

@@ -52,6 +52,6 @@ pub use model::{
 pub use parse::ScenarioError;
 pub use phased::PhasedSource;
 pub use plan::{run_plan, run_plan_fleet, PlanOutcome, PlanReport};
-pub use run::{build_arbiter, run_scenario, Outcome, PhaseReport};
+pub use run::{arbiter_chain, build_arbiter, run_scenario, Outcome, PhaseReport};
 pub use sla::Violation;
 pub use wedge::WedgingArbiter;

@@ -11,6 +11,7 @@
 
 use socsim::{FaultConfig, RetryPolicy};
 use std::fmt::Write as _;
+use traffic_gen::{GeneratorSpec, SizeDist};
 
 /// Which built-in arbiter drives the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +91,44 @@ pub struct MasterDecl {
     pub arrival: Arrival,
     /// Index of the addressed slave.
     pub slave: usize,
+}
+
+impl MasterDecl {
+    /// The traffic generator of master `index` (declaration order) at
+    /// offered `load` for a phase starting at `phase_start`, or `None`
+    /// when the load silences the master. Deterministic arrival
+    /// schedules are offset by the master index (periodic `3·i`,
+    /// bursty `7·i`) so masters do not arrive in lock step.
+    pub fn generator(&self, index: usize, load: f64, phase_start: u64) -> Option<GeneratorSpec> {
+        if load <= 0.0 {
+            return None;
+        }
+        let size = SizeDist::fixed(self.size);
+        let spec = match self.arrival {
+            Arrival::Poisson => {
+                GeneratorSpec::poisson((load / f64::from(self.size)).min(1.0), size)
+            }
+            Arrival::Periodic => {
+                let period = (f64::from(self.size) / load).round().max(1.0) as u64;
+                GeneratorSpec::periodic(period, phase_start + 3 * index as u64, size)
+            }
+            Arrival::Burst => {
+                // A train of 2–6 back-to-back transactions, sized so the
+                // long-run offered load matches `load`.
+                let off = (4.0 * f64::from(self.size) / load - 1.0).max(1.0);
+                GeneratorSpec::bursty(
+                    2,
+                    6,
+                    0,
+                    (off * 0.5) as u64,
+                    (off * 1.5) as u64,
+                    phase_start + 7 * index as u64,
+                    size,
+                )
+            }
+        };
+        Some(spec.to_slave(self.slave))
+    }
 }
 
 /// One declared slave. Slaves only need declaring when they model

@@ -21,9 +21,9 @@
 //!   current phase's end, so the fast kernel cannot skip a boundary
 //!   and miss the generator switch.
 
-use crate::model::{Arrival, MasterDecl, PhaseDecl};
+use crate::model::{MasterDecl, PhaseDecl};
 use socsim::{Cycle, TrafficSource, Transaction};
-use traffic_gen::{GeneratorSpec, SizeDist, SourceKind};
+use traffic_gen::SourceKind;
 
 /// Splitmix64 finalizer; used to give every (master, phase) pair an
 /// independent seed derived from the scenario seed.
@@ -61,57 +61,10 @@ impl PhasedSource {
             let phase_seed = mix(seed ^ mix((index as u64) << 32 | k as u64));
             starts.push(start);
             ends.push(start + phase.duration);
-            inner.push(
-                Self::generator(index, master, load, start)
-                    .map(|g| g.to_slave(master.slave).build_kind(phase_seed)),
-            );
+            inner.push(master.generator(index, load, start).map(|g| g.build_kind(phase_seed)));
             start += phase.duration;
         }
         PhasedSource { starts, ends, inner }
-    }
-
-    /// The generator spec for one phase, or `None` when the scaled
-    /// load silences the master.
-    fn generator(
-        index: usize,
-        master: &MasterDecl,
-        load: f64,
-        phase_start: u64,
-    ) -> Option<GeneratorSpec> {
-        if load <= 0.0 {
-            return None;
-        }
-        let size = master.size;
-        let spec = match master.arrival {
-            Arrival::Poisson => {
-                let rate = (load / size as f64).min(1.0);
-                GeneratorSpec::poisson(rate, SizeDist::fixed(size))
-            }
-            Arrival::Periodic => {
-                let period = (size as f64 / load).round().max(1.0) as u64;
-                GeneratorSpec::periodic(
-                    period,
-                    phase_start + 3 * index as u64,
-                    SizeDist::fixed(size),
-                )
-            }
-            Arrival::Burst => {
-                // A train of 2–6 back-to-back transactions, sized so the
-                // long-run offered load matches `load` (mirrors the CLI's
-                // bursty mapping).
-                let off = (4.0 * size as f64 / load - 1.0).max(1.0);
-                GeneratorSpec::bursty(
-                    2,
-                    6,
-                    0,
-                    (off * 0.5) as u64,
-                    (off * 1.5) as u64,
-                    phase_start + 7 * index as u64,
-                    SizeDist::fixed(size),
-                )
-            }
-        };
-        Some(spec)
     }
 
     /// Index of the phase containing `now`, or `None` after the
@@ -159,7 +112,7 @@ impl TrafficSource for PhasedSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Scenario;
+    use crate::model::{Arrival, Scenario};
 
     fn master(load: f64, arrival: Arrival) -> MasterDecl {
         MasterDecl { name: "m".into(), weight: 1, load, size: 4, arrival, slave: 0 }

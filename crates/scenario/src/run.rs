@@ -14,7 +14,7 @@
 //! cycle-accurate and fast-forward kernels must produce
 //! byte-identical verdicts, and CI diffs exactly that.
 
-use crate::model::{ArbiterSel, Expectation, Scenario};
+use crate::model::{ArbiterSel, Expectation, FailoverDecl, Scenario, WedgeWindow};
 use crate::phased::{mix, PhasedSource};
 use crate::sla::{evaluate, EvalInput, Violation};
 use crate::wedge::WedgingArbiter;
@@ -140,10 +140,27 @@ fn phase_json(p: &PhaseReport) -> Json {
 /// Builds the scenario's arbiter chain:
 /// `primary → [wedge wrapper] → [failover protection]`.
 pub fn build_arbiter(sc: &Scenario) -> Result<ArbiterKind, String> {
-    let weights: Vec<u32> = sc.masters.iter().map(|m| m.weight).collect();
-    let n = sc.masters.len();
-    let seed = sc.seed as u32 | 1;
-    let primary: ArbiterKind = match sc.arbiter {
+    let weights = sc.masters.iter().map(|m| m.weight).collect();
+    arbiter_chain(sc.arbiter, weights, sc.seed, sc.tdma_block, &sc.wedges, sc.failover)
+}
+
+/// Builds an arbiter chain from its parts: the `sel` protocol over
+/// per-master `weights` (tickets, priorities or TDMA slot weights, one
+/// per master), wrapped in a [`WedgingArbiter`] when `wedges` is
+/// non-empty and in a [`FailoverArbiter`] when `failover` is set. The
+/// lottery LFSRs are seeded from the low 32 bits of `seed`, TDMA gives
+/// each weight unit `tdma_block` slots.
+pub fn arbiter_chain(
+    sel: ArbiterSel,
+    weights: Vec<u32>,
+    seed: u64,
+    tdma_block: u32,
+    wedges: &[WedgeWindow],
+    failover: Option<FailoverDecl>,
+) -> Result<ArbiterKind, String> {
+    let n = weights.len();
+    let seed = seed as u32 | 1;
+    let primary: ArbiterKind = match sel {
         ArbiterSel::Lottery => {
             let tickets = TicketAssignment::new(weights).map_err(|e| e.to_string())?;
             StaticLotteryArbiter::with_seed(tickets, seed).map_err(|e| e.to_string())?.into()
@@ -156,19 +173,19 @@ pub fn build_arbiter(sc: &Scenario) -> Result<ArbiterKind, String> {
             StaticPriorityArbiter::new(weights).map_err(|e| e.to_string())?.into()
         }
         ArbiterSel::Tdma => {
-            let slots: Vec<u32> = weights.iter().map(|w| w * sc.tdma_block).collect();
+            let slots: Vec<u32> = weights.iter().map(|w| w * tdma_block).collect();
             TdmaArbiter::new(&slots, WheelLayout::Contiguous).map_err(|e| e.to_string())?.into()
         }
         ArbiterSel::RoundRobin => RoundRobinArbiter::new(n).map_err(|e| e.to_string())?.into(),
         ArbiterSel::TokenRing => TokenRingArbiter::new(n).map_err(|e| e.to_string())?.into(),
     };
-    let wrapped: ArbiterKind = if sc.wedges.is_empty() {
+    let wrapped: ArbiterKind = if wedges.is_empty() {
         primary
     } else {
-        let windows = sc.wedges.iter().map(|w| (w.from, w.until)).collect();
+        let windows = wedges.iter().map(|w| (w.from, w.until)).collect();
         ArbiterKind::Custom(Box::new(WedgingArbiter::new(windows, primary)))
     };
-    match &sc.failover {
+    match failover {
         None => Ok(wrapped),
         Some(f) => {
             let arb = match f.recovery {

@@ -62,12 +62,10 @@ pub mod fleet;
 pub mod ids;
 pub mod master;
 pub mod metrics;
-pub mod multichannel;
 pub mod pool;
 pub mod profile;
 pub mod request;
 pub mod slave;
-pub mod split;
 pub mod stats;
 pub mod system;
 pub mod trace;

@@ -23,8 +23,8 @@
 //!    byte-identical with metrics on.
 //!
 //! The building blocks — [`Counter`], [`Gauge`] and
-//! [`WindowedHistogram`] — are public so custom drivers (the ATM switch,
-//! multi-channel systems) can assemble their own registries.
+//! [`WindowedHistogram`] — are public so custom drivers (such as the ATM
+//! switch) can assemble their own registries.
 
 use crate::cycle::Cycle;
 use crate::master::MasterPort;

@@ -199,9 +199,7 @@ impl MasterStats {
     }
 
     /// Records a completed transaction of `words` words with the given
-    /// end-to-end `latency` and initial `wait` (all in cycles). Used by
-    /// both the single-bus statistics and multi-channel end-to-end
-    /// accounting.
+    /// end-to-end `latency` and initial `wait` (all in cycles).
     #[inline]
     pub fn record_transaction(&mut self, words: u32, latency: u64, wait: u64) {
         self.transactions += 1;

@@ -9,7 +9,7 @@
 //! per-poll process, kept verbatim as the reference; every case checks
 //! the source against it under three polling patterns:
 //!
-//! * every cycle (what split/multichannel buses and `record_trace` do);
+//! * every cycle (what `record_trace` does);
 //! * only when `next_event(c) <= c` (what every horizon-aware kernel
 //!   does), where each emission must land exactly on the horizon
 //!   reported just before it;

@@ -9,7 +9,8 @@
 //! optimization; any divergence here is a kernel bug. (`tlm` names the
 //! same kernel; `tests/golden_outputs.rs` covers that alias.)
 
-use lotterybus_cli::{render_metrics, render_report, SimSpec};
+use lotterybus_cli::spec::run_spec;
+use lotterybus_cli::SimSpec;
 use lotterybus_repro::arbiters::FailoverArbiter;
 use lotterybus_repro::experiments::json::ToJson;
 use lotterybus_repro::experiments::{self, RunSettings};
@@ -170,8 +171,8 @@ fn replica_fanout_matches_across_kernels() {
 
 #[test]
 fn cli_spec_pipeline_matches_across_kernels() {
-    // The full CLI path: parse a spec, build the system the way the
-    // binary does, and render the user-facing report plus the windowed
+    // The full CLI path: parse a spec, run it through the binary's
+    // runner, and render the user-facing report plus the windowed
     // metrics section. `kernel = fast` must not change a byte.
     let spec_for = |kernel: &str| {
         let text = format!(
@@ -193,41 +194,7 @@ fn cli_spec_pipeline_matches_across_kernels() {
         );
         SimSpec::parse(&text).expect("valid spec")
     };
-    let render = |spec: &SimSpec| {
-        let mut builder = SystemBuilder::new(spec.bus_config());
-        for (i, master) in spec.masters.iter().enumerate() {
-            builder = builder.master(
-                master.name.clone(),
-                master.generator(i).build_source(spec.seed.wrapping_add(i as u64)),
-            );
-        }
-        if let Some(fault) = spec.fault {
-            builder = builder.faults(fault);
-        }
-        if let Some(retry) = spec.retry {
-            builder = builder.retry_policy(retry);
-        }
-        if let Some(timeout) = spec.timeout {
-            builder = builder.timeout(timeout);
-        }
-        if let Some(window) = spec.metrics {
-            builder = builder.metrics_window(window);
-        }
-        let mut system = builder
-            .kernel(spec.kernel)
-            .arbiter(spec.build_arbiter().expect("arbiter"))
-            .build()
-            .expect("valid system");
-        system.warm_up(spec.warmup);
-        system.run(spec.cycles);
-        system.flush_metrics();
-        let mut text = render_report(spec, system.stats());
-        if let Some(window) = spec.metrics {
-            let samples = system.metrics().expect("metrics enabled").samples().to_vec();
-            text += &render_metrics(spec, window, &samples);
-        }
-        text
-    };
+    let render = |spec: &SimSpec| run_spec(spec, None).expect("spec runs");
     let cycle = render(&spec_for("cycle"));
     let fast = render(&spec_for("fast"));
     assert!(cycle.contains("fault"), "spec fault section missing from the report");
