@@ -536,7 +536,6 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
             &mut self.masters,
             &self.slaves,
             now,
-            0,
             &mut self.stats,
             &mut self.trace,
         );
