@@ -13,6 +13,13 @@ pub const MAX_MASTERS: usize = 16;
 /// Numerical slack used when comparing allocations against demands.
 pub(crate) const EPS: f64 = 1e-9;
 
+/// Capacity a lottery or deficit-RR system must leave unused for its
+/// predictions to be weight-blind ([`SystemModel::weight_blind`]).
+/// The water fill's cycle needs sum to the total demand up to a few
+/// ulps, so a margin a thousand times [`EPS`] keeps every saturation
+/// test in it from firing with room to spare.
+pub(crate) const BLIND_HEADROOM: f64 = 1e-6;
+
 /// The arbitration protocols the predictors cover — the simulator's
 /// five-protocol comparison lineup plus the dynamic lottery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,12 +100,6 @@ impl Protocol {
             "lottery-dynamic" => Protocol::LotteryDynamic,
             _ => return None,
         })
-    }
-
-    /// Whether the model ignores arbitration weights, so every weight
-    /// vector predicts bit-identically (plain round-robin).
-    pub(crate) fn weight_blind(self) -> bool {
-        self == Protocol::RoundRobin
     }
 
     pub(crate) fn space(self) -> Space {
@@ -353,6 +354,28 @@ impl SystemModel {
     /// full burst buys nothing.
     pub fn drr_effective_weight(&self, i: usize) -> u32 {
         self.masters[i].weight.saturating_mul(self.drr_quantum.max(1)).min(self.max_burst.max(1))
+    }
+
+    /// Whether every weight vector predicts bit-identically for this
+    /// system, so one evaluation stands for them all.
+    ///
+    /// Plain round-robin never reads weights. Lottery and deficit
+    /// round-robin read them only in the water fill, and only once
+    /// capacity runs out: when the summed cycle demand `Σ λ·E[t]` is at
+    /// most `1 − 10⁻⁶`, the fill's needs (which add up to that demand
+    /// apart from rounding) never reach the remaining capacity, so
+    /// every active master is capped at exactly its demand whatever
+    /// the weights, and the share, stability and reduced-rate latency
+    /// passes read no weights. TDMA's slot-alignment wait and static
+    /// priority's Cobham order read weights at any load.
+    pub(crate) fn weight_blind(&self) -> bool {
+        match self.protocol {
+            Protocol::RoundRobin => true,
+            Protocol::LotteryStatic | Protocol::LotteryDynamic | Protocol::DeficitRoundRobin => {
+                self.masters.iter().map(MasterModel::demand).sum::<f64>() <= 1.0 - BLIND_HEADROOM
+            }
+            Protocol::Tdma2Level | Protocol::StaticPriority => false,
+        }
     }
 
     /// Evaluates the closed forms into `scratch` (alloc-free) and

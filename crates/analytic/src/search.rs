@@ -14,10 +14,23 @@
 //!
 //! The short list costs little per offered point: each entry keeps
 //! its shape signature from when it entered, and a full list drops
-//! points below its worst margin before shaping them. The round-robin
-//! model ignores weights, so its scan evaluates one point per
-//! (burst, load-scale) cell and counts the rest
+//! points below its worst margin before shaping them.
+//!
+//! Tickets only matter while masters contend for the bus. A
+//! (burst, load-scale) cell whose predictions cannot depend on the
+//! weights is *weight-blind*: every round-robin cell, and every
+//! lottery or deficit-RR cell whose summed cycle demand `Σ λ·E[t]`
+//! stays at most `1 − 10⁻⁶`, so every master is granted its full
+//! demand whatever its tickets. The scan evaluates such a cell once,
+//! at its all-ones point, and counts the rest
 //! ([`SearchReport::evaluated`] against [`SearchReport::scanned`]).
+//! It still offers the cell's points to the short list in scan order,
+//! but only until the list has settled — no list, or a full one whose
+//! worst margin is at least the cell's — since from then on a repeated
+//! shape arrives at the same margin with a larger ticket sum and a new
+//! shape cannot outrank the worst entry. TDMA and static-priority
+//! cells evaluate every point: the slot-alignment wait and Cobham's
+//! class order read the weights at any load.
 //!
 //! ```
 //! use analytic::{Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
@@ -42,6 +55,11 @@
 use crate::model::{MasterModel, Prediction, Protocol, Scratch, SystemModel, MAX_MASTERS};
 use socsim::BusConfig;
 use traffic_gen::SizeDist;
+
+/// The largest per-master ticket ceiling a [`SearchSpace`] accepts.
+/// [`SearchSpace::dimension_for`] stops widening the grid here, and
+/// it keeps every ticket count of the scan well inside `u32`.
+pub const MAX_TICKETS: u32 = 4096;
 
 /// One master's traffic, as the search sees it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +130,8 @@ pub struct SearchSpace {
     pub bus: BusConfig,
     /// Per-master traffic at load scale 1.0.
     pub traffic: Vec<TrafficInput>,
-    /// Every master's ticket count scans `1..=max_tickets`.
+    /// Every master's ticket count scans `1..=max_tickets`; at most
+    /// [`MAX_TICKETS`].
     pub max_tickets: u32,
     /// Burst limits to scan.
     pub bursts: Vec<u32>,
@@ -152,7 +171,7 @@ impl SearchSpace {
     /// `target` points (useful to dimension "scan a million points"
     /// requests regardless of master count).
     pub fn dimension_for(&mut self, target: u64) {
-        while self.points() < target && self.max_tickets < 4096 {
+        while self.points() < target && self.max_tickets < MAX_TICKETS {
             self.max_tickets += 1;
         }
     }
@@ -162,8 +181,11 @@ impl SearchSpace {
         if n == 0 || n > MAX_MASTERS {
             return Err(format!("search supports 1..={MAX_MASTERS} masters, got {n}"));
         }
-        if self.max_tickets == 0 {
-            return Err("max_tickets must be at least 1".into());
+        if self.max_tickets == 0 || self.max_tickets > MAX_TICKETS {
+            return Err(format!(
+                "max_tickets must be in 1..={MAX_TICKETS}, got {}",
+                self.max_tickets
+            ));
         }
         if self.bursts.is_empty() || self.bursts.contains(&0) {
             return Err("bursts must be non-empty and nonzero".into());
@@ -199,8 +221,10 @@ pub struct SearchReport {
     /// Design points accounted for: every point of the space.
     pub scanned: u64,
     /// Closed-form evaluations actually run. Equal to `scanned` except
-    /// for weight-blind protocols (round-robin), where one evaluation
-    /// stands for its whole (burst, load-scale) cell.
+    /// for weight-blind cells, where one evaluation stands for the
+    /// whole (burst, load-scale) cell: every round-robin cell, and
+    /// every lottery or deficit-RR cell whose summed cycle demand
+    /// leaves the bus unsaturated by at least `10⁻⁶`.
     pub evaluated: u64,
     /// Points satisfying every target.
     pub feasible: u64,
@@ -233,16 +257,7 @@ pub fn search(
     let mut evaluated = 0u64;
     let mut feasible = 0u64;
     let mut shortlist = Shortlist::new(top);
-    // A weight-blind model predicts every point of a cell exactly like
-    // its all-ones point, and the short list would keep only that one
-    // (its shape's smallest ticket sum), so the all-ones evaluation
-    // stands for the whole cell.
-    let blind = space.protocol.weight_blind();
-    let stands_for = if blind {
-        u64::from(space.max_tickets).checked_pow(n as u32).unwrap_or(u64::MAX)
-    } else {
-        1
-    };
+    let cell_points = u64::from(space.max_tickets).checked_pow(n as u32).unwrap_or(u64::MAX);
 
     for &burst in &space.bursts {
         let bus = BusConfig { max_burst: burst, ..space.bus };
@@ -267,36 +282,34 @@ pub fn search(
                 .with_tdma_block(space.tdma_block)
                 .with_drr_quantum(space.drr_quantum);
             model.max_burst = burst;
+            // A weight-blind cell predicts every point exactly like its
+            // all-ones point, so that one evaluation stands for the cell.
+            let blind = model.weight_blind();
+            let stands_for = if blind { cell_points } else { 1 };
             let mut weights = [1u32; MAX_MASTERS];
-            loop {
-                for (m, &w) in model.masters.iter_mut().zip(&weights[..n]) {
-                    m.weight = w;
+            let mut margin = f64::NAN;
+            for point in 0u64.. {
+                if point == 0 || !blind {
+                    margin = evaluate(&mut model, &weights[..n], targets, &mut scratch);
+                    evaluated += 1;
+                    scanned = scanned.saturating_add(stands_for);
+                    if margin >= 0.0 {
+                        feasible = feasible.saturating_add(stands_for);
+                    }
                 }
-                model.evaluate(&mut scratch);
-                evaluated += 1;
-                let margin = targets
-                    .iter()
-                    .map(|t| t.slack(&scratch.preds[t.master]))
-                    .fold(f64::INFINITY, f64::min);
-                scanned = scanned.saturating_add(stands_for);
                 if margin >= 0.0 {
-                    feasible = feasible.saturating_add(stands_for);
                     shortlist.offer(ctx, &weights[..n], scale, margin, &scratch.preds[..n]);
                 }
-                if blind {
+                // A blind cell still offers its points in scan order,
+                // but only until no further offer can change the list:
+                // a repeated shape arrives at the same margin with a
+                // larger ticket sum, and a new one at a margin no
+                // higher than the full list's worst. A cell with a
+                // single shape is settled by its first offer.
+                if blind && (margin < 0.0 || shortlist.settled(margin) || ctx.single_shape()) {
                     break;
                 }
-                // Odometer over the ticket grid.
-                let mut digit = 0;
-                while digit < n {
-                    weights[digit] += 1;
-                    if weights[digit] <= space.max_tickets {
-                        break;
-                    }
-                    weights[digit] = 1;
-                    digit += 1;
-                }
-                if digit == n {
+                if !advance(&mut weights[..n], space.max_tickets) {
                     break;
                 }
             }
@@ -308,6 +321,35 @@ pub fn search(
     Ok(SearchReport { scanned, evaluated, feasible, candidates })
 }
 
+/// Evaluates `model` at `weights` into `scratch` and returns the worst
+/// normalized slack over `targets`.
+fn evaluate(
+    model: &mut SystemModel,
+    weights: &[u32],
+    targets: &[SlaTarget],
+    scratch: &mut Scratch,
+) -> f64 {
+    for (m, &w) in model.masters.iter_mut().zip(weights) {
+        m.weight = w;
+    }
+    model.evaluate(scratch);
+    targets.iter().map(|t| t.slack(&scratch.preds[t.master])).fold(f64::INFINITY, f64::min)
+}
+
+/// Steps the odometer over the ticket grid `1..=max_tickets` per
+/// master, master 0 fastest; returns `false` once it wraps back to the
+/// all-ones vector.
+fn advance(weights: &mut [u32], max_tickets: u32) -> bool {
+    for w in weights.iter_mut() {
+        *w += 1;
+        if *w <= max_tickets {
+            return true;
+        }
+        *w = 1;
+    }
+    false
+}
+
 /// The dedup context of one scan cell: the protocol plus the knobs
 /// that decide when two weight vectors predict identically.
 #[derive(Clone, Copy)]
@@ -315,6 +357,19 @@ struct ShapeCtx {
     protocol: Protocol,
     drr_quantum: u32,
     burst: u32,
+}
+
+impl ShapeCtx {
+    /// Whether every weight vector has the same [`shape`]: always for
+    /// round-robin, and for deficit RR when one quantum already fills
+    /// a burst.
+    fn single_shape(self) -> bool {
+        match self.protocol {
+            Protocol::RoundRobin => true,
+            Protocol::DeficitRoundRobin => self.drr_quantum.max(1) >= self.burst.max(1),
+            _ => false,
+        }
+    }
 }
 
 /// The shape under which a weight vector is deduplicated: ticket
@@ -383,6 +438,13 @@ impl Shortlist {
         };
     }
 
+    /// Whether offering further points of one weight-blind cell at
+    /// `margin` would leave the list as it is: there is no list, or it
+    /// is full and none of its entries ranks below `margin`.
+    fn settled(&self, margin: f64) -> bool {
+        self.top == 0 || self.floor >= margin
+    }
+
     fn offer(
         &mut self,
         ctx: ShapeCtx,
@@ -444,6 +506,7 @@ impl Shortlist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::BLIND_HEADROOM;
 
     fn traffic(n: usize, lambda: f64) -> Vec<TrafficInput> {
         vec![TrafficInput { lambda, size: SizeDist::fixed(16), stall: None }; n]
@@ -542,6 +605,9 @@ mod tests {
         let mut s = space(0);
         s.max_tickets = 0;
         assert!(search(&s, &[], 5).is_err());
+        s.max_tickets = MAX_TICKETS + 1;
+        let e = search(&s, &[], 5).unwrap_err();
+        assert!(e.contains("4096"), "{e}");
         let s = space(4);
         let bad = [SlaTarget { master: 9, kind: TargetKind::MinShare(0.1) }];
         assert!(search(&s, &bad, 5).is_err());
@@ -566,6 +632,79 @@ mod tests {
         s.protocol = Protocol::LotteryStatic;
         let report = search(&s, &targets, 4).unwrap();
         assert_eq!(report.evaluated, report.scanned);
+    }
+
+    /// Two masters of 16-word messages with no stall, so each one's
+    /// cycle demand is exactly `16·λ`, offering `total` between them.
+    fn two_masters(protocol: Protocol, total: f64, max_tickets: u32) -> SearchSpace {
+        let m = TrafficInput { lambda: total / 32.0, size: SizeDist::fixed(16), stall: Some(0) };
+        let mut s = SearchSpace::new(protocol, BusConfig::default(), vec![m; 2]);
+        s.max_tickets = max_tickets;
+        s
+    }
+
+    fn weights(report: &SearchReport) -> Vec<Vec<u32>> {
+        report.candidates.iter().map(|c| c.weights.clone()).collect()
+    }
+
+    #[test]
+    fn unsaturated_lottery_cell_evaluates_once() {
+        let s = two_masters(Protocol::LotteryStatic, 0.5, 4);
+        let targets = [SlaTarget { master: 0, kind: TargetKind::MinShare(0.2) }];
+        let report = search(&s, &targets, 6).unwrap();
+        assert_eq!((report.scanned, report.evaluated, report.feasible), (16, 1, 16));
+        // The first six shapes in scan order, each at its smallest
+        // ticket sum: (2,2) repeats (1,1) and is skipped.
+        assert_eq!(weights(&report), [[1, 1], [2, 1], [3, 1], [4, 1], [1, 2], [3, 2]]);
+        for c in &report.candidates {
+            assert_eq!(c.predicted, report.candidates[0].predicted, "tickets change nothing");
+            assert!((c.predicted[0].share - 0.25).abs() < 1e-12, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn cells_just_above_the_headroom_evaluate_every_point() {
+        let targets = [SlaTarget { master: 0, kind: TargetKind::MinShare(0.1) }];
+        let below = two_masters(Protocol::LotteryStatic, 1.0 - 2.0 * BLIND_HEADROOM, 4);
+        assert_eq!(search(&below, &targets, 3).unwrap().evaluated, 1);
+        let above = two_masters(Protocol::LotteryStatic, 1.0 - 0.5 * BLIND_HEADROOM, 4);
+        let report = search(&above, &targets, 3).unwrap();
+        assert_eq!((report.scanned, report.evaluated), (16, 16));
+    }
+
+    #[test]
+    fn drr_cell_with_fewer_shapes_than_the_list_offers_them_all() {
+        // Quantum 8 on a 16-word burst: one ticket moves 8 words per
+        // round, two or more move 16, so two masters have only three
+        // shapes.
+        let mut s = two_masters(Protocol::DeficitRoundRobin, 0.5, 5);
+        s.drr_quantum = 8;
+        let targets = [SlaTarget { master: 1, kind: TargetKind::MinShare(0.2) }];
+        let report = search(&s, &targets, 8).unwrap();
+        assert_eq!((report.scanned, report.evaluated, report.feasible), (25, 1, 25));
+        assert_eq!(weights(&report), [[1, 1], [2, 1], [1, 2]]);
+        // A quantum of a whole burst leaves a single shape.
+        s.drr_quantum = 16;
+        let report = search(&s, &targets, 8).unwrap();
+        assert_eq!(weights(&report), [[1, 1]]);
+    }
+
+    #[test]
+    fn earlier_cells_outranking_a_blind_cell_keep_the_list() {
+        // Latency headroom shrinks with load: the half-load cell fills
+        // the list, and the full-load cell's points cannot enter it.
+        let mut s = two_masters(Protocol::LotteryStatic, 0.8, 4);
+        s.load_scales = vec![0.5, 1.0];
+        let targets = [SlaTarget { master: 0, kind: TargetKind::MaxCyclesPerWord(4.0) }];
+        let report = search(&s, &targets, 3).unwrap();
+        assert_eq!((report.scanned, report.evaluated, report.feasible), (32, 2, 32));
+        assert_eq!(weights(&report), [[1, 1], [2, 1], [3, 1]]);
+        assert!(report.candidates.iter().all(|c| c.load_scale == 0.5));
+        // Alone, the full-load cell short-lists its own shapes.
+        s.load_scales = vec![1.0];
+        let alone = search(&s, &targets, 3).unwrap();
+        assert!(alone.candidates.iter().all(|c| c.load_scale == 1.0));
+        assert!(alone.candidates[0].margin < report.candidates[2].margin);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! short-listed candidate failed confirmation.
 
 use crate::scenario_cmd::CommandError;
-use analytic::{search, Candidate, Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
+use analytic::{
+    search, Candidate, Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput, MAX_TICKETS,
+};
 use experiments::json::Json;
 use scenario::{run_scenario, ArbiterSel, Outcome, Scenario, SlaKind};
 use socsim::{BusConfig, Kernel};
@@ -41,8 +43,8 @@ pub struct SearchArgs {
     pub bursts: Vec<u32>,
     /// Load multipliers to scan.
     pub load_scales: Vec<f64>,
-    /// Fixed per-master ticket ceiling; `None` auto-dimensions from
-    /// `points`.
+    /// Fixed per-master ticket ceiling, at most [`MAX_TICKETS`];
+    /// `None` auto-dimensions from `points`.
     pub max_tickets: Option<u32>,
 }
 
@@ -104,8 +106,8 @@ pub fn parse_search_args(args: &[String]) -> Result<SearchArgs, String> {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .ok_or("`--max-tickets` requires a number")?;
-                if n == 0 {
-                    return Err("`--max-tickets` must be at least 1".to_owned());
+                if n == 0 || n > MAX_TICKETS {
+                    return Err(format!("`--max-tickets` must be in 1..={MAX_TICKETS}, got {n}"));
                 }
                 parsed.max_tickets = Some(n);
             }
@@ -388,12 +390,12 @@ pub fn run_search_command(args: &[String]) -> Result<(String, bool), CommandErro
     let report = search(&space, &sla_targets, parsed.top).map_err(CommandError::Failure)?;
     let scan_wall = start.elapsed().as_secs_f64();
     eprintln!(
-        "scanned {} design points ({} evaluated) in {:.3}s ({:.0} points/s): {} feasible, \
+        "scanned {} design points ({} evaluated) in {:.3}s ({:.0} evaluations/s): {} feasible, \
          {} short-listed",
         report.scanned,
         report.evaluated,
         scan_wall,
-        report.scanned as f64 / scan_wall.max(f64::MIN_POSITIVE),
+        report.evaluated as f64 / scan_wall.max(f64::MIN_POSITIVE),
         report.feasible,
         report.candidates.len(),
     );
@@ -547,7 +549,11 @@ sla losses max=0
         let e = parse_search_args(&args(&["x", "--top", "0"])).unwrap_err();
         assert!(e.contains("--top") && e.contains("at least 1"), "{e}");
         let e = parse_search_args(&args(&["x", "--max-tickets", "0"])).unwrap_err();
-        assert!(e.contains("--max-tickets") && e.contains("at least 1"), "{e}");
+        assert!(e.contains("--max-tickets") && e.contains("1..=4096"), "{e}");
+        let e = parse_search_args(&args(&["x", "--max-tickets", "4294967295"])).unwrap_err();
+        assert!(e.contains("--max-tickets") && e.contains("1..=4096"), "{e}");
+        let parsed = parse_search_args(&args(&["x", "--max-tickets", "4096"])).expect("valid");
+        assert_eq!(parsed.max_tickets, Some(MAX_TICKETS));
     }
 
     #[test]

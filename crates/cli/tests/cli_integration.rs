@@ -84,3 +84,46 @@ fn missing_file_reports_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
+
+/// The path of a library scenario.
+fn library_scenario(name: &str) -> String {
+    format!("{}/../../scenarios/{name}.scenario", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Runs `search` on a library scenario without confirmation runs.
+fn scan(name: &str, flags: &[&str]) -> std::process::Output {
+    binary()
+        .arg("search")
+        .arg(library_scenario(name))
+        .args(["--confirm", "0"])
+        .args(flags)
+        .output()
+        .expect("run")
+}
+
+#[test]
+fn unsaturated_lottery_scenarios_scan_with_one_evaluation() {
+    // Their summed demand fits on the bus, so tickets change no
+    // prediction and one evaluation stands for the million points.
+    for name in ["bridge-congestion", "grant-glitches"] {
+        let out = scan(name, &[]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{name}: {err}");
+        assert!(err.contains("(1 evaluated)"), "{name}: {err}");
+        assert!(err.contains("evaluations/s"), "{name}: {err}");
+    }
+}
+
+#[test]
+fn max_tickets_accepts_4096_and_rejects_4097() {
+    let out = scan("bridge-congestion", &["--max-tickets", "4096"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    // Three masters: 4096³ points.
+    assert!(err.contains("scanned 68719476736 design points (1 evaluated)"), "{err}");
+    let out = scan("bridge-congestion", &["--max-tickets", "4097"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("`--max-tickets` must be in 1..=4096, got 4097"), "{err}");
+    assert!(err.contains("usage:"), "{err}");
+}

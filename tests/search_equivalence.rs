@@ -6,9 +6,15 @@
 //! signature of every entry on every comparison. `analytic::search`
 //! skips work its report never reads — it caches each entry's
 //! signature, rejects points below a full list's worst margin before
-//! shaping them, and evaluates one point per cell for weight-blind
-//! protocols — so the two must produce the same report, with every
-//! float equal bit for bit, over seeded random small spaces.
+//! shaping them, and evaluates one point per weight-blind cell — so
+//! the two must produce the same report, with every float equal bit
+//! for bit, over seeded random small spaces.
+//!
+//! A cell is weight-blind when its protocol is round-robin, or when
+//! it is a lottery or deficit-RR cell whose summed cycle demand is at
+//! most `1 − BLIND_HEADROOM`. The reference decides that from
+//! `MasterModel::demand` on its own, and some cases are built with
+//! their summed demand right at that threshold.
 
 use analytic::{
     search, Candidate, MasterModel, Prediction, Protocol, Scratch, SearchSpace, SlaTarget,
@@ -19,6 +25,10 @@ use lotterybus_repro::traffic::SizeDist;
 
 /// Seeded random spaces to compare.
 const CASES: u64 = 240;
+
+/// The capacity a lottery or deficit-RR cell must leave unused to be
+/// weight-blind.
+const BLIND_HEADROOM: f64 = 1e-6;
 
 /// splitmix64: a tiny seeded generator, so the cases are reproducible.
 struct Rng(u64);
@@ -73,6 +83,23 @@ fn random_case(rng: &mut Rng) -> (SearchSpace, Vec<SlaTarget>, usize) {
     // Repeated bursts or scales are legal and repeat a cell.
     space.bursts = (0..rng.range(1, 2)).map(|_| rng.pick(&[4, 8, 16, 32])).collect();
     space.load_scales = (0..rng.range(1, 2)).map(|_| rng.pick(&[0.5, 0.8, 1.0, 1.3])).collect();
+    if rng.range(0, 3) == 0 {
+        space.load_scales.push(space.load_scales[0]);
+    }
+    // Put the first cell's summed demand within ±1e-5 of the
+    // weight-blind threshold, on either side of it.
+    if rng.range(0, 3) == 0 {
+        let demand: f64 = cell_masters(&space, space.bursts[0], space.load_scales[0])
+            .iter()
+            .map(MasterModel::demand)
+            .sum();
+        if demand > 0.0 {
+            let target = 1.0 - BLIND_HEADROOM + rng.unit(-1e-5, 1e-5);
+            for t in &mut space.traffic {
+                t.lambda *= target / demand;
+            }
+        }
+    }
     let targets = (0..rng.range(1, 3))
         .map(|_| SlaTarget {
             master: rng.range(0, n as u64 - 1) as usize,
@@ -84,11 +111,42 @@ fn random_case(rng: &mut Rng) -> (SearchSpace, Vec<SlaTarget>, usize) {
             },
         })
         .collect();
-    (space, targets, rng.pick(&[1, 2, 3, 8]))
+    (space, targets, rng.pick(&[0, 1, 2, 3, 8]))
 }
 
-/// The reference scan's result: `(scanned, feasible, candidates)`.
-type Reference = (u64, u64, Vec<Candidate>);
+/// The masters of one (burst, load-scale) cell, weights all 1.
+fn cell_masters(space: &SearchSpace, burst: u32, scale: f64) -> Vec<MasterModel> {
+    let bus = BusConfig { max_burst: burst, ..space.bus };
+    space
+        .traffic
+        .iter()
+        .map(|t| {
+            let m = MasterModel::new(
+                t.lambda,
+                t.size,
+                1,
+                t.stall.unwrap_or_else(|| bus.per_grant_overhead()),
+                burst,
+            );
+            MasterModel { lambda: m.lambda * scale, ..m }
+        })
+        .collect()
+}
+
+/// The reference scan's result.
+struct Reference {
+    scanned: u64,
+    feasible: u64,
+    candidates: Vec<Candidate>,
+    /// Evaluations the scan needs: one per weight-blind cell, every
+    /// point elsewhere.
+    evaluated: u64,
+    /// Weight-blind cells that are not round-robin.
+    blind_weighted_cells: u64,
+    /// Lottery and deficit-RR cells whose summed demand lies within
+    /// 1e-5 of the threshold: `[blind, not blind]`.
+    near_threshold: [u64; 2],
+}
 
 /// The reference scan: every point evaluated, every offer shaped
 /// against every short-listed entry.
@@ -97,36 +155,49 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
     let mut scratch = Scratch::new();
     let mut scanned = 0u64;
     let mut feasible = 0u64;
+    let mut evaluated = 0u64;
+    let mut blind_weighted_cells = 0u64;
+    let mut near_threshold = [0u64; 2];
     let mut shortlist: Vec<Candidate> = Vec::new();
+    let cell_points = u64::from(space.max_tickets).pow(n as u32);
 
     for &burst in &space.bursts {
-        let bus = BusConfig { max_burst: burst, ..space.bus };
-        let base: Vec<MasterModel> = space
-            .traffic
-            .iter()
-            .map(|t| {
-                MasterModel::new(
-                    t.lambda,
-                    t.size,
-                    1,
-                    t.stall.unwrap_or_else(|| bus.per_grant_overhead()),
-                    burst,
-                )
-            })
-            .collect();
         for &scale in &space.load_scales {
-            let masters: Vec<MasterModel> =
-                base.iter().map(|m| MasterModel { lambda: m.lambda * scale, ..*m }).collect();
+            let masters = cell_masters(space, burst, scale);
+            let demand: f64 = masters.iter().map(MasterModel::demand).sum();
+            let threshold = 1.0 - BLIND_HEADROOM;
+            let blind = match space.protocol {
+                Protocol::RoundRobin => true,
+                Protocol::LotteryStatic
+                | Protocol::LotteryDynamic
+                | Protocol::DeficitRoundRobin => {
+                    blind_weighted_cells += u64::from(demand <= threshold);
+                    if (demand - threshold).abs() <= 1e-5 {
+                        near_threshold[usize::from(demand > threshold)] += 1;
+                    }
+                    demand <= threshold
+                }
+                Protocol::Tdma2Level | Protocol::StaticPriority => false,
+            };
+            evaluated += if blind { 1 } else { cell_points };
             let mut model = SystemModel::new(space.protocol, masters)
                 .with_tdma_block(space.tdma_block)
                 .with_drr_quantum(space.drr_quantum);
             model.max_burst = burst;
             let mut weights = [1u32; MAX_MASTERS];
+            let mut all_ones = None;
             loop {
                 for (m, &w) in model.masters.iter_mut().zip(&weights[..n]) {
                     m.weight = w;
                 }
                 model.evaluate(&mut scratch);
+                // A weight-blind cell predicts every point bit for bit
+                // like its all-ones point.
+                if blind {
+                    let preds = prediction_bits(&scratch.preds[..n]);
+                    let first = all_ones.get_or_insert_with(|| preds.clone());
+                    assert_eq!(&preds, first, "weights {:?} in a blind cell", &weights[..n]);
+                }
                 let margin = targets
                     .iter()
                     .map(|t| t.slack(&scratch.preds[t.master]))
@@ -166,7 +237,14 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
     }
 
     shortlist.sort_by(|a, b| b.margin.partial_cmp(&a.margin).expect("finite margins"));
-    (scanned, feasible, shortlist)
+    Reference {
+        scanned,
+        feasible,
+        candidates: shortlist,
+        evaluated,
+        blind_weighted_cells,
+        near_threshold,
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -268,23 +346,26 @@ type PredictionBits = (u64, u64, bool, Option<u64>, Option<u64>);
 /// and NaN payloads count.
 type CandidateBits = (Vec<u32>, u32, u64, u64, Vec<PredictionBits>);
 
+fn prediction_bits(preds: &[Prediction]) -> Vec<PredictionBits> {
+    preds
+        .iter()
+        .map(|p| {
+            (
+                p.share.to_bits(),
+                p.demand.to_bits(),
+                p.stable,
+                p.cycles_per_word.map(f64::to_bits),
+                p.p99_latency.map(f64::to_bits),
+            )
+        })
+        .collect()
+}
+
 fn bits(candidates: &[Candidate]) -> Vec<CandidateBits> {
     candidates
         .iter()
         .map(|c| {
-            let predicted = c
-                .predicted
-                .iter()
-                .map(|p| {
-                    (
-                        p.share.to_bits(),
-                        p.demand.to_bits(),
-                        p.stable,
-                        p.cycles_per_word.map(f64::to_bits),
-                        p.p99_latency.map(f64::to_bits),
-                    )
-                })
-                .collect();
+            let predicted = prediction_bits(&c.predicted);
             (c.weights.clone(), c.burst, c.load_scale.to_bits(), c.margin.to_bits(), predicted)
         })
         .collect()
@@ -294,19 +375,38 @@ fn bits(candidates: &[Candidate]) -> Vec<CandidateBits> {
 fn search_matches_the_reference_scan_on_random_spaces() {
     let mut rng = Rng(0x5EA2_C4E0);
     let mut shortlisted = 0;
+    let mut blind_weighted_cells = 0;
+    let mut listing = 0;
+    let mut near_threshold = [0u64; 2];
     for case in 0..CASES {
         let (space, targets, top) = random_case(&mut rng);
         let report = search(&space, &targets, top).expect("random spaces are valid");
-        let (scanned, feasible, candidates) = reference_search(&space, &targets, top);
+        let reference = reference_search(&space, &targets, top);
         let context = || format!("case {case}: {space:?} targets {targets:?} top {top}");
-        assert_eq!(report.scanned, scanned, "{}", context());
-        assert_eq!(report.feasible, feasible, "{}", context());
-        assert_eq!(bits(&report.candidates), bits(&candidates), "{}", context());
-        let cells = (space.bursts.len() * space.load_scales.len()) as u64;
-        let evaluated = if space.protocol == Protocol::RoundRobin { cells } else { scanned };
-        assert_eq!(report.evaluated, evaluated, "{}", context());
-        shortlisted += candidates.len();
+        assert_eq!(report.scanned, reference.scanned, "{}", context());
+        assert_eq!(report.feasible, reference.feasible, "{}", context());
+        assert_eq!(bits(&report.candidates), bits(&reference.candidates), "{}", context());
+        assert_eq!(report.evaluated, reference.evaluated, "{}", context());
+        shortlisted += reference.candidates.len();
+        listing += usize::from(top > 0);
+        blind_weighted_cells += reference.blind_weighted_cells;
+        for (total, cells) in near_threshold.iter_mut().zip(reference.near_threshold) {
+            *total += cells;
+        }
     }
-    // The cases must exercise the short list, not just empty scans.
-    assert!(shortlisted > CASES as usize, "only {shortlisted} candidates over {CASES} cases");
+    // The cases must exercise the short list, not just empty scans,
+    // and the weight-blind collapse beyond round-robin, on both sides
+    // of its threshold.
+    assert!(
+        shortlisted > listing,
+        "only {shortlisted} candidates over {listing} cases with top > 0"
+    );
+    assert!(
+        blind_weighted_cells >= 20,
+        "only {blind_weighted_cells} weight-blind lottery/DRR cells"
+    );
+    assert!(
+        near_threshold.iter().all(|&cells| cells >= 5),
+        "lottery/DRR cells within 1e-5 of the threshold (blind, not blind): {near_threshold:?}"
+    );
 }
