@@ -127,3 +127,50 @@ fn max_tickets_accepts_4096_and_rejects_4097() {
     assert!(err.contains("`--max-tickets` must be in 1..=4096, got 4097"), "{err}");
     assert!(err.contains("usage:"), "{err}");
 }
+
+/// Runs `cmd` and returns its output, failing the test if it has not
+/// exited within `secs` seconds (the child is killed first).
+fn output_within(mut cmd: Command, secs: u64) -> std::process::Output {
+    use std::process::Stdio;
+    let mut child = cmd.stdout(Stdio::piped()).stderr(Stdio::piped()).spawn().expect("spawn");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+    while child.try_wait().expect("poll child").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            panic!("still running after {secs} s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
+#[test]
+fn vanishing_loads_finish_promptly() {
+    // A load this small saturates the bursty off period to u64::MAX;
+    // the traffic generator must read that as "no further burst", not
+    // wrap around and queue messages until memory runs out.
+    let spec = write_spec(
+        "tiny-load-spec",
+        "cycles = 2000\nwarmup = 100\nmaster a load=1e-20 burst\nmaster b load=0.2\n",
+    );
+    let mut cmd = binary();
+    cmd.arg(&spec);
+    let out = output_within(cmd, 60);
+    std::fs::remove_file(&spec).ok();
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let scenario = write_spec(
+        "tiny-load.scenario",
+        "scenario tiny-load\nmaster a load=1e-20 burst\nphase p duration=100\n",
+    );
+    for fleet in [false, true] {
+        let mut cmd = binary();
+        cmd.arg("scenario").arg(&scenario);
+        if fleet {
+            cmd.arg("--fleet");
+        }
+        let out = output_within(cmd, 60);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    std::fs::remove_file(&scenario).ok();
+}

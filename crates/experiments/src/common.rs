@@ -1,7 +1,9 @@
 //! Shared experiment plumbing: system assembly, runs, permutations.
 
 use arbiters::ArbiterKind;
-use socsim::{Arbiter, BusConfig, BusStats, Kernel, MasterId, SystemBuilder, WindowSample};
+use socsim::{
+    Arbiter, BusConfig, BusStats, Kernel, LaneBuilder, MasterId, SystemBuilder, WindowSample,
+};
 use traffic_gen::{GeneratorSpec, SourceKind};
 
 /// Simulation window settings shared by all experiments.
@@ -116,18 +118,29 @@ pub fn run_system_timeseries<A: Arbiter>(
     (system.stats().clone(), samples)
 }
 
-fn system_builder<A: Arbiter>(
+/// The lane description of one experiment system: masters `C1..Cn`
+/// driven by `specs`, per-master seeds derived from
+/// [`RunSettings::seed`] and the master index, the settings' bus config
+/// and optional metrics window. [`run_system`] builds it into a scalar
+/// system under the settings' kernel and
+/// [`crate::fleet::run_systems_fleet`] packs it as a fleet lane, so both
+/// run the same system.
+pub(crate) fn lane<A: Arbiter>(
     specs: &[GeneratorSpec],
+    arbiter: A,
     settings: &RunSettings,
-) -> SystemBuilder<A, SourceKind> {
-    let mut builder = SystemBuilder::new(settings.bus).kernel(settings.kernel);
+) -> LaneBuilder<A, SourceKind> {
+    let mut lane = LaneBuilder::new(settings.bus);
     for (i, spec) in specs.iter().enumerate() {
-        builder = builder.master(
+        lane = lane.master(
             format!("C{}", i + 1),
             spec.build_kind(settings.seed.wrapping_add(i as u64 * 0x9E37_79B9)),
         );
     }
-    builder
+    if let Some(window) = settings.metrics_window {
+        lane = lane.metrics_window(window);
+    }
+    lane.arbiter(arbiter)
 }
 
 fn build_system<A: Arbiter>(
@@ -135,11 +148,10 @@ fn build_system<A: Arbiter>(
     arbiter: A,
     settings: &RunSettings,
 ) -> socsim::System<A, SourceKind> {
-    let mut builder = system_builder(specs, settings);
-    if let Some(window) = settings.metrics_window {
-        builder = builder.metrics_window(window);
-    }
-    builder.arbiter(arbiter).build().expect("experiment system is valid")
+    SystemBuilder::from(lane(specs, arbiter, settings))
+        .kernel(settings.kernel)
+        .build()
+        .expect("experiment system is valid")
 }
 
 /// Builds the arbiter at `index` of the shared five-protocol comparison

@@ -8,42 +8,22 @@
 //! sweep's whole job list walks the caches once per cycle window
 //! rather than once per system.
 //!
-//! Lane assembly replicates `common::run_system` exactly — master
-//! names `C1..Cn`, per-master seeds derived from
-//! [`RunSettings::seed`] and the master index, the settings' bus
-//! config and optional metrics window — and the fleet kernel is
-//! proven lane-exact against the scalar cycle kernel (the
-//! `fleet_equivalence` test matrix), so swapping the executor never
+//! Each lane is the lane description `common::run_system` builds its
+//! system from (master names, per-master seeds, bus config, metrics
+//! window), and the fleet kernel is proven lane-exact against the
+//! scalar cycle kernel (the fleet matrix in
+//! `tests/kernel_equivalence.rs`), so swapping the executor never
 //! changes a single byte of any experiment's output.
 
-use crate::common::RunSettings;
+use crate::common::{lane, RunSettings};
 use arbiters::ArbiterKind;
-use socsim::fleet::{Fleet, LaneBuilder};
+use socsim::fleet::Fleet;
 use socsim::BusStats;
-use traffic_gen::{GeneratorSpec, SourceKind};
+use traffic_gen::GeneratorSpec;
 
 /// One fleet lane: the per-master traffic specs and the arbiter of an
 /// independent experiment point.
 pub type FleetJob = (Vec<GeneratorSpec>, ArbiterKind);
-
-/// Builds one lane the way `common::run_system` builds its system.
-fn lane(
-    specs: &[GeneratorSpec],
-    arbiter: ArbiterKind,
-    settings: &RunSettings,
-) -> LaneBuilder<ArbiterKind, SourceKind> {
-    let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(settings.bus);
-    for (i, spec) in specs.iter().enumerate() {
-        lane = lane.master(
-            format!("C{}", i + 1),
-            spec.build_kind(settings.seed.wrapping_add(i as u64 * 0x9E37_79B9)),
-        );
-    }
-    if let Some(window) = settings.metrics_window {
-        lane = lane.metrics_window(window);
-    }
-    lane.arbiter(arbiter)
-}
 
 /// Builds every job's system as one fleet lane, runs the whole pack in
 /// lockstep through the settings' warm-up and measurement windows, and

@@ -3,79 +3,50 @@
 //! [`run_scenarios_fleet`] simulates a whole set of scenarios as lanes
 //! of one SoA [`Fleet`] (see `socsim::fleet`) instead of spawning one
 //! scalar [`socsim::System`] per scenario. Lanes never interact; the
-//! pack is purely an execution structure. Verdicts are byte-identical
-//! to [`crate::run_scenario`] under any kernel: the fleet kernel is
-//! lane-exact against the scalar cycle kernel, and both paths assemble
-//! their [`Outcome`] through the same code.
-//!
-//! Scenarios whose configuration the fleet does not carry — active
-//! fault plans, retry policies, watchdog timeouts — fall back to a
-//! scalar cycle-kernel run transparently, so any scenario set can be
-//! handed to the fleet runner.
+//! pack is purely an execution structure. Every scenario packs: a lane
+//! carries the phase, wedge and failover machinery (in its sources and
+//! arbiter chain) as well as fault plans, retry policies and watchdogs
+//! (in its bus). Verdicts are byte-identical to [`crate::run_scenario`]
+//! under any kernel: both runners build the same lane description, the
+//! fleet kernel is lane-exact against the scalar cycle kernel, and both
+//! assemble their [`Outcome`] through the same code.
 
 use crate::model::Scenario;
-use crate::phased::PhasedSource;
-use crate::run::{assemble_outcome, build_arbiter, probe, run_scenario, Outcome};
-use arbiters::kind::ArbiterKind;
-use socsim::fleet::{Fleet, LaneBuilder};
-use socsim::{BusConfig, BusStats, Cycle, Kernel, MasterId, Slave, SlaveId};
+use crate::run::{assemble_outcome, lane_builder, probe, Outcome};
+use socsim::fleet::Fleet;
+use socsim::{BusStats, Cycle, MasterId};
 
-/// Whether a scenario can run as a fleet lane. Lanes carry the full
-/// phase/wedge/failover machinery (those live in sources and the
-/// arbiter chain) but not fault injection, retry policies or watchdog
-/// timeouts — scenarios using those run on the scalar system.
+/// Whether a scenario can run as a fleet lane: every valid scenario
+/// can. Kept because the `scenario.fleet_eligible_frac` benchmark probe
+/// calls it; it reads 1.0 on the library.
 pub fn fleet_eligible(sc: &Scenario) -> bool {
-    !sc.fault.is_active() && sc.retry.is_none() && sc.timeout.is_none()
-}
-
-/// Builds the fleet lane for one (eligible) scenario, mirroring the
-/// scalar runner's system assembly exactly.
-fn lane_builder(sc: &Scenario) -> Result<LaneBuilder<ArbiterKind, PhasedSource>, String> {
-    let config = BusConfig { max_burst: sc.burst, ..BusConfig::new() };
-    let mut lane: LaneBuilder<ArbiterKind, PhasedSource> = LaneBuilder::new(config);
-    for (i, s) in sc.slaves.iter().enumerate() {
-        lane = lane.slave(Slave::with_wait_states(SlaveId::new(i), s.name.clone(), s.wait));
-    }
-    for (i, m) in sc.masters.iter().enumerate() {
-        lane = lane.master(m.name.clone(), PhasedSource::build(i, m, &sc.phases, sc.seed));
-    }
-    Ok(lane.metrics_window(sc.metrics_window).arbiter(build_arbiter(sc)?))
+    sc.validate().is_ok()
 }
 
 /// Runs every scenario and returns its verdict, in input order,
-/// packing all fleet-eligible scenarios into one lockstep [`Fleet`].
-/// Ineligible scenarios (active faults, retry, timeout) run through
-/// the scalar cycle kernel. All verdicts are byte-identical to
-/// [`crate::run_scenario`] on the same scenario.
+/// packing all of them into one lockstep [`Fleet`]. All verdicts are
+/// byte-identical to [`crate::run_scenario`] on the same scenario.
 ///
 /// # Errors
 ///
 /// Returns the first validation or build error, formatted like the
 /// scalar runner's.
 pub fn run_scenarios_fleet(scs: &[&Scenario]) -> Result<Vec<Outcome>, String> {
-    let mut outcomes: Vec<Option<Outcome>> = vec![None; scs.len()];
-    let mut lanes: Vec<LaneBuilder<ArbiterKind, PhasedSource>> = Vec::new();
-    let mut lane_scenario: Vec<usize> = Vec::new();
-    for (i, sc) in scs.iter().enumerate() {
+    let mut lanes = Vec::with_capacity(scs.len());
+    for sc in scs {
         sc.validate()?;
-        if fleet_eligible(sc) {
-            lanes.push(lane_builder(sc)?);
-            lane_scenario.push(i);
-        } else {
-            outcomes[i] = Some(run_scenario(sc, Kernel::Cycle)?);
-        }
+        lanes.push(lane_builder(sc)?);
     }
-    let mut fleet = Fleet::build(lanes)
-        .map_err(|e| format!("scenario `{}`: {}", scs[lane_scenario[e.lane]].name, e.error))?;
+    let mut fleet =
+        Fleet::build(lanes).map_err(|e| format!("scenario `{}`: {}", scs[e.lane].name, e.error))?;
 
     // Each lane snapshots its statistics at its own phase boundaries.
     // Drive the whole fleet through the sorted union of boundaries so
     // lanes advance in lockstep regardless of differing schedules.
-    let boundaries: Vec<Vec<u64>> = lane_scenario
+    let boundaries: Vec<Vec<u64>> = scs
         .iter()
-        .map(|&i| {
-            scs[i]
-                .phases
+        .map(|sc| {
+            sc.phases
                 .iter()
                 .scan(0u64, |acc, p| {
                     *acc += p.duration;
@@ -88,9 +59,9 @@ pub fn run_scenarios_fleet(scs: &[&Scenario]) -> Result<Vec<Outcome>, String> {
     union.sort_unstable();
     union.dedup();
 
-    let mut snaps: Vec<Vec<BusStats>> = vec![Vec::new(); lane_scenario.len()];
-    let mut probes: Vec<Vec<(u64, u64)>> = vec![Vec::new(); lane_scenario.len()];
-    let mut next: Vec<usize> = vec![0; lane_scenario.len()];
+    let mut snaps: Vec<Vec<BusStats>> = vec![Vec::new(); scs.len()];
+    let mut probes: Vec<Vec<(u64, u64)>> = vec![Vec::new(); scs.len()];
+    let mut next: Vec<usize> = vec![0; scs.len()];
     for &t in &union {
         for (lane, bounds) in boundaries.iter().enumerate() {
             // Never advance a lane past its own schedule end: its
@@ -107,23 +78,28 @@ pub fn run_scenarios_fleet(scs: &[&Scenario]) -> Result<Vec<Outcome>, String> {
     }
     fleet.flush_metrics();
 
-    for (lane, &i) in lane_scenario.iter().enumerate() {
-        let sc = scs[i];
-        let samples = fleet.metrics(lane).map(|m| m.samples().to_vec()).unwrap_or_default();
-        let counts: Vec<(u64, u64)> = (0..sc.masters.len())
-            .map(|m| {
-                let port = fleet.master(lane, MasterId::new(m));
-                (port.issued_transactions(), port.backlog_transactions() as u64)
-            })
-            .collect();
-        outcomes[i] = Some(assemble_outcome(sc, &snaps[lane], &probes[lane], &samples, &counts));
-    }
-    Ok(outcomes.into_iter().map(|o| o.expect("every scenario ran")).collect())
+    let outcomes = scs
+        .iter()
+        .enumerate()
+        .map(|(lane, sc)| {
+            let samples = fleet.metrics(lane).map(|m| m.samples().to_vec()).unwrap_or_default();
+            let counts: Vec<(u64, u64)> = (0..sc.masters.len())
+                .map(|m| {
+                    let port = fleet.master(lane, MasterId::new(m));
+                    (port.issued_transactions(), port.backlog_transactions() as u64)
+                })
+                .collect();
+            assemble_outcome(sc, &snaps[lane], &probes[lane], &samples, &counts)
+        })
+        .collect();
+    Ok(outcomes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::run_scenario;
+    use socsim::Kernel;
 
     fn parse(text: &str) -> Scenario {
         Scenario::parse(text).expect("valid scenario")
@@ -151,7 +127,7 @@ mod tests {
              phase steady duration=9000\n\
              sla utilization min=0.3\n",
         );
-        // Faulted: must take the scalar fallback, still byte-identical.
+        // Faulted: packs as a fault lane, still byte-identical.
         let c = parse(
             "scenario pack-c\n\
              seed = 3\n\
@@ -165,7 +141,7 @@ mod tests {
         );
         assert!(fleet_eligible(&a));
         assert!(fleet_eligible(&b));
-        assert!(!fleet_eligible(&c));
+        assert!(fleet_eligible(&c));
         let packed = run_scenarios_fleet(&[&a, &b, &c]).expect("fleet runs");
         for (sc, fleet_outcome) in [&a, &b, &c].into_iter().zip(&packed) {
             let scalar = run_scenario(sc, Kernel::Cycle).expect("scalar runs");

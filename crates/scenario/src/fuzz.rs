@@ -254,7 +254,7 @@ fn check(sc: &Scenario) -> Option<(String, String)> {
     // Fleet lane exactness: pack the scenario next to a seed-shifted
     // twin so the lane actually shares a fleet with heterogeneous
     // state, and require the lane's verdict to match the scalar run.
-    // (Fleet-ineligible scenarios exercise the scalar fallback path.)
+    // (Scenarios with faults, retry or a watchdog run as fault lanes.)
     let mut twin = sc.clone();
     twin.name = format!("{}-twin", sc.name);
     twin.seed = sc.seed.wrapping_add(0x5EED);

@@ -2,11 +2,12 @@
 //!
 //! The runner assembles a fully concrete
 //! `System<ArbiterKind, PhasedSource>` (no virtual dispatch in the
-//! hot loop), runs the phase schedule with a statistics snapshot at
-//! every phase boundary, and feeds the snapshots plus the windowed
-//! metrics into the SLA evaluator. On top of the declared SLAs every
-//! run gets a built-in conservation check: each master's issued
-//! transactions must equal completed + aborted + still-queued.
+//! hot loop) from the scenario's lane description, runs the phase
+//! schedule with a statistics snapshot at every phase boundary, and
+//! feeds the snapshots plus the windowed metrics into the SLA
+//! evaluator. On top of the declared SLAs every run gets a built-in
+//! conservation check: each master's issued transactions must equal
+//! completed + aborted + still-queued.
 //!
 //! Verdicts serialize to deterministic JSON via
 //! [`experiments::json::Json`] and deliberately contain no wall-clock
@@ -26,8 +27,8 @@ use arbiters::{
 use experiments::json::Json;
 use lotterybus::{DynamicLotteryArbiter, StaticLotteryArbiter, TicketAssignment};
 use socsim::{
-    Arbiter, BusConfig, BusStats, FaultConfig, Kernel, MasterId, Slave, SlaveId, System,
-    SystemBuilder,
+    Arbiter, BusConfig, BusStats, FaultConfig, Kernel, LaneBuilder, MasterId, Slave, SlaveId,
+    System, SystemBuilder,
 };
 
 /// Per-phase slice of the verdict.
@@ -206,31 +207,40 @@ pub(crate) fn probe(arb: &ArbiterKind) -> (u64, u64) {
     }
 }
 
+/// Assembles a scenario's bus system as one lane description: bus,
+/// slaves, phased sources, fault plan, retry policy, watchdog, metrics
+/// window and arbiter chain. [`run_scenario`] builds it into a scalar
+/// system and the fleet runner packs it as a lane, so both run the same
+/// system.
+pub(crate) fn lane_builder(
+    sc: &Scenario,
+) -> Result<LaneBuilder<ArbiterKind, PhasedSource>, String> {
+    let config = BusConfig { max_burst: sc.burst, ..BusConfig::new() };
+    let mut lane: LaneBuilder<ArbiterKind, PhasedSource> = LaneBuilder::new(config);
+    for (i, s) in sc.slaves.iter().enumerate() {
+        lane = lane.slave(Slave::with_wait_states(SlaveId::new(i), s.name.clone(), s.wait));
+    }
+    for (i, m) in sc.masters.iter().enumerate() {
+        lane = lane.master(m.name.clone(), PhasedSource::build(i, m, &sc.phases, sc.seed));
+    }
+    if sc.fault.is_active() {
+        lane = lane.faults(FaultConfig { seed: mix(sc.seed), ..sc.fault });
+    }
+    if let Some(retry) = sc.retry {
+        lane = lane.retry_policy(retry);
+    }
+    if let Some(timeout) = sc.timeout {
+        lane = lane.timeout(timeout);
+    }
+    Ok(lane.metrics_window(sc.metrics_window).arbiter(build_arbiter(sc)?))
+}
+
 /// Runs one scenario under the chosen kernel and evaluates its SLAs.
 /// Verdicts are byte-identical under every kernel.
 pub fn run_scenario(sc: &Scenario, kernel: Kernel) -> Result<Outcome, String> {
     sc.validate()?;
-    let config = BusConfig { max_burst: sc.burst, ..BusConfig::new() };
-    let mut builder: SystemBuilder<ArbiterKind, PhasedSource> = SystemBuilder::new(config);
-    for (i, s) in sc.slaves.iter().enumerate() {
-        builder = builder.slave(Slave::with_wait_states(SlaveId::new(i), s.name.clone(), s.wait));
-    }
-    for (i, m) in sc.masters.iter().enumerate() {
-        builder = builder.master(m.name.clone(), PhasedSource::build(i, m, &sc.phases, sc.seed));
-    }
-    if sc.fault.is_active() {
-        builder = builder.faults(FaultConfig { seed: mix(sc.seed), ..sc.fault });
-    }
-    if let Some(retry) = sc.retry {
-        builder = builder.retry_policy(retry);
-    }
-    if let Some(timeout) = sc.timeout {
-        builder = builder.timeout(timeout);
-    }
-    let mut system: System<ArbiterKind, PhasedSource> = builder
-        .metrics_window(sc.metrics_window)
+    let mut system: System<ArbiterKind, PhasedSource> = SystemBuilder::from(lane_builder(sc)?)
         .kernel(kernel)
-        .arbiter(build_arbiter(sc)?)
         .build()
         .map_err(|e| format!("scenario `{}`: {e}", sc.name))?;
 

@@ -4,7 +4,7 @@ use crate::arbiter::Arbiter;
 use crate::config::BusConfig;
 use crate::cycle::Cycle;
 use crate::fault::{FaultEvent, FaultKind, FaultLayer};
-use crate::ids::MasterId;
+use crate::ids::{MasterId, SlaveId};
 use crate::master::{Completion, MasterPort, RetryOutcome};
 use crate::request::RequestMap;
 use crate::slave::Slave;
@@ -26,8 +26,9 @@ enum State {
 /// The shared bus: a single channel transferring one word per cycle,
 /// with burst-mode grants decided by a pluggable [`Arbiter`].
 ///
-/// `Bus` is driven by [`crate::System`]; it is exposed so that custom
-/// drivers (like the ATM switch crate) can inspect its configuration.
+/// `Bus` is driven by [`crate::System`] and by every [`crate::Fleet`]
+/// lane; it is exposed so that custom drivers (like the ATM switch
+/// crate) can inspect its configuration.
 ///
 /// A bus may optionally carry a fault layer (see [`crate::fault`]):
 /// injected faults are drawn at arbitration time, so a whole tenure
@@ -48,17 +49,12 @@ pub struct Bus {
 impl Bus {
     /// Creates an idle bus with the given configuration.
     pub fn new(config: BusConfig) -> Self {
-        Bus { config, state: State::Idle, faults: None, request_scratch: RequestMap::new(1) }
+        Bus::with_faults(config, None)
     }
 
-    /// Creates an idle bus carrying fault-injection machinery.
-    pub(crate) fn with_faults(config: BusConfig, faults: FaultLayer) -> Self {
-        Bus {
-            config,
-            state: State::Idle,
-            faults: Some(faults),
-            request_scratch: RequestMap::new(1),
-        }
+    /// Creates an idle bus carrying fault-injection machinery, if any.
+    pub(crate) fn with_faults(config: BusConfig, faults: Option<FaultLayer>) -> Self {
+        Bus { config, state: State::Idle, faults, request_scratch: RequestMap::new(1) }
     }
 
     /// The bus configuration.
@@ -77,14 +73,43 @@ impl Bus {
         self.faults.as_ref().map_or(&[], |layer| layer.log.events())
     }
 
-    /// Master currently owning a tenure (transferring or paying its
-    /// setup stall), if any.
+    /// Whether the fault layer draws per-cycle master stalls, which
+    /// changes which port horizon applies (see
+    /// [`MasterPort::next_event_under_stall_faults`]).
+    pub(crate) fn stall_faults_active(&self) -> bool {
+        self.faults
+            .as_ref()
+            .and_then(|layer| layer.plan.as_ref())
+            .is_some_and(|plan| plan.config().master_stall_rate > 0.0)
+    }
+
+    /// The tenure in flight as `(owner, setup-stall cycles left, words
+    /// left)`, or `None` when idle. With the stall paid the burst moves
+    /// one word per cycle. The fleet's batch moves read a tenure here,
+    /// replay part of it arithmetically and store the rest with
+    /// [`Bus::set_tenure`].
     #[inline]
-    fn tenure_owner(&self) -> Option<MasterId> {
+    pub(crate) fn tenure(&self) -> Option<(MasterId, u32, u32)> {
         match self.state {
-            State::Stalled { master, .. } | State::Bursting { master, .. } => Some(master),
             State::Idle => None,
+            State::Stalled { master, words, stall_left } => Some((master, stall_left, words)),
+            State::Bursting { master, words_left } => Some((master, 0, words_left)),
         }
+    }
+
+    /// Arms the tenure of `master` with `stall` setup cycles still to
+    /// pay before `words` words move; with nothing left the bus is idle.
+    /// The inverse of [`Bus::tenure`], and the one place a tenure state
+    /// is built.
+    #[inline]
+    pub(crate) fn set_tenure(&mut self, master: MasterId, stall: u32, words: u32) {
+        self.state = if stall > 0 {
+            State::Stalled { master, words, stall_left: stall }
+        } else if words > 0 {
+            State::Bursting { master, words_left: words }
+        } else {
+            State::Idle
+        };
     }
 
     /// Per-cycle fault machinery that runs regardless of transfer
@@ -92,7 +117,7 @@ impl Bus {
     /// master owning the current tenure is exempt — it is making
     /// progress by definition.
     fn fault_prepass(&mut self, masters: &mut [MasterPort], now: Cycle, stats: &mut BusStats) {
-        let owner = self.tenure_owner();
+        let owner = self.tenure().map(|(master, ..)| master);
         let Some(layer) = self.faults.as_mut() else {
             return;
         };
@@ -149,20 +174,12 @@ impl Bus {
         match self.state {
             State::Stalled { master, words, stall_left } => {
                 stats.record_stall(1);
-                self.state = if stall_left <= 1 {
-                    State::Bursting { master, words_left: words }
-                } else {
-                    State::Stalled { master, words, stall_left: stall_left - 1 }
-                };
+                self.set_tenure(master, stall_left - 1, words);
                 None
             }
             State::Bursting { master, words_left } => {
                 let done = self.transfer_word(master, masters, now, stats, trace);
-                self.state = if words_left <= 1 {
-                    State::Idle
-                } else {
-                    State::Bursting { master, words_left: words_left - 1 }
-                };
+                self.set_tenure(master, 0, words_left - 1);
                 done
             }
             State::Idle => {
@@ -209,26 +226,14 @@ impl Bus {
                         if self.slave_fault(winner, slave, masters, now, stats, trace) {
                             return None;
                         }
-                        let wait_states = slaves
-                            .iter()
-                            .find(|s| s.id() == slave)
-                            .map_or(self.config.slave_wait_states, Slave::wait_states);
-                        let stall = self.config.grant_stall(wait_states);
+                        let stall = self.grant_stall(slaves, slave);
                         if stall > 0 {
                             stats.record_stall(1);
-                            self.state = if stall == 1 {
-                                State::Bursting { master: winner, words_left: words }
-                            } else {
-                                State::Stalled { master: winner, words, stall_left: stall - 1 }
-                            };
+                            self.set_tenure(winner, stall - 1, words);
                             None
                         } else {
                             let done = self.transfer_word(winner, masters, now, stats, trace);
-                            self.state = if words == 1 {
-                                State::Idle
-                            } else {
-                                State::Bursting { master: winner, words_left: words - 1 }
-                            };
+                            self.set_tenure(winner, 0, words - 1);
                             done
                         }
                     }
@@ -239,6 +244,18 @@ impl Bus {
                 }
             }
         }
+    }
+
+    /// Setup-stall cycles of a grant addressing `slave`: arbitration
+    /// overhead plus the slave's wait states (the bus default for a
+    /// slave not in `slaves`).
+    #[inline]
+    pub(crate) fn grant_stall(&self, slaves: &[Slave], slave: SlaveId) -> u32 {
+        let wait_states = slaves
+            .iter()
+            .find(|s| s.id() == slave)
+            .map_or(self.config.slave_wait_states, Slave::wait_states);
+        self.config.grant_stall(wait_states)
     }
 
     /// Applies grant-path faults: the grant may be dropped outright or
@@ -298,7 +315,7 @@ impl Bus {
     fn slave_fault(
         &mut self,
         winner: MasterId,
-        slave: crate::ids::SlaveId,
+        slave: SlaveId,
         masters: &mut [MasterPort],
         now: Cycle,
         stats: &mut BusStats,
@@ -365,7 +382,6 @@ mod tests {
     use super::*;
     use crate::arbiter::FixedOrderArbiter;
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
-    use crate::ids::SlaveId;
     use crate::request::Transaction;
 
     fn setup(masters: usize) -> (Bus, Vec<MasterPort>, BusStats, BusTrace) {
@@ -458,7 +474,7 @@ mod tests {
     }
 
     fn run_with_faults(layer: FaultLayer, cycles: u64, words: u32) -> (Bus, BusStats, BusTrace) {
-        let mut bus = Bus::with_faults(BusConfig::default(), layer);
+        let mut bus = Bus::with_faults(BusConfig::default(), Some(layer));
         let mut ports = vec![MasterPort::new(MasterId::new(0), "a")];
         let mut stats = BusStats::new(1);
         let mut trace = BusTrace::enabled(4096);
@@ -516,7 +532,7 @@ mod tests {
             }
         }
         let layer = FaultLayer::new(None, RetryPolicy::none(), Some(10));
-        let mut bus = Bus::with_faults(BusConfig::default(), layer);
+        let mut bus = Bus::with_faults(BusConfig::default(), Some(layer));
         let mut ports = vec![MasterPort::new(MasterId::new(0), "a")];
         let mut stats = BusStats::new(1);
         let mut trace = BusTrace::disabled();
@@ -535,10 +551,7 @@ mod tests {
     #[test]
     fn inert_fault_layer_matches_plain_run() {
         let run = |faults: Option<FaultLayer>| {
-            let mut bus = match faults {
-                Some(layer) => Bus::with_faults(BusConfig::default(), layer),
-                None => Bus::new(BusConfig::default()),
-            };
+            let mut bus = Bus::with_faults(BusConfig::default(), faults);
             let mut ports = vec![
                 MasterPort::new(MasterId::new(0), "a"),
                 MasterPort::new(MasterId::new(1), "b"),

@@ -28,8 +28,8 @@ impl Cycle {
     ///
     /// The fast-forward kernel uses `NEVER` as the event horizon of
     /// components that have nothing scheduled (see
-    /// [`crate::fastforward::NextEvent`]): taking the minimum over all
-    /// horizons then naturally ignores them.
+    /// [`crate::fastforward`]): taking the minimum over all horizons
+    /// then naturally ignores them.
     pub const NEVER: Cycle = Cycle(u64::MAX);
 
     /// Creates a cycle time point from a raw cycle index.

@@ -11,9 +11,14 @@
 //!
 //! # The horizon contract
 //!
-//! [`NextEvent::next_event`] returns the earliest cycle `>= now` at
-//! which the component acts in a way the skip path cannot reproduce
-//! arithmetically. Three values matter:
+//! Every component's `next_event` (on [`crate::TrafficSource`],
+//! [`crate::Arbiter`], [`crate::MasterPort`]) returns the earliest
+//! cycle `>= now` at which the component acts in a way the skip path
+//! cannot reproduce arithmetically. Slaves and fault plans keep no
+//! per-cycle state, so they never bound a skip; the one per-cycle fault
+//! draw (master stalls) is pinned by
+//! [`crate::MasterPort::next_event_under_stall_faults`]. Three values
+//! matter:
 //!
 //! * `now` — "do not skip over me". The conservative answer, and the
 //!   default for any component the kernel does not know; it degrades
@@ -25,7 +30,8 @@
 //!   ignored by the `min`.
 //!
 //! What *is* replicated arithmetically during a skip of `delta` idle
-//! cycles (see `System::skip_to`): the idle cycle counter, per-cycle
+//! cycles (the idle skip of `System` and of every fleet lane, written
+//! once in the lane core): the idle cycle counter, per-cycle
 //! idle trace events, windowed-metrics gauge sampling and window
 //! closes, profiler laps, and each arbiter's empty-map decision state
 //! (via [`crate::Arbiter::skip_idle`]). Everything else must be pinned
@@ -36,9 +42,6 @@
 //! kernels to byte-identical statistics, metrics, and traces.
 
 use crate::cycle::Cycle;
-use crate::fault::FaultPlan;
-use crate::master::MasterPort;
-use crate::slave::Slave;
 
 /// Which simulation kernel drives [`crate::System::run`].
 ///
@@ -86,51 +89,6 @@ impl Kernel {
     /// Whether the kernel jumps over idle gaps.
     pub fn skips_idle(self) -> bool {
         !matches!(self, Kernel::Cycle)
-    }
-}
-
-/// The event-horizon interface of the fast-forward kernel.
-///
-/// Implemented by the passive simulation components (master ports,
-/// slaves, fault plans); arbiters and traffic sources carry equivalent
-/// `next_event` methods directly on their own traits, because those are
-/// object-safe extension points with per-protocol overrides.
-pub trait NextEvent {
-    /// The earliest cycle `>= now` at which this component does
-    /// something the skip path cannot replicate, or [`Cycle::NEVER`] if
-    /// nothing is scheduled. Returning `now` forbids skipping.
-    fn next_event(&self, now: Cycle) -> Cycle;
-}
-
-impl NextEvent for MasterPort {
-    /// Delegates to [`MasterPort::next_event`]: `NEVER` for an idle
-    /// port, `now` for a live request, the hold expiry for a port held
-    /// back by stall/backoff. Buses that draw per-cycle master stalls
-    /// must use [`MasterPort::next_event_under_stall_faults`] instead
-    /// (the kernel selects the right one from the fault config).
-    fn next_event(&self, now: Cycle) -> Cycle {
-        MasterPort::next_event(self, now)
-    }
-}
-
-impl NextEvent for Slave {
-    /// Slaves are stateless responders: wait states are applied at
-    /// grant time (when the bus is busy, hence never skipped), and
-    /// injected slave errors/outages are drawn from the cycle-keyed
-    /// fault stream at grant time too. Nothing is ever scheduled.
-    fn next_event(&self, _now: Cycle) -> Cycle {
-        Cycle::NEVER
-    }
-}
-
-impl NextEvent for FaultPlan {
-    /// A fault plan is a pure function of `(seed, cycle, stream,
-    /// actor)` — it keeps no per-cycle state, so skipping cycles can
-    /// never desynchronize its draws. The one per-cycle draw it feeds
-    /// (the master-stall lottery) is gated on port state and is pinned
-    /// by [`MasterPort::next_event_under_stall_faults`], not here.
-    fn next_event(&self, _now: Cycle) -> Cycle {
-        Cycle::NEVER
     }
 }
 
@@ -201,25 +159,6 @@ pub fn fold_horizon(acc: Cycle, component: Cycle, now: Cycle) -> Cycle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultConfig;
-    use crate::ids::{MasterId, SlaveId};
-    use crate::request::Transaction;
-
-    #[test]
-    fn passive_components_report_never() {
-        let slave = Slave::new(SlaveId::new(0), "mem");
-        assert_eq!(NextEvent::next_event(&slave, Cycle::new(3)), Cycle::NEVER);
-        let plan = FaultPlan::new(FaultConfig { slave_error_rate: 0.5, ..FaultConfig::default() });
-        assert_eq!(NextEvent::next_event(&plan, Cycle::new(3)), Cycle::NEVER);
-    }
-
-    #[test]
-    fn port_horizon_via_trait_matches_inherent_method() {
-        let mut port = MasterPort::new(MasterId::new(0), "m0");
-        port.enqueue(Transaction::new(SlaveId::new(0), 4, Cycle::ZERO));
-        let now = Cycle::new(7);
-        assert_eq!(NextEvent::next_event(&port, now), MasterPort::next_event(&port, now));
-    }
 
     #[test]
     fn kernel_names_round_trip_and_unknowns_are_rejected() {

@@ -437,7 +437,8 @@ impl FaultLayer {
 /// Validates builder-level fault settings and assembles the layer a
 /// bus should carry: `None` when nothing fault-related was configured,
 /// so an unconfigured system pays no fault-path overhead at all.
-/// Used by [`crate::SystemBuilder`].
+/// Used by [`crate::LaneBuilder`], so system and fleet lanes validate
+/// alike.
 pub(crate) fn build_fault_layer(
     faults: Option<FaultConfig>,
     retry: Option<RetryPolicy>,

@@ -1,48 +1,49 @@
 //! Batched lockstep fleet execution over structure-of-arrays state.
 //!
 //! A [`Fleet`] advances N *independent* bus systems together. Lanes never
-//! interact — lockstep is purely a performance structure: all mutable
-//! per-lane state lives in contiguous arrays (master ports, sources and
-//! poll horizons flattened lane-major with an offset table; the bus
-//! transfer state decomposed into parallel `Vec<u32>` owner/stall/burst
-//! counters; arbiters, statistics and traces as dense per-lane vectors),
-//! so sweeping a fleet touches memory linearly instead of pointer-chasing
-//! N heap-scattered [`System`]s.
+//! interact — lockstep is purely a performance structure: master ports,
+//! sources and poll horizons are flattened lane-major with an offset
+//! table, and each lane's [`Bus`], arbiter, statistics, trace and
+//! metrics sit in dense per-lane vectors, so sweeping a fleet touches
+//! memory linearly instead of pointer-chasing N heap-scattered
+//! [`System`]s.
 //!
 //! ## Exactness contract
 //!
-//! Every lane is **byte-identical** to running the same configuration
+//! Every lane is **byte-identical** to running the same lane description
 //! through the scalar [`System`] under the default cycle kernel: the
-//! statistics, trace events, metrics time-series, port states and source
-//! states all match exactly. This holds because the fleet only ever does
-//! three things, each individually exact:
+//! statistics, trace events, metrics time-series, fault events, port
+//! states and source states all match exactly. The fleet advances a lane
+//! with four kinds of move:
 //!
-//! 1. **Per-cycle stepping** (`step_lane` internally) replicates the
-//!    scalar step and the fault-free arms of the bus engine
-//!    statement for statement over the SoA state.
-//! 2. **Idle skipping** replicates the fast-forward kernel's idle jump
-//!    (trace idle spans, arbiter decision-state advance, cycle counters,
-//!    metrics window closes), which PR 4's differential harness proved
-//!    cycle-exact.
+//! 1. **Per-cycle stepping** and 2. **idle skipping** are not the
+//!    fleet's own code: a lane steps and skips through the same lane core
+//!    and the same [`Bus`] as [`System`] does, so they match by
+//!    construction. Lowered lanes route the bus's arbitration to their
+//!    SoA kernel slot, which replicates the scalar protocol exactly.
 //! 3. **Tenure batching** replays the interior of a bus tenure
 //!    arithmetically, and is only entered when every elided poll is a
 //!    *provable no-op*: the source must declare
 //!    [`TrafficSource::pure_while_backlogged`] and its port's backlog
 //!    must be nonempty for the whole batch. Sources that cannot make
 //!    that promise bound the batch (future horizons) or force a
-//!    per-cycle step (due polls), never an approximation. Batching is
-//!    skipped entirely on lanes with windowed metrics, whose gauges
-//!    sample every busy cycle boundary.
+//!    per-cycle step (due polls), never an approximation.
+//! 4. **The fused loop** serves back-to-back tenures of an idle lane
+//!    under the same legality scan, and a lowered TDMA lane with every
+//!    master pending walks its slot wheel arithmetically.
 //!
-//! Point 3 is what makes fleets fast at saturation, where the scalar
-//! cycle kernel pays the full per-cycle cost: a saturated 8-word tenure
-//! collapses into one arbitration plus one arithmetic batch.
+//! Moves 3 and 4 are skipped entirely on lanes with windowed metrics
+//! (whose gauges sample every busy cycle boundary) and on lanes with a
+//! fault plan, retry policy or watchdog (whose fault machinery acts
+//! every cycle): those lanes step and skip, exactly like the scalar
+//! fast kernel. The fused loop also needs tracing off.
 //!
-//! Fault injection, retry policies, watchdog timeouts and streaming
-//! trace sinks are deliberately *not* supported on fleet lanes — their
-//! per-cycle machinery defeats batching. Callers with faulted
-//! configurations keep using the scalar [`System`] (the scenario fleet
-//! runner falls back automatically).
+//! Moves 3 and 4 are what make fleets fast at saturation, where the
+//! scalar cycle kernel pays the full per-cycle cost: a saturated 8-word
+//! tenure collapses into one arbitration plus one arithmetic batch.
+//!
+//! Streaming trace sinks and the phase profiler exist on [`System`]
+//! only.
 //!
 //! ## When jobs beat lanes
 //!
@@ -57,97 +58,29 @@
 //! [`System`]: crate::System
 //! [`TrafficSource::pure_while_backlogged`]: crate::TrafficSource::pure_while_backlogged
 
-use crate::arbiter::{Arbiter, IntoArbiter, SoaKernel};
-use crate::config::BusConfig;
+use crate::arbiter::{Arbiter, Grant, SoaKernel};
+use crate::bus::Bus;
 use crate::cycle::Cycle;
 use crate::error::BuildSystemError;
-use crate::fastforward::{fold_horizon, MoveCounters};
+use crate::fastforward::MoveCounters;
+use crate::fault::FaultEvent;
 use crate::ids::MasterId;
-use crate::master::{Completion, MasterPort};
+use crate::lane::{idle_horizon, Lane};
+use crate::master::MasterPort;
 use crate::metrics::BusMetrics;
-use crate::request::{RequestMap, MAX_MASTERS};
+use crate::request::RequestMap;
 use crate::slave::Slave;
 use crate::stats::BusStats;
-use crate::system::{IntoSource, TrafficSource};
-use crate::trace::{BusTrace, TraceEvent};
+use crate::system::TrafficSource;
+use crate::trace::BusTrace;
+
+pub use crate::lane::LaneBuilder;
 
 /// Lockstep chunk length: lanes are advanced in windows of this many
 /// cycles so the whole fleet stays within one chunk of simulated time.
 /// Tenures and idle spans are far shorter than this in practice, so the
 /// cap never truncates a batch that matters.
 const CHUNK: u64 = 1024;
-
-/// Builder for one fleet lane — the supported subset of
-/// [`crate::SystemBuilder`]: bus config, named masters with sources,
-/// slaves, an arbiter, optional in-memory tracing and windowed metrics.
-///
-/// Fault plans, retry policies, watchdog timeouts, streaming trace sinks
-/// and phase profiling are not available on lanes (see the module docs);
-/// configurations needing them run on the scalar [`System`].
-///
-/// [`System`]: crate::System
-#[derive(Debug)]
-pub struct LaneBuilder<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
-    config: BusConfig,
-    names: Vec<String>,
-    sources: Vec<S>,
-    slaves: Vec<Slave>,
-    arbiter: Option<A>,
-    trace_capacity: usize,
-    metrics_window: Option<u64>,
-}
-
-impl<A: Arbiter, S: TrafficSource> LaneBuilder<A, S> {
-    /// Starts building a lane around a bus with the given configuration.
-    pub fn new(config: BusConfig) -> Self {
-        LaneBuilder {
-            config,
-            names: Vec::new(),
-            sources: Vec::new(),
-            slaves: Vec::new(),
-            arbiter: None,
-            trace_capacity: 0,
-            metrics_window: None,
-        }
-    }
-
-    /// Adds a master named `name` driven by `source`; dense
-    /// [`MasterId`]s are assigned in insertion order, exactly like
-    /// [`crate::SystemBuilder::master`].
-    pub fn master(mut self, name: impl Into<String>, source: impl IntoSource<S>) -> Self {
-        self.names.push(name.into());
-        self.sources.push(source.into_source());
-        self
-    }
-
-    /// Registers a slave (only needed for nonzero wait states).
-    pub fn slave(mut self, slave: Slave) -> Self {
-        self.slaves.push(slave);
-        self
-    }
-
-    /// Sets the arbitration protocol.
-    pub fn arbiter(mut self, arbiter: impl IntoArbiter<A>) -> Self {
-        self.arbiter = Some(arbiter.into_arbiter());
-        self
-    }
-
-    /// Enables in-memory bus tracing with at most `capacity` buffered
-    /// events, exactly like [`crate::SystemBuilder::trace_capacity`].
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
-    /// Enables the windowed metrics registry, exactly like
-    /// [`crate::SystemBuilder::metrics_window`]. Lanes with metrics stay
-    /// exact but forgo tenure batching (gauges sample every busy cycle
-    /// boundary), so they advance at fast-forward-kernel speed.
-    pub fn metrics_window(mut self, window: u64) -> Self {
-        self.metrics_window = Some(window);
-        self
-    }
-}
 
 /// A lane failed to validate while building a [`Fleet`].
 #[derive(Debug, PartialEq, Eq)]
@@ -166,6 +99,60 @@ impl std::fmt::Display for FleetBuildError {
 }
 
 impl std::error::Error for FleetBuildError {}
+
+/// A fleet lane's arbiter as its bus sees it: the lane's slot in its
+/// SoA decision kernel when the lane is lowered, its scalar arbiter
+/// otherwise. Built by [`lane_arbiter`], the one place that makes the
+/// choice. Name and failovers always come from the scalar arbiter
+/// (protocols that lower have no failover state).
+struct LaneArbiter<'a, A> {
+    scalar: &'a mut A,
+    lowered: Option<(&'a mut dyn SoaKernel, usize)>,
+}
+
+/// The arbitration route of lane `lane` (see [`LaneArbiter`]).
+#[inline]
+fn lane_arbiter<'a, A>(
+    kernels: &'a mut [Box<dyn SoaKernel>],
+    arbiters: &'a mut [A],
+    lowered: Option<(u32, u32)>,
+    lane: usize,
+) -> LaneArbiter<'a, A> {
+    let lowered = lowered.map(|(kernel, slot)| (kernels[kernel as usize].as_mut(), slot as usize));
+    LaneArbiter { scalar: &mut arbiters[lane], lowered }
+}
+
+impl<A: Arbiter> Arbiter for LaneArbiter<'_, A> {
+    #[inline]
+    fn arbitrate(&mut self, requests: &RequestMap, now: Cycle) -> Option<Grant> {
+        match &mut self.lowered {
+            Some((kernel, slot)) => kernel.arbitrate_slot(*slot, requests, now),
+            None => self.scalar.arbitrate(requests, now),
+        }
+    }
+
+    fn name(&self) -> &str {
+        self.scalar.name()
+    }
+
+    fn failovers(&self) -> u64 {
+        self.scalar.failovers()
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        match &self.lowered {
+            Some((kernel, slot)) => kernel.next_event_slot(*slot, now),
+            None => self.scalar.next_event(now),
+        }
+    }
+
+    fn skip_idle(&mut self, delta: u64) {
+        match &mut self.lowered {
+            Some((kernel, slot)) => kernel.skip_idle_slot(*slot, delta),
+            None => self.scalar.skip_idle(delta),
+        }
+    }
+}
 
 /// N independent bus systems advancing in lockstep over
 /// structure-of-arrays state. See the module docs for the layout and
@@ -188,18 +175,8 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     slave_offsets: Vec<usize>,
     /// All registered slaves, lane-major.
     slaves: Vec<Slave>,
-    /// Per-lane bus configuration.
-    configs: Vec<BusConfig>,
-    /// Decomposed bus transfer state, one element per lane: the master
-    /// index owning the tenure in flight (meaningful while busy),
-    owner: Vec<u32>,
-    /// remaining setup-stall cycles (`Stalled` when nonzero),
-    stall_left: Vec<u32>,
-    /// the burst length armed behind the stall,
-    stall_words: Vec<u32>,
-    /// and remaining burst words (`Bursting` when nonzero with no
-    /// stall). A lane is idle iff `stall_left == 0 && words_left == 0`.
-    words_left: Vec<u32>,
+    /// Per-lane buses: configuration, tenure in flight and fault layer.
+    buses: Vec<Bus>,
     /// Per-lane arbiters, contiguous. A lowered lane's scalar arbiter
     /// is *stale* while its SoA kernel slot is live; [`Fleet::arbiter`]
     /// and [`Fleet::arbiter_mut`] write the kernel state back before
@@ -213,9 +190,13 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     /// scalar arbiter (heterogeneous packs, never-lowered protocols,
     /// lanes dissolved by [`Fleet::arbiter_mut`]).
     lowered: Vec<Option<(u32, u32)>>,
+    /// Whether the lane may batch tenures at all: no metrics registry
+    /// (its gauges sample every busy cycle boundary) and no fault layer
+    /// (its machinery acts every cycle).
+    batch_ok: Vec<bool>,
     /// Whether the lane may take the fused arbitrate-plus-batch fast
-    /// path at all: tracing off and no metrics registry (both sample
-    /// per-cycle detail the fused path elides).
+    /// path: batching allowed and tracing off (the fused path elides
+    /// per-cycle trace detail).
     fast_ok: Vec<bool>,
     /// Whether every possible grant on this lane has a zero setup
     /// stall (no arbitration overhead, no wait states anywhere) — a
@@ -233,7 +214,8 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     now: Vec<Cycle>,
     /// Per-lane cycles per execution move and polls run, since build.
     moves: Vec<MoveCounters>,
-    /// Shared arbitration scratch map, rebuilt in place per idle cycle.
+    /// Arbitration scratch map of the fused loop, rebuilt in place per
+    /// fused window.
     scratch: RequestMap,
     /// Reusable per-lane target buffer for [`Fleet::run`], kept on the
     /// struct so steady-state runs stay allocation-free.
@@ -255,82 +237,63 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     ///
     /// # Errors
     ///
-    /// Returns the first lane that fails the same validation
+    /// Returns the first lane that fails the validation
     /// [`crate::SystemBuilder::build`] applies (no masters, too many
-    /// masters, no arbiter, invalid bus config or metrics window).
+    /// masters, no arbiter, invalid bus, fault, retry, timeout or
+    /// metrics configuration).
     pub fn build(lanes: Vec<LaneBuilder<A, S>>) -> Result<Self, FleetBuildError> {
+        let n = lanes.len();
         let mut fleet = Fleet {
-            offsets: Vec::with_capacity(lanes.len() + 1),
+            offsets: Vec::with_capacity(n + 1),
             ports: Vec::new(),
             sources: Vec::new(),
             poll_horizon: Vec::new(),
             pure_backlog: Vec::new(),
-            slave_offsets: Vec::with_capacity(lanes.len() + 1),
+            slave_offsets: Vec::with_capacity(n + 1),
             slaves: Vec::new(),
-            configs: Vec::with_capacity(lanes.len()),
-            owner: vec![0; lanes.len()],
-            stall_left: vec![0; lanes.len()],
-            stall_words: vec![0; lanes.len()],
-            words_left: vec![0; lanes.len()],
-            arbiters: Vec::with_capacity(lanes.len()),
+            buses: Vec::with_capacity(n),
+            arbiters: Vec::with_capacity(n),
             kernels: Vec::new(),
-            lowered: vec![None; lanes.len()],
-            fast_ok: Vec::with_capacity(lanes.len()),
-            zero_stall: Vec::with_capacity(lanes.len()),
-            stats: Vec::with_capacity(lanes.len()),
-            traces: Vec::with_capacity(lanes.len()),
-            metrics: Vec::with_capacity(lanes.len()),
-            failover_baseline: vec![0; lanes.len()],
-            now: vec![Cycle::ZERO; lanes.len()],
-            moves: vec![MoveCounters::default(); lanes.len()],
+            lowered: vec![None; n],
+            batch_ok: Vec::with_capacity(n),
+            fast_ok: Vec::with_capacity(n),
+            zero_stall: Vec::with_capacity(n),
+            stats: Vec::with_capacity(n),
+            traces: Vec::with_capacity(n),
+            metrics: Vec::with_capacity(n),
+            failover_baseline: vec![0; n],
+            now: vec![Cycle::ZERO; n],
+            moves: vec![MoveCounters::default(); n],
             scratch: RequestMap::new(1),
-            targets: Vec::with_capacity(lanes.len()),
+            targets: Vec::with_capacity(n),
         };
         fleet.offsets.push(0);
         fleet.slave_offsets.push(0);
         for (lane, spec) in lanes.into_iter().enumerate() {
-            let fail = |error| FleetBuildError { lane, error };
-            if spec.names.is_empty() {
-                return Err(fail(BuildSystemError::NoMasters));
-            }
-            if spec.metrics_window == Some(0) {
-                return Err(fail(BuildSystemError::InvalidMetricsWindow(0)));
-            }
-            if spec.names.len() > MAX_MASTERS {
-                return Err(fail(BuildSystemError::TooManyMasters {
-                    got: spec.names.len(),
-                    max: MAX_MASTERS,
-                }));
-            }
-            spec.config.validate().map_err(|e| fail(BuildSystemError::InvalidConfig(e)))?;
-            let arbiter = spec.arbiter.ok_or_else(|| fail(BuildSystemError::NoArbiter))?;
-            let n = spec.names.len();
-            for (i, name) in spec.names.into_iter().enumerate() {
-                fleet.ports.push(MasterPort::new(MasterId::new(i), name));
-            }
-            for source in spec.sources {
+            let parts = spec.assemble().map_err(|error| FleetBuildError { lane, error })?;
+            fleet.ports.extend(parts.ports);
+            for source in parts.sources {
                 fleet.pure_backlog.push(source.pure_while_backlogged());
                 fleet.sources.push(source);
                 fleet.poll_horizon.push(Cycle::ZERO);
             }
             fleet.offsets.push(fleet.ports.len());
+            let config = parts.bus.config();
             fleet.zero_stall.push(
-                spec.config.arbitration_overhead == 0
-                    && spec.config.slave_wait_states == 0
-                    && spec.slaves.iter().all(|s| s.wait_states() == 0),
+                config.arbitration_overhead == 0
+                    && config.slave_wait_states == 0
+                    && parts.slaves.iter().all(|s| s.wait_states() == 0),
             );
-            fleet.slaves.extend(spec.slaves);
+            fleet.slaves.extend(parts.slaves);
             fleet.slave_offsets.push(fleet.slaves.len());
-            fleet.configs.push(spec.config);
-            fleet.arbiters.push(arbiter);
-            fleet.fast_ok.push(spec.trace_capacity == 0 && spec.metrics_window.is_none());
-            fleet.stats.push(BusStats::new(n));
-            fleet.traces.push(if spec.trace_capacity > 0 {
-                BusTrace::enabled(spec.trace_capacity)
-            } else {
-                BusTrace::disabled()
-            });
-            fleet.metrics.push(spec.metrics_window.map(|w| BusMetrics::new(w, n)));
+            let batch_ok = parts.metrics.is_none() && parts.bus.faults.is_none();
+            fleet.batch_ok.push(batch_ok);
+            fleet.fast_ok.push(batch_ok && !parts.trace.is_enabled());
+            fleet.buses.push(parts.bus);
+            fleet.arbiters.push(parts.arbiter);
+            fleet.stats.push(parts.stats);
+            fleet.traces.push(parts.trace);
+            fleet.metrics.push(parts.metrics);
         }
         fleet.lower_groups();
         Ok(fleet)
@@ -364,12 +327,12 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
 
     /// Number of lanes.
     pub fn len(&self) -> usize {
-        self.configs.len()
+        self.buses.len()
     }
 
     /// Whether the fleet has no lanes.
     pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+        self.buses.is_empty()
     }
 
     /// Number of masters on lane `lane`.
@@ -398,6 +361,12 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// set on its builder).
     pub fn trace(&self, lane: usize) -> &BusTrace {
         &self.traces[lane]
+    }
+
+    /// The recorded fault trace of lane `lane` (empty unless its builder
+    /// set a fault plan, retry policy or watchdog).
+    pub fn fault_events(&self, lane: usize) -> &[FaultEvent] {
+        self.buses[lane].fault_events()
     }
 
     /// The metrics time-series of lane `lane`, or `None` when metrics
@@ -485,24 +454,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
 
     /// Advances every lane by `cycles` cycles in lockstep chunks.
     pub fn run(&mut self, cycles: u64) {
-        let Some(&start) = self.now.iter().min() else {
-            return;
-        };
-        // The target buffer lives on the struct (capacity reserved at
-        // build) so steady-state runs make no heap allocations.
-        let mut targets = std::mem::take(&mut self.targets);
-        targets.clear();
-        targets.extend(self.now.iter().map(|&n| n + cycles));
-        let end = targets.iter().copied().max().unwrap_or(start);
-        let mut chunk_end = start;
-        while chunk_end < end {
-            chunk_end = (chunk_end + CHUNK).min(end);
-            for (lane, &lane_target) in targets.iter().enumerate() {
-                let target = lane_target.min(chunk_end);
-                self.advance_lane(lane, target);
-            }
-        }
-        self.targets = targets;
+        self.run_lanes_to(|now| now + cycles);
     }
 
     /// Advances every lane whose clock is behind `target` up to exactly
@@ -510,18 +462,30 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// are untouched. This is the phase driver for packed scenario
     /// lanes, whose phase boundaries differ per lane.
     pub fn run_until(&mut self, target: Cycle) {
+        self.run_lanes_to(|now| now.max(target));
+    }
+
+    /// Advances every lane from its clock `now` to `target_of(now)`, in
+    /// lockstep chunks so the whole fleet stays within one chunk of
+    /// simulated time.
+    fn run_lanes_to(&mut self, target_of: impl Fn(Cycle) -> Cycle) {
         let Some(&start) = self.now.iter().min() else {
             return;
         };
+        // The target buffer lives on the struct (capacity reserved at
+        // build) so steady-state runs make no heap allocations.
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        targets.extend(self.now.iter().map(|&n| target_of(n)));
+        let end = targets.iter().copied().max().unwrap_or(start);
         let mut chunk_end = start;
-        while chunk_end < target {
-            chunk_end = (chunk_end + CHUNK).min(target);
-            for lane in 0..self.len() {
-                if self.now[lane] < chunk_end {
-                    self.advance_lane(lane, chunk_end);
-                }
+        while chunk_end < end {
+            chunk_end = (chunk_end + CHUNK).min(end);
+            for (lane, &lane_target) in targets.iter().enumerate() {
+                self.advance_lane(lane, lane_target.min(chunk_end));
             }
         }
+        self.targets = targets;
     }
 
     /// Advances one lane to exactly `target` (no-op if its clock is
@@ -530,9 +494,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// lane at its own boundary while iterating boundaries in global
     /// order for lockstep locality.
     pub fn run_lane_until(&mut self, lane: usize, target: Cycle) {
-        if self.now[lane] < target {
-            self.advance_lane(lane, target);
-        }
+        self.advance_lane(lane, target);
     }
 
     /// Runs `cycles` warm-up cycles on every lane and then discards the
@@ -542,21 +504,15 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         self.reset_stats();
     }
 
-    /// Whether lane `lane` has a tenure (or its setup stall) in flight.
-    #[inline]
-    fn lane_busy(&self, lane: usize) -> bool {
-        self.stall_left[lane] > 0 || self.words_left[lane] > 0
-    }
-
-    /// Advances one lane to `target` using the three exact moves (step,
-    /// idle skip, tenure batch); the fleet twin of the scalar kernel's
-    /// run loop.
+    /// Advances one lane to `target`, preferring the batch moves where
+    /// they are legal and falling back to a per-cycle step (see the
+    /// module docs); the fleet's counterpart of the scalar run loop.
     fn advance_lane(&mut self, lane: usize, target: Cycle) {
         while self.now[lane] < target {
             let horizon = self.idle_horizon_lane(lane).min(target);
             if horizon > self.now[lane] {
-                self.skip_lane_to(lane, horizon);
-            } else if self.lane_busy(lane) {
+                self.with_lane(lane, |core| core.skip_to(horizon));
+            } else if self.buses[lane].is_busy() {
                 if !self.skip_tenure_lane(lane, target) {
                     self.step_lane(lane);
                 }
@@ -566,58 +522,96 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         }
     }
 
-    /// The idle event horizon of lane `lane`; replicates
-    /// [`crate::System::idle_horizon`] (fleet lanes never carry stall
-    /// faults, so the plain port horizon always applies).
-    fn idle_horizon_lane(&self, lane: usize) -> Cycle {
-        let now = self.now[lane];
-        if self.lane_busy(lane) {
-            return now;
-        }
+    /// Lends lane `lane`'s slices of the fleet's state to `f` as one
+    /// [`Lane`] of the core shared with [`crate::System`].
+    #[inline]
+    fn with_lane<T>(
+        &mut self,
+        lane: usize,
+        f: impl FnOnce(&mut Lane<'_, LaneArbiter<'_, A>, S>) -> T,
+    ) -> T {
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        let mut horizon = Cycle::NEVER;
-        for port in &self.ports[lo..hi] {
-            horizon = fold_horizon(horizon, port.next_event(now), now);
-            if horizon == now {
-                return now;
-            }
-        }
-        for source in &self.sources[lo..hi] {
-            horizon = fold_horizon(horizon, source.next_event(now), now);
-            if horizon == now {
-                return now;
-            }
-        }
-        let arbiter_horizon = match self.lowered[lane] {
-            Some((kernel, slot)) => {
-                self.kernels[kernel as usize].next_event_slot(slot as usize, now)
-            }
-            None => self.arbiters[lane].next_event(now),
-        };
-        fold_horizon(horizon, arbiter_horizon, now)
+        let (slo, shi) = (self.slave_offsets[lane], self.slave_offsets[lane + 1]);
+        let mut arbiter =
+            lane_arbiter(&mut self.kernels, &mut self.arbiters, self.lowered[lane], lane);
+        f(&mut Lane {
+            bus: &mut self.buses[lane],
+            arbiter: &mut arbiter,
+            ports: &mut self.ports[lo..hi],
+            sources: &mut self.sources[lo..hi],
+            poll_horizon: &mut self.poll_horizon[lo..hi],
+            slaves: &self.slaves[slo..shi],
+            stats: &mut self.stats[lane],
+            trace: &mut self.traces[lane],
+            metrics: &mut self.metrics[lane],
+            failover_baseline: self.failover_baseline[lane],
+            now: &mut self.now[lane],
+            moves: &mut self.moves[lane],
+        })
     }
 
-    /// Jumps lane `lane` from its current cycle to `target`, replicating
-    /// the scalar kernel's idle skip accounting exactly.
-    fn skip_lane_to(&mut self, lane: usize, target: Cycle) {
-        let now = self.now[lane];
-        let delta = target - now;
+    /// Simulates one cycle of lane `lane` through the shared core: poll
+    /// phase, [`Bus::step`], accounting.
+    fn step_lane(&mut self, lane: usize) {
+        self.with_lane(lane, |core| {
+            core.poll();
+            let completed = core.bus_step();
+            core.end_cycle(completed);
+        });
+    }
+
+    /// The idle event horizon of lane `lane` (see
+    /// [`crate::System::idle_horizon`]).
+    #[inline]
+    fn idle_horizon_lane(&mut self, lane: usize) -> Cycle {
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        self.traces[lane].record_idle_span(now, delta);
-        match self.lowered[lane] {
-            Some((kernel, slot)) => {
-                self.kernels[kernel as usize].skip_idle_slot(slot as usize, delta)
+        let arbiter = lane_arbiter(&mut self.kernels, &mut self.arbiters, self.lowered[lane], lane);
+        idle_horizon(
+            &self.buses[lane],
+            &self.ports[lo..hi],
+            &self.sources[lo..hi],
+            &arbiter,
+            self.now[lane],
+        )
+    }
+
+    /// Scans lane `lane`'s sources for the batch legality window
+    /// starting at its current cycle: returns the first cycle before
+    /// `end` at which a source comes due, or `None` when a poll due now
+    /// is not a provable no-op (the source is impure while backlogged,
+    /// or its port has no backlog to keep it a no-op).
+    #[inline]
+    fn batch_limit(&self, lane: usize, end: Cycle) -> Option<Cycle> {
+        let now = self.now[lane];
+        let mut limit = end;
+        for i in self.offsets[lane]..self.offsets[lane + 1] {
+            let cached = self.poll_horizon[i];
+            if cached > now {
+                // A true future horizon: nothing to poll before it, so
+                // it bounds the batch and the source stays exact.
+                limit = limit.min(cached);
+            } else if !(self.pure_backlog[i] && self.ports[i].backlog_transactions() > 0) {
+                // A poll is due this cycle (and every batched cycle). It
+                // may only be elided if it is a no-op by contract: pure
+                // while backlogged, with a backlog that cannot drain
+                // mid-batch.
+                return None;
             }
-            None => self.arbiters[lane].skip_idle(delta),
         }
-        self.stats[lane].record_cycles(delta);
+        (limit > now).then_some(limit)
+    }
+
+    /// Closes a batch move of `cycles` cycles on lane `lane`: cycle and
+    /// failover accounting, the move count and the clock. Returns the
+    /// lane's move counters for the caller to credit its kind of move.
+    #[inline]
+    fn finish_batch(&mut self, lane: usize, cycles: u64) -> &mut MoveCounters {
+        self.stats[lane].record_cycles(cycles);
         self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
-        if let Some(metrics) = self.metrics[lane].as_mut() {
-            metrics.skip_cycles(now, delta, &self.stats[lane], &self.ports[lo..hi]);
-        }
-        self.moves[lane].idle_skipped += delta;
-        self.moves[lane].moves += 1;
-        self.now[lane] = target;
+        self.now[lane] += cycles;
+        let moves = &mut self.moves[lane];
+        moves.moves += 1;
+        moves
     }
 
     /// Batches the interior of lane `lane`'s tenure in flight, exactly.
@@ -630,74 +624,45 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// head transaction pops only in the bus phase of its completion
     /// cycle, after that cycle's polls; non-owners transfer nothing).
     /// Sources with true future horizons bound the batch instead, so
-    /// their next poll happens on time. Lanes with windowed metrics
-    /// never batch (their gauges sample every busy cycle boundary).
+    /// their next poll happens on time. Lanes with windowed metrics or a
+    /// fault layer never batch.
     ///
     /// Returns whether any cycles were consumed; `false` sends the
     /// caller to a per-cycle step.
     fn skip_tenure_lane(&mut self, lane: usize, end: Cycle) -> bool {
-        if self.metrics[lane].is_some() {
+        if !self.batch_ok[lane] {
             return false;
         }
+        let Some(limit) = self.batch_limit(lane, end) else {
+            return false;
+        };
         let now = self.now[lane];
-        let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        let mut limit = end;
-        for i in lo..hi {
-            let cached = self.poll_horizon[i];
-            if cached > now {
-                // A true future horizon: nothing to poll before it, so
-                // it bounds the batch and the source stays exact.
-                limit = limit.min(cached);
-                continue;
-            }
-            // A poll is due this cycle (and every batched cycle). It may
-            // only be elided if it is a no-op by contract: pure while
-            // backlogged, with a backlog that cannot drain mid-batch.
-            if !(self.pure_backlog[i] && self.ports[i].backlog_transactions() > 0) {
-                return false;
-            }
-        }
-        if limit <= now {
-            return false;
-        }
         let consumed = self.batch_tenure(lane, now, limit - now);
         if consumed == 0 {
             return false;
         }
-        self.stats[lane].record_cycles(consumed);
-        self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
         // Elided sources keep their (due) cached horizons: their
         // `next_event` is the identity while backlogged, so per-cycle
         // stepping would also leave them due at the new `now` — they are
         // re-polled at the next unskipped cycle either way.
-        self.moves[lane].tenure_batched += consumed;
-        self.moves[lane].moves += 1;
-        self.now[lane] = now + consumed;
+        self.finish_batch(lane, consumed).tenure_batched += consumed;
         true
     }
 
-    /// Replays up to `max_cycles` of lane `lane`'s in-flight tenure
-    /// arithmetically over the SoA counters, leaving counters, ports,
-    /// statistics and trace exactly where per-cycle stepping would.
+    /// Replays up to `max_cycles` of lane `lane`'s tenure in flight
+    /// arithmetically, leaving its bus, ports, statistics and trace
+    /// exactly where per-cycle stepping would.
     fn batch_tenure(&mut self, lane: usize, now: Cycle, max_cycles: u64) -> u64 {
-        let lo = self.offsets[lane];
-        let master = MasterId::new(self.owner[lane] as usize);
-        let mut consumed = 0u64;
-        let stall_left = self.stall_left[lane];
-        if stall_left > 0 {
-            let pay = u64::from(stall_left).min(max_cycles) as u32;
-            if pay > 0 {
-                self.stats[lane].record_stall(pay);
-                consumed += u64::from(pay);
-                self.stall_left[lane] = stall_left - pay;
-                if self.stall_left[lane] == 0 {
-                    self.words_left[lane] = self.stall_words[lane];
-                    self.stall_words[lane] = 0;
-                }
-            }
+        let Some((master, stall_left, mut words_left)) = self.buses[lane].tenure() else {
+            return 0;
+        };
+        let pay = u64::from(stall_left).min(max_cycles) as u32;
+        if pay > 0 {
+            self.stats[lane].record_stall(pay);
         }
-        let words_left = self.words_left[lane];
-        if self.stall_left[lane] == 0 && words_left > 0 {
+        let stall_left = stall_left - pay;
+        let mut consumed = u64::from(pay);
+        if stall_left == 0 && words_left > 0 {
             let burst = u64::from(words_left).min(max_cycles - consumed) as u32;
             if burst > 0 {
                 let start = now + consumed;
@@ -708,13 +673,15 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 // `pending_words`), so at most one completion can occur,
                 // on the batch's final word.
                 let last = start + (u64::from(burst) - 1);
-                if let Some(done) = self.ports[lo + master.index()].transfer(burst, last) {
+                let port = &mut self.ports[self.offsets[lane] + master.index()];
+                if let Some(done) = port.transfer(burst, last) {
                     self.stats[lane].record_completion(master, &done);
                 }
                 consumed += u64::from(burst);
-                self.words_left[lane] = words_left - burst;
+                words_left -= burst;
             }
         }
+        self.buses[lane].set_tenure(master, stall_left, words_left);
         consumed
     }
 
@@ -725,8 +692,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// are exactly the pieces proven elidable there, the arbitration
     /// itself runs unchanged, and [`Fleet::batch_tenure`] replays the
     /// armed tenure — including the grant cycle's own stall payment or
-    /// first word — with identical accounting. Lanes with tracing or
-    /// metrics (which observe per-cycle detail) never take this path.
+    /// first word — with identical accounting. Lanes with tracing,
+    /// metrics or a fault layer never take this path.
     ///
     /// Wheel-lowered lanes with every master pending divert into the
     /// arithmetic slot walk ([`Fleet::wheel_batch_lane`]) instead,
@@ -738,22 +705,11 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         if !self.fast_ok[lane] {
             return false;
         }
+        let Some(mut limit) = self.batch_limit(lane, end) else {
+            return false;
+        };
         let now = self.now[lane];
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        let mut limit = end;
-        for i in lo..hi {
-            let cached = self.poll_horizon[i];
-            if cached > now {
-                limit = limit.min(cached);
-                continue;
-            }
-            if !(self.pure_backlog[i] && self.ports[i].backlog_transactions() > 0) {
-                return false;
-            }
-        }
-        if limit <= now {
-            return false;
-        }
         self.scratch.reset_for(hi - lo);
         let mut all_pending = true;
         for port in &self.ports[lo..hi] {
@@ -779,25 +735,18 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         // No other port changes state: elided polls enqueue nothing and
         // non-owners transfer nothing.
         let mut cursor = now;
-        let mut consumed_total = 0u64;
         let mut polls = 0u64;
         loop {
             if self.scratch.pending_count() >= 2 {
                 self.stats[lane].record_contended_arbitration();
             }
-            let decision = match self.lowered[lane] {
-                Some((kernel, slot)) => self.kernels[kernel as usize].arbitrate_slot(
-                    slot as usize,
-                    &self.scratch,
-                    cursor,
-                ),
-                None => self.arbiters[lane].arbitrate(&self.scratch, cursor),
-            };
+            let decision =
+                lane_arbiter(&mut self.kernels, &mut self.arbiters, self.lowered[lane], lane)
+                    .arbitrate(&self.scratch, cursor);
             let Some(grant) = decision else {
                 // An idle decision consumes exactly one cycle; the elided
                 // polls are no-ops and tracing is off on this path. Hand
                 // the (rare) idle lane back to the horizon machinery.
-                consumed_total += 1;
                 cursor += 1;
                 break;
             };
@@ -809,8 +758,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             );
             debug_assert!(grant.max_words > 0, "arbiter granted zero words");
             let winner = grant.master;
+            let max_burst = self.buses[lane].config().max_burst;
             let port = &mut self.ports[lo + winner.index()];
-            let words = grant.max_words.min(self.configs[lane].max_burst).min(port.pending_words());
+            let words = grant.max_words.min(max_burst).min(port.pending_words());
             self.stats[lane].record_grant(winner);
             port.note_grant(cursor);
             // A zero-stall lane (no arbitration overhead, every slave at
@@ -821,21 +771,16 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             } else {
                 let slave = port.head_slave().expect("pending master has head");
                 let (slo, shi) = (self.slave_offsets[lane], self.slave_offsets[lane + 1]);
-                let wait_states = self.slaves[slo..shi]
-                    .iter()
-                    .find(|s| s.id() == slave)
-                    .map_or(self.configs[lane].slave_wait_states, Slave::wait_states);
-                self.configs[lane].grant_stall(wait_states)
+                self.buses[lane].grant_stall(&self.slaves[slo..shi], slave)
             };
-            self.owner[lane] = winner.index() as u32;
             // Arm the whole tenure *including* the grant cycle's own
-            // work: paying `stall` from `stall_left` records the same
-            // stall cycles as the scalar's 1 + (stall - 1) split, and a
+            // work: paying `stall` from the armed stall records the same
+            // stall cycles as the stepped 1 + (stall - 1) split, and a
             // zero-stall grant's first word is just the first word of
             // the armed burst. A stall-free burst that fits the window
             // replays inline — `batch_tenure` with the stall arm and
-            // the leftover-words round-trip folded away, and the trace
-            // call elided because `fast_ok` proved tracing off.
+            // the bus round-trip folded away, and the trace call elided
+            // because `fast_ok` proved tracing off.
             let consumed = if stall == 0 && u64::from(words) <= limit - cursor {
                 self.stats[lane].record_words(winner, words);
                 let last = cursor + (u64::from(words) - 1);
@@ -844,18 +789,12 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 }
                 u64::from(words)
             } else {
-                if stall > 0 {
-                    self.stall_left[lane] = stall;
-                    self.stall_words[lane] = words;
-                } else {
-                    self.words_left[lane] = words;
-                }
+                self.buses[lane].set_tenure(winner, stall, words);
                 self.batch_tenure(lane, cursor, limit - cursor)
             };
             debug_assert!(consumed > 0, "fused arbitration must consume cycles");
-            consumed_total += consumed;
             cursor += consumed;
-            if cursor >= limit || self.stall_left[lane] > 0 || self.words_left[lane] > 0 {
+            if cursor >= limit || self.buses[lane].is_busy() {
                 // Window exhausted (possibly mid-tenure, which the busy
                 // path resumes next window).
                 break;
@@ -894,13 +833,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 self.scratch.clear_pending(winner);
             }
         }
-        self.stats[lane].record_cycles(consumed_total);
-        self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
-        let moves = &mut self.moves[lane];
-        moves.fused += consumed_total;
-        moves.moves += 1;
+        let moves = self.finish_batch(lane, cursor - now);
+        moves.fused += cursor - now;
         moves.polls += polls;
-        self.now[lane] = cursor;
         true
     }
 
@@ -954,154 +889,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             self.stats[lane].record_contended_arbitrations(span);
         }
         self.kernels[kernel].advance_wheel(slot, span);
-        self.stats[lane].record_cycles(span);
-        self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
-        self.moves[lane].wheel_batched += span;
-        self.moves[lane].moves += 1;
-        self.now[lane] = now + span;
+        self.finish_batch(lane, span).wheel_batched += span;
         true
-    }
-
-    /// Simulates one cycle of lane `lane`, replicating
-    /// [`crate::System::step`] exactly (poll phase with cached horizons,
-    /// bus phase, accounting phase).
-    fn step_lane(&mut self, lane: usize) {
-        let now = self.now[lane];
-        let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        let mut polls = 0u64;
-        {
-            let ports = &mut self.ports[lo..hi];
-            let sources = &mut self.sources[lo..hi];
-            let horizons = &mut self.poll_horizon[lo..hi];
-            for ((port, source), horizon) in
-                ports.iter_mut().zip(sources.iter_mut()).zip(horizons.iter_mut())
-            {
-                if *horizon > now {
-                    continue;
-                }
-                polls += 1;
-                if let Some(txn) = source.poll_with_backlog(now, port.backlog_transactions()) {
-                    port.enqueue(txn);
-                }
-                *horizon = source.next_event(now + 1);
-            }
-        }
-        let completed = self.bus_step(lane, now);
-        self.stats[lane].record_cycle();
-        self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
-        if let Some(metrics) = self.metrics[lane].as_mut() {
-            if let Some((_, done)) = completed {
-                metrics.note_completion(done.latency());
-            }
-            metrics.end_cycle(now, &self.stats[lane], &self.ports[lo..hi]);
-        }
-        let moves = &mut self.moves[lane];
-        moves.stepped += 1;
-        moves.moves += 1;
-        moves.polls += polls;
-        self.now[lane] = now + 1;
-    }
-
-    /// One bus cycle of lane `lane` over the SoA transfer state,
-    /// replicating the fault-free arms of the bus engine exactly.
-    fn bus_step(&mut self, lane: usize, now: Cycle) -> Option<(MasterId, Completion)> {
-        // Stalled: pay one setup cycle.
-        let stall_left = self.stall_left[lane];
-        if stall_left > 0 {
-            self.stats[lane].record_stall(1);
-            self.stall_left[lane] = stall_left - 1;
-            if self.stall_left[lane] == 0 {
-                self.words_left[lane] = self.stall_words[lane];
-                self.stall_words[lane] = 0;
-            }
-            return None;
-        }
-        // Bursting: move one word.
-        let words_left = self.words_left[lane];
-        if words_left > 0 {
-            let master = MasterId::new(self.owner[lane] as usize);
-            let done = self.transfer_word(lane, master, now);
-            self.words_left[lane] = words_left - 1;
-            return done;
-        }
-        // Idle: arbitrate.
-        let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        self.scratch.reset_for(hi - lo);
-        for port in &self.ports[lo..hi] {
-            if port.is_requesting() {
-                self.scratch.set_pending(port.id(), port.pending_words());
-            }
-        }
-        if self.scratch.pending_count() >= 2 {
-            self.stats[lane].record_contended_arbitration();
-        }
-        let decision = match self.lowered[lane] {
-            Some((kernel, slot)) => {
-                self.kernels[kernel as usize].arbitrate_slot(slot as usize, &self.scratch, now)
-            }
-            None => self.arbiters[lane].arbitrate(&self.scratch, now),
-        };
-        match decision {
-            Some(grant) => {
-                assert!(
-                    (self.scratch.bits() >> grant.master.index()) & 1 == 1,
-                    "arbiter `{}` granted idle master {}",
-                    self.arbiters[lane].name(),
-                    grant.master
-                );
-                assert!(grant.max_words > 0, "arbiter granted zero words");
-                let winner = grant.master;
-                let port = &mut self.ports[lo + winner.index()];
-                let words =
-                    grant.max_words.min(self.configs[lane].max_burst).min(port.pending_words());
-                self.stats[lane].record_grant(winner);
-                port.note_grant(now);
-                self.traces[lane].record(TraceEvent::Grant { cycle: now, master: winner, words });
-                let slave = port.head_slave().expect("pending master has head");
-                let (slo, shi) = (self.slave_offsets[lane], self.slave_offsets[lane + 1]);
-                let wait_states = self.slaves[slo..shi]
-                    .iter()
-                    .find(|s| s.id() == slave)
-                    .map_or(self.configs[lane].slave_wait_states, Slave::wait_states);
-                let stall = self.configs[lane].grant_stall(wait_states);
-                self.owner[lane] = winner.index() as u32;
-                if stall > 0 {
-                    self.stats[lane].record_stall(1);
-                    if stall == 1 {
-                        self.words_left[lane] = words;
-                    } else {
-                        self.stall_left[lane] = stall - 1;
-                        self.stall_words[lane] = words;
-                    }
-                    None
-                } else {
-                    let done = self.transfer_word(lane, winner, now);
-                    self.words_left[lane] = words - 1;
-                    done
-                }
-            }
-            None => {
-                self.traces[lane].record(TraceEvent::Idle { cycle: now });
-                None
-            }
-        }
-    }
-
-    /// Moves one word for `master` on lane `lane`, replicating the bus
-    /// engine's per-word accounting exactly.
-    #[inline]
-    fn transfer_word(
-        &mut self,
-        lane: usize,
-        master: MasterId,
-        now: Cycle,
-    ) -> Option<(MasterId, Completion)> {
-        let lo = self.offsets[lane];
-        self.stats[lane].record_words(master, 1);
-        self.traces[lane].record(TraceEvent::Word { cycle: now, master });
-        let done = self.ports[lo + master.index()].transfer(1, now)?;
-        self.stats[lane].record_completion(master, &done);
-        Some((master, done))
     }
 }
 
@@ -1110,6 +899,7 @@ mod tests {
     use super::*;
     use crate::arbiter::FixedOrderArbiter;
     use crate::config::BusConfig;
+    use crate::fault::{FaultConfig, RetryPolicy};
     use crate::ids::SlaveId;
     use crate::request::Transaction;
     use crate::system::{System, SystemBuilder};
@@ -1258,19 +1048,6 @@ mod tests {
         }
     }
 
-    fn scalar_for(shape: &LaneShape) -> System<FixedOrderArbiter, TestSource> {
-        let mut builder = SystemBuilder::new(BusConfig::default())
-            .slave(Slave::with_wait_states(SlaveId::new(0), "s0", shape.wait_states))
-            .trace_capacity(512);
-        for m in 0..shape.masters {
-            builder = builder.master(format!("m{m}"), source_for(shape, m));
-        }
-        if let Some(w) = shape.metrics {
-            builder = builder.metrics_window(w);
-        }
-        builder.arbiter(FixedOrderArbiter::new(shape.masters)).build().expect("valid system")
-    }
-
     fn lane_for(shape: &LaneShape) -> LaneBuilder<FixedOrderArbiter, TestSource> {
         let mut lane = LaneBuilder::new(BusConfig::default())
             .slave(Slave::with_wait_states(SlaveId::new(0), "s0", shape.wait_states))
@@ -1282,6 +1059,17 @@ mod tests {
             lane = lane.metrics_window(w);
         }
         lane.arbiter(FixedOrderArbiter::new(shape.masters))
+    }
+
+    /// The solo scalar system of a lane description, on the cycle kernel.
+    fn solo(
+        lane: LaneBuilder<FixedOrderArbiter, TestSource>,
+    ) -> System<FixedOrderArbiter, TestSource> {
+        SystemBuilder::from(lane).build().expect("valid system")
+    }
+
+    fn scalar_for(shape: &LaneShape) -> System<FixedOrderArbiter, TestSource> {
+        solo(lane_for(shape))
     }
 
     fn assert_lane_matches_scalar(
@@ -1400,19 +1188,6 @@ mod tests {
         lane.arbiter(FixedOrderArbiter::new(shape.masters))
     }
 
-    /// The scalar twin of [`untraced_lane_for`].
-    fn untraced_scalar_for(shape: &LaneShape) -> System<FixedOrderArbiter, TestSource> {
-        let mut builder = SystemBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
-            SlaveId::new(0),
-            "s0",
-            shape.wait_states,
-        ));
-        for m in 0..shape.masters {
-            builder = builder.master(format!("m{m}"), source_for(shape, m));
-        }
-        builder.arbiter(FixedOrderArbiter::new(shape.masters)).build().expect("valid system")
-    }
-
     #[test]
     fn untraced_saturated_lane_takes_the_fused_path_and_stays_exact() {
         // wait_states=0 additionally exercises the zero-stall grant
@@ -1430,7 +1205,7 @@ mod tests {
             let mut fleet = Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
             assert!(fleet.fast_ok[0], "untraced, metric-less lane must qualify for fusing");
             assert_eq!(fleet.zero_stall[0], wait_states == 0);
-            let mut scalar = untraced_scalar_for(&shape);
+            let mut scalar = solo(untraced_lane_for(&shape));
             // Odd slice lengths land window limits mid-tenure and
             // mid-stall; exactness must survive every resume.
             for slice in [1u64, 5, 63, 2, 640, 9, 3000, 17, 1000] {
@@ -1451,13 +1226,47 @@ mod tests {
         let fleet_lanes = shapes.iter().map(untraced_lane_for).collect();
         let mut fleet = Fleet::build(fleet_lanes).expect("valid fleet");
         assert!(fleet.fast_ok.iter().all(|&ok| ok), "every untraced lane qualifies");
-        let mut scalars: Vec<_> = shapes.iter().map(untraced_scalar_for).collect();
+        let mut scalars: Vec<_> = shapes.iter().map(|s| solo(untraced_lane_for(s))).collect();
         for slice in [7u64, 1, 500, 64, 3, 2000, 11] {
             fleet.run(slice);
             for (lane, scalar) in scalars.iter_mut().enumerate() {
                 scalar.run(slice);
                 assert_lane_matches_scalar(&fleet, lane, scalar);
             }
+        }
+    }
+
+    #[test]
+    fn fault_lanes_match_scalar_and_never_batch() {
+        // Every shape with a fault plan, a retry policy and a watchdog.
+        // The lanes go through the shared bus and lane core (stepping and
+        // idle skips) and must match a scalar system built from the same
+        // lane description, fault log included, without a batch move.
+        let faulted = |shape: &LaneShape| {
+            untraced_lane_for(shape)
+                .faults(FaultConfig {
+                    seed: 9,
+                    slave_error_rate: 0.05,
+                    grant_drop_rate: 0.02,
+                    grant_corrupt_rate: 0.02,
+                    master_stall_rate: 0.01,
+                    ..FaultConfig::default()
+                })
+                .retry_policy(RetryPolicy::exponential(2, 2))
+                .timeout(300)
+        };
+        let shapes = shapes();
+        let mut fleet = Fleet::build(shapes.iter().map(faulted).collect()).expect("valid fleet");
+        assert!(fleet.fast_ok.iter().chain(&fleet.batch_ok).all(|&ok| !ok));
+        fleet.run(4_000);
+        for (lane, shape) in shapes.iter().enumerate() {
+            let mut scalar = solo(faulted(shape));
+            scalar.run(4_000);
+            assert_lane_matches_scalar(&fleet, lane, &scalar);
+            assert_eq!(fleet.fault_events(lane), scalar.fault_events(), "lane {lane} faults");
+            assert!(!fleet.fault_events(lane).is_empty(), "lane {lane} drew no fault");
+            let moves = fleet.moves(lane);
+            assert_eq!(moves.tenure_batched + moves.fused + moves.wheel_batched, 0);
         }
     }
 

@@ -60,6 +60,7 @@ pub mod fastforward;
 pub mod fault;
 pub mod fleet;
 pub mod ids;
+mod lane;
 pub mod master;
 pub mod metrics;
 pub mod pool;
@@ -76,10 +77,11 @@ pub use bus::Bus;
 pub use config::BusConfig;
 pub use cycle::Cycle;
 pub use error::BuildSystemError;
-pub use fastforward::{Kernel, MoveCounters, NextEvent};
+pub use fastforward::{Kernel, MoveCounters};
 pub use fault::{FaultConfig, FaultEvent, FaultKind, FaultLog, FaultPlan, RetryPolicy};
-pub use fleet::{Fleet, FleetBuildError, LaneBuilder};
+pub use fleet::{Fleet, FleetBuildError};
 pub use ids::{MasterId, SlaveId};
+pub use lane::LaneBuilder;
 pub use master::{MasterPort, RetryOutcome};
 pub use metrics::{BusMetrics, WindowSample};
 pub use profile::{PhaseProfiler, SimPhase};

@@ -8,10 +8,11 @@ use crate::error::BuildSystemError;
 use crate::fastforward::{Kernel, MoveCounters};
 use crate::fault::{FaultConfig, FaultEvent, RetryPolicy};
 use crate::ids::MasterId;
+use crate::lane::{idle_horizon, Lane, LaneBuilder};
 use crate::master::MasterPort;
 use crate::metrics::BusMetrics;
 use crate::profile::{PhaseProfiler, SimPhase};
-use crate::request::{Transaction, MAX_MASTERS};
+use crate::request::Transaction;
 use crate::slave::Slave;
 use crate::stats::BusStats;
 use crate::trace::{BusTrace, TraceSink};
@@ -133,7 +134,9 @@ impl TrafficSource for SilentSource {
     }
 }
 
-/// Builder for a [`System`].
+/// Builder for a [`System`]: a [`LaneBuilder`] lane description (see
+/// `From<LaneBuilder>`) plus what only a scalar system has — the
+/// kernel, the phase profiler and a streaming trace sink.
 ///
 /// The builder (and the [`System`] it produces) is generic over the
 /// arbiter type `A` and the traffic-source type `S`, both defaulting to
@@ -166,17 +169,8 @@ impl TrafficSource for SilentSource {
 /// # }
 /// ```
 pub struct SystemBuilder<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
-    config: BusConfig,
-    names: Vec<String>,
-    sources: Vec<S>,
-    slaves: Vec<Slave>,
-    arbiter: Option<A>,
-    trace_capacity: usize,
+    lane: LaneBuilder<A, S>,
     trace_sink: Option<Box<dyn TraceSink>>,
-    faults: Option<FaultConfig>,
-    retry: Option<RetryPolicy>,
-    timeout: Option<u64>,
-    metrics_window: Option<u64>,
     profiling: bool,
     kernel: Kernel,
 }
@@ -184,61 +178,50 @@ pub struct SystemBuilder<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
 impl<A: Arbiter, S: TrafficSource> std::fmt::Debug for SystemBuilder<A, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemBuilder")
-            .field("config", &self.config)
-            .field("masters", &self.names)
-            .field("slaves", &self.slaves)
-            .field("has_arbiter", &self.arbiter.is_some())
+            .field("config", &self.lane.config)
+            .field("masters", &self.lane.names)
+            .field("slaves", &self.lane.slaves)
+            .field("has_arbiter", &self.lane.arbiter.is_some())
             .finish()
     }
+}
+
+/// A system built from a lane description runs exactly like that lane
+/// in a [`crate::Fleet`], under the default cycle kernel, unprofiled
+/// and without a streaming sink.
+impl<A, S> From<LaneBuilder<A, S>> for SystemBuilder<A, S> {
+    fn from(lane: LaneBuilder<A, S>) -> Self {
+        SystemBuilder { lane, trace_sink: None, profiling: false, kernel: Kernel::Cycle }
+    }
+}
+
+/// Defines `SystemBuilder` setters that set the wrapped lane
+/// description through the [`LaneBuilder`] setter of the same name.
+macro_rules! forward_to_lane {
+    ($($name:ident($($arg:ident: $ty:ty),+);)+) => {$(
+        #[doc = concat!("Sets the lane description; see [`LaneBuilder::", stringify!($name), "`].")]
+        pub fn $name(mut self, $($arg: $ty),+) -> Self {
+            self.lane = self.lane.$name($($arg),+);
+            self
+        }
+    )+};
 }
 
 impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
     /// Starts building a system around a bus with the given configuration.
     pub fn new(config: BusConfig) -> Self {
-        SystemBuilder {
-            config,
-            names: Vec::new(),
-            sources: Vec::new(),
-            slaves: Vec::new(),
-            arbiter: None,
-            trace_capacity: 0,
-            trace_sink: None,
-            faults: None,
-            retry: None,
-            timeout: None,
-            metrics_window: None,
-            profiling: false,
-            kernel: Kernel::Cycle,
-        }
+        LaneBuilder::new(config).into()
     }
 
-    /// Adds a master named `name` driven by `source`. Masters receive
-    /// dense [`MasterId`]s in the order they are added.
-    pub fn master(mut self, name: impl Into<String>, source: impl IntoSource<S>) -> Self {
-        self.names.push(name.into());
-        self.sources.push(source.into_source());
-        self
-    }
-
-    /// Registers a slave (only needed for nonzero wait states).
-    pub fn slave(mut self, slave: Slave) -> Self {
-        self.slaves.push(slave);
-        self
-    }
-
-    /// Sets the arbitration protocol.
-    pub fn arbiter(mut self, arbiter: impl IntoArbiter<A>) -> Self {
-        self.arbiter = Some(arbiter.into_arbiter());
-        self
-    }
-
-    /// Enables bus tracing, buffering at most `capacity` events in
-    /// memory. Overflow is counted (see [`BusTrace::is_truncated`])
-    /// rather than silently discarded; attach a streaming sink via
-    /// [`SystemBuilder::trace_sink`] to capture unbounded runs.
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
+    forward_to_lane! {
+        master(name: impl Into<String>, source: impl IntoSource<S>);
+        slave(slave: Slave);
+        arbiter(arbiter: impl IntoArbiter<A>);
+        trace_capacity(capacity: usize);
+        metrics_window(window: u64);
+        faults(config: FaultConfig);
+        retry_policy(policy: RetryPolicy);
+        timeout(cycles: u64);
     }
 
     /// Attaches a streaming trace sink (JSONL writer, ring, VCD bridge —
@@ -246,15 +229,6 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
     /// capacity limit, independently of the in-memory buffer.
     pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.trace_sink = Some(sink);
-        self
-    }
-
-    /// Enables the metrics registry (see [`crate::metrics`]): windowed
-    /// counters, gauges and latency histograms sampled every `window`
-    /// cycles into a time-series. Off by default; when off the kernel
-    /// pays one branch per cycle.
-    pub fn metrics_window(mut self, window: u64) -> Self {
-        self.metrics_window = Some(window);
         self
     }
 
@@ -278,27 +252,6 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
         self
     }
 
-    /// Attaches a seeded fault-injection plan (see [`crate::fault`]).
-    pub fn faults(mut self, config: FaultConfig) -> Self {
-        self.faults = Some(config);
-        self
-    }
-
-    /// Sets the recovery policy applied when an injected slave error
-    /// hits a transaction. Without a policy the first error aborts.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Arms the transaction watchdog: a transaction wedged at the head
-    /// of a master's queue for `cycles` cycles without progress is
-    /// aborted and counted.
-    pub fn timeout(mut self, cycles: u64) -> Self {
-        self.timeout = Some(cycles);
-        self
-    }
-
     /// Builds the system.
     ///
     /// # Errors
@@ -307,49 +260,21 @@ impl<A: Arbiter, S: TrafficSource> SystemBuilder<A, S> {
     /// added, no arbiter was set, or the bus, fault, retry, timeout or
     /// metrics configuration is invalid.
     pub fn build(self) -> Result<System<A, S>, BuildSystemError> {
-        if self.names.is_empty() {
-            return Err(BuildSystemError::NoMasters);
-        }
-        if self.metrics_window == Some(0) {
-            return Err(BuildSystemError::InvalidMetricsWindow(0));
-        }
-        if self.names.len() > MAX_MASTERS {
-            return Err(BuildSystemError::TooManyMasters {
-                got: self.names.len(),
-                max: MAX_MASTERS,
-            });
-        }
-        self.config.validate().map_err(BuildSystemError::InvalidConfig)?;
-        let fault_layer = crate::fault::build_fault_layer(self.faults, self.retry, self.timeout)?;
-        let arbiter = self.arbiter.ok_or(BuildSystemError::NoArbiter)?;
-        let masters: Vec<MasterPort> = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, name)| MasterPort::new(MasterId::new(i), name.clone()))
-            .collect();
-        let n = masters.len();
-        let mut trace = if self.trace_capacity > 0 {
-            BusTrace::enabled(self.trace_capacity)
-        } else {
-            BusTrace::disabled()
-        };
+        let parts = self.lane.assemble()?;
+        let mut trace = parts.trace;
         if let Some(sink) = self.trace_sink {
             trace = trace.with_sink(sink);
         }
         Ok(System {
-            bus: match fault_layer {
-                Some(layer) => Bus::with_faults(self.config, layer),
-                None => Bus::new(self.config),
-            },
-            masters,
-            sources: self.sources,
-            poll_horizon: vec![Cycle::ZERO; n],
-            slaves: self.slaves,
-            arbiter,
-            stats: BusStats::new(n),
+            bus: parts.bus,
+            poll_horizon: vec![Cycle::ZERO; parts.ports.len()],
+            masters: parts.ports,
+            sources: parts.sources,
+            slaves: parts.slaves,
+            arbiter: parts.arbiter,
+            stats: parts.stats,
             trace,
-            metrics: self.metrics_window.map(|w| BusMetrics::new(w, n)),
+            metrics: parts.metrics,
             profiler: if self.profiling {
                 PhaseProfiler::enabled()
             } else {
@@ -501,6 +426,27 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
         self.profiler.reset();
     }
 
+    /// Borrows the system as one lane of the core it shares with
+    /// [`crate::Fleet`], plus its profiler.
+    #[inline]
+    fn split(&mut self) -> (Lane<'_, A, S>, &mut PhaseProfiler) {
+        let lane = Lane {
+            bus: &mut self.bus,
+            arbiter: &mut self.arbiter,
+            ports: &mut self.masters,
+            sources: &mut self.sources,
+            poll_horizon: &mut self.poll_horizon,
+            slaves: &self.slaves,
+            stats: &mut self.stats,
+            trace: &mut self.trace,
+            metrics: &mut self.metrics,
+            failover_baseline: self.failover_baseline,
+            now: &mut self.now,
+            moves: &mut self.moves,
+        };
+        (lane, &mut self.profiler)
+    }
+
     /// Simulates one bus cycle: polls every traffic source, then steps
     /// the bus/arbiter, then updates statistics and (when enabled) the
     /// metrics registry.
@@ -514,58 +460,19 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
     /// itself pins simulated time. Sources that keep the conservative
     /// default (`next_event == now`) are polled every cycle, unchanged.
     pub fn step(&mut self) {
-        let now = self.now;
-        let mut lap = self.profiler.start();
-        let polls =
-            self.masters.iter_mut().zip(self.sources.iter_mut()).zip(self.poll_horizon.iter_mut());
-        for ((port, source), horizon) in polls {
-            if *horizon > now {
-                continue;
-            }
-            self.moves.polls += 1;
-            if let Some(txn) = source.poll_with_backlog(now, port.backlog_transactions()) {
-                port.enqueue(txn);
-            }
-            *horizon = source.next_event(now + 1);
-        }
-        self.moves.stepped += 1;
-        self.moves.moves += 1;
-        self.profiler.lap(SimPhase::Poll, &mut lap);
-        let completed = self.bus.step(
-            &mut self.arbiter,
-            &mut self.masters,
-            &self.slaves,
-            now,
-            &mut self.stats,
-            &mut self.trace,
-        );
-        self.profiler.lap(SimPhase::Bus, &mut lap);
-        self.stats.record_cycle();
-        self.stats.failovers = self.arbiter.failovers() - self.failover_baseline;
-        if let Some(metrics) = self.metrics.as_mut() {
-            if let Some((_, done)) = completed {
-                metrics.note_completion(done.latency());
-            }
-            metrics.end_cycle(now, &self.stats, &self.masters);
-        }
-        self.profiler.lap(SimPhase::Accounting, &mut lap);
-        self.now += 1;
+        let (mut lane, profiler) = self.split();
+        let mut lap = profiler.start();
+        lane.poll();
+        profiler.lap(SimPhase::Poll, &mut lap);
+        let completed = lane.bus_step();
+        profiler.lap(SimPhase::Bus, &mut lap);
+        lane.end_cycle(completed);
+        profiler.lap(SimPhase::Accounting, &mut lap);
     }
 
     /// The kernel [`System::run`] uses.
     pub fn run_kernel(&self) -> Kernel {
         self.kernel
-    }
-
-    /// Whether the attached fault plan draws per-cycle master stalls,
-    /// which changes which port horizon applies (see
-    /// [`MasterPort::next_event_under_stall_faults`]).
-    fn stall_faults_active(&self) -> bool {
-        self.bus
-            .faults
-            .as_ref()
-            .and_then(|layer| layer.plan.as_ref())
-            .is_some_and(|plan| plan.config().master_stall_rate > 0.0)
     }
 
     /// The event horizon of the whole system at the current cycle: the
@@ -575,54 +482,19 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
     /// i.e. whenever nothing may be skipped — and [`Cycle::NEVER`] when
     /// nothing is scheduled at all.
     pub fn idle_horizon(&self) -> Cycle {
-        use crate::fastforward::fold_horizon;
-        let now = self.now;
-        if self.bus.is_busy() {
-            return now;
-        }
-        let stall_faults = self.stall_faults_active();
-        let mut horizon = Cycle::NEVER;
-        for port in &self.masters {
-            let h = if stall_faults {
-                port.next_event_under_stall_faults(now)
-            } else {
-                port.next_event(now)
-            };
-            horizon = fold_horizon(horizon, h, now);
-            if horizon == now {
-                return now;
-            }
-        }
-        for source in &self.sources {
-            horizon = fold_horizon(horizon, source.next_event(now), now);
-            if horizon == now {
-                return now;
-            }
-        }
-        fold_horizon(horizon, self.arbiter.next_event(now), now)
+        idle_horizon(&self.bus, &self.masters, &self.sources, &self.arbiter, self.now)
     }
 
     /// Jumps simulation time from `now` to `target`, replicating the
-    /// skipped idle cycles' accounting arithmetically: the cycle
-    /// counter, per-cycle idle trace events, the arbiter's empty-map
-    /// decision state, metrics window closes/gauge samples, and
-    /// profiler laps. Callers must have established (via
+    /// skipped idle cycles' accounting arithmetically (and crediting
+    /// the profiler's laps). Callers must have established (via
     /// [`System::idle_horizon`]) that nothing else happens in
     /// `now..target`.
     fn skip_to(&mut self, target: Cycle) {
-        let delta = target - self.now;
-        let mut lap = self.profiler.start();
-        self.trace.record_idle_span(self.now, delta);
-        self.arbiter.skip_idle(delta);
-        self.stats.record_cycles(delta);
-        self.stats.failovers = self.arbiter.failovers() - self.failover_baseline;
-        if let Some(metrics) = self.metrics.as_mut() {
-            metrics.skip_cycles(self.now, delta, &self.stats, &self.masters);
-        }
-        self.profiler.lap_span(SimPhase::Accounting, delta, &mut lap);
-        self.moves.idle_skipped += delta;
-        self.moves.moves += 1;
-        self.now = target;
+        let (mut lane, profiler) = self.split();
+        let mut lap = profiler.start();
+        let delta = lane.skip_to(target);
+        profiler.lap_span(SimPhase::Accounting, delta, &mut lap);
     }
 
     /// Simulates `cycles` bus cycles and returns the statistics so far.
@@ -663,6 +535,7 @@ mod tests {
     use super::*;
     use crate::arbiter::FixedOrderArbiter;
     use crate::ids::SlaveId;
+    use crate::request::MAX_MASTERS;
 
     struct OneShot(Option<Transaction>);
     impl TrafficSource for OneShot {

@@ -92,7 +92,9 @@ impl StochasticSource {
                 while self.next_event <= now {
                     let offset = if jitter == 0 { 0 } else { self.rng.gen_range(0..=jitter) };
                     self.push_message(self.next_event + offset);
-                    self.next_event += period;
+                    // Saturates to `Cycle::NEVER`: a period past the end
+                    // of time means no further arrival.
+                    self.next_event = self.next_event.saturating_add(period);
                 }
             }
             ArrivalSpec::Bernoulli { rate } => {
@@ -134,7 +136,9 @@ impl StochasticSource {
                     }
                     let burst_span = u64::from(messages.saturating_sub(1)) * intra_gap + 1;
                     let off = self.rng.gen_range(off_min..=off_max);
-                    self.next_event = start + burst_span + off;
+                    // Saturates to `Cycle::NEVER` like the periodic arm:
+                    // a wrapped sum would re-arm the burst forever.
+                    self.next_event = start.saturating_add(burst_span).saturating_add(off);
                 }
             }
         }
@@ -254,6 +258,25 @@ mod tests {
             let t = source2.poll(Cycle::new(c)).expect("queued message");
             assert_eq!(t.issued_at().index(), 0);
         }
+    }
+
+    #[test]
+    fn off_period_at_the_end_of_time_never_rearms() {
+        // An off period of u64::MAX (what a vanishing load saturates to)
+        // ends the process after its first burst instead of wrapping
+        // the next burst start back into the past.
+        let spec = GeneratorSpec::bursty(2, 2, 0, u64::MAX, u64::MAX, 5, SizeDist::fixed(1));
+        let mut source = StochasticSource::new(spec, 14);
+        assert_eq!(drain(&mut source, 100), vec![(5, 1), (6, 1)]);
+        assert_eq!(source.next_event(Cycle::new(100)), Cycle::NEVER);
+    }
+
+    #[test]
+    fn period_at_the_end_of_time_never_rearms() {
+        let spec = GeneratorSpec::periodic(u64::MAX, 7, SizeDist::fixed(2));
+        let mut source = StochasticSource::new(spec, 15);
+        assert_eq!(drain(&mut source, 100), vec![(7, 2)]);
+        assert_eq!(source.next_event(Cycle::new(100)), Cycle::NEVER);
     }
 
     #[test]

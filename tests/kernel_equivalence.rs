@@ -385,8 +385,10 @@ fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
 fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
     // A full-observability mixed fleet: every lane traces into a ring
     // and samples windowed metrics, with heterogeneous sources, wait
-    // states, and master counts. Stats, trace events, and metric
-    // samples must all match the solo scalar run.
+    // states, and master counts; two lanes also carry a fault plan, a
+    // retry policy and a watchdog. Stats, trace events, metric samples,
+    // fault events and clocks must all match the solo scalar
+    // cycle-kernel run of the same lane description.
     let seed = 0xFEE7u64;
     // Sources carry RNG state and are not `Clone`, so each shape is a
     // recipe evaluated once for the fleet lane and once for the solo run.
@@ -407,13 +409,31 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
             ],
         }
     };
-    let shapes = [(0usize, 0u32, "mixed"), (1, 2, "stalled-saturate"), (2, 0, "idle-heavy")];
-    let lane_for = |&(shape, wait, _): &(usize, u32, &str)| {
+    let faults = FaultConfig {
+        seed: 41,
+        slave_error_rate: 0.03,
+        slave_outage_rate: 0.002,
+        grant_drop_rate: 0.01,
+        grant_corrupt_rate: 0.01,
+        master_stall_rate: 0.005,
+        ..FaultConfig::default()
+    };
+    let shapes = [
+        (0usize, 0u32, false, "mixed"),
+        (1, 2, false, "stalled-saturate"),
+        (2, 0, false, "idle-heavy"),
+        (0, 0, true, "faulted-mixed"),
+        (1, 2, true, "faulted-saturate"),
+    ];
+    let lane_for = |&(shape, wait, faulted, _): &(usize, u32, bool, &str)| {
         let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
         lane = lane
             .slave(Slave::with_wait_states(SlaveId::new(0), "mem", wait))
             .trace_capacity(1 << 14)
             .metrics_window(256);
+        if faulted {
+            lane = lane.faults(faults).retry_policy(RetryPolicy::exponential(3, 2)).timeout(400);
+        }
         for (i, source) in sources(shape).into_iter().enumerate() {
             lane = lane.master(format!("M{}", i + 1), source);
         }
@@ -424,16 +444,10 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
     fleet.warm_up(300);
     fleet.run(12_000);
     fleet.flush_metrics();
-    for (lane, &(shape, wait, name)) in shapes.iter().enumerate() {
-        let mut builder: SystemBuilder<ArbiterKind, SourceKind> =
-            SystemBuilder::new(BusConfig::default())
-                .slave(Slave::with_wait_states(SlaveId::new(0), "mem", wait))
-                .trace_capacity(1 << 14)
-                .metrics_window(256);
-        for (i, source) in sources(shape).into_iter().enumerate() {
-            builder = builder.master(format!("M{}", i + 1), source);
-        }
-        let mut solo = builder.arbiter(hot_arbiter(HOT_PROTOCOLS[1], seed)).build().expect("valid");
+    for (lane, shape) in shapes.iter().enumerate() {
+        let name = shape.3;
+        let mut solo = SystemBuilder::from(lane_for(shape)).build().expect("valid");
+        assert_eq!(solo.run_kernel(), Kernel::Cycle);
         solo.warm_up(300);
         solo.run(12_000);
         solo.flush_metrics();
@@ -448,6 +462,8 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
             solo.metrics().expect("metrics on").samples(),
             "{name}: metrics time series diverged"
         );
+        assert_eq!(fleet.fault_events(lane), solo.fault_events(), "{name}: fault logs diverged");
+        assert_eq!(fleet.fault_events(lane).is_empty(), !shape.2, "{name}: faults drawn");
         assert_eq!(fleet.now(lane), solo.now(), "{name}: clocks diverged");
     }
 }
@@ -456,8 +472,8 @@ fn fleet_lanes_reproduce_scalar_traces_and_metrics_byte_for_byte() {
 fn fleet_scenario_library_matrix_matches_scalar_verdicts() {
     // The whole committed scenario library through the fleet runner:
     // every scenario's verdict JSON must be byte-identical to its solo
-    // scalar cycle-kernel run (ineligible scenarios take the scalar
-    // fallback inside the runner and must *also* match).
+    // scalar cycle-kernel run. Every scenario packs, including those
+    // with fault plans, retry policies and watchdogs (fault lanes).
     let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios");
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .expect("scenarios/ exists")

@@ -2,8 +2,10 @@
 //!
 //! Random heterogeneous lane packs — protocol, master count, ticket
 //! spread, seeds, and traffic shapes all drawn independently per lane —
-//! must be *lane-exact*: every lane's statistics identical to the same
-//! system run solo through the scalar kernel. Two structural properties
+//! must be *lane-exact*: every lane's statistics and fault log identical
+//! to the same system run solo through the scalar kernel. Lanes may
+//! carry a fault plan, a retry policy and a watchdog timeout, which
+//! make them step instead of batch. Two structural properties
 //! ride along: a one-lane fleet degenerates to the scalar kernel, and
 //! lane order is irrelevant (lanes never interact, so packing order is
 //! a pure layout choice).
@@ -12,7 +14,9 @@ use lotterybus_repro::arbiters::{
     ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter,
 };
 use lotterybus_repro::lottery::{StaticLotteryArbiter, TicketAssignment};
-use lotterybus_repro::socsim::{BusConfig, BusStats, Fleet, LaneBuilder, SystemBuilder};
+use lotterybus_repro::socsim::{
+    BusConfig, BusStats, FaultConfig, FaultEvent, Fleet, LaneBuilder, RetryPolicy, SystemBuilder,
+};
 use lotterybus_repro::traffic::{GeneratorSpec, SaturateSource, SizeDist, SourceKind};
 use proptest::prelude::*;
 
@@ -55,6 +59,36 @@ fn source_shape() -> impl Strategy<Value = SourceShape> {
     ]
 }
 
+/// A lane's optional fault machinery: plan, retry policy, watchdog.
+#[derive(Debug, Clone, Copy)]
+struct FaultRecipe {
+    faults: Option<FaultConfig>,
+    retry: Option<RetryPolicy>,
+    timeout: Option<u64>,
+}
+
+fn fault_recipe() -> impl Strategy<Value = FaultRecipe> {
+    // Rates in per-mille, low enough that traffic still flows.
+    let plan = (0u64..u64::MAX, 0u32..60, 0u32..6, (0u32..30, 0u32..30), 0u32..20).prop_map(
+        |(seed, error, outage, (drop, corrupt), stall)| FaultConfig {
+            seed,
+            slave_error_rate: f64::from(error) / 1000.0,
+            slave_outage_rate: f64::from(outage) / 1000.0,
+            grant_drop_rate: f64::from(drop) / 1000.0,
+            grant_corrupt_rate: f64::from(corrupt) / 1000.0,
+            master_stall_rate: f64::from(stall) / 1000.0,
+            ..FaultConfig::default()
+        },
+    );
+    let retry = (0u32..4, 1u64..8).prop_map(|(max, base)| RetryPolicy::exponential(max, base));
+    (
+        prop_oneof![Just(None), plan.prop_map(Some)],
+        prop_oneof![Just(None), retry.prop_map(Some)],
+        prop_oneof![Just(None), (50u64..2_000).prop_map(Some)],
+    )
+        .prop_map(|(faults, retry, timeout)| FaultRecipe { faults, retry, timeout })
+}
+
 /// Everything needed to build one lane twice: once into a fleet, once
 /// as a solo scalar system. Master count is `tickets.len()`.
 #[derive(Debug, Clone)]
@@ -63,7 +97,11 @@ struct LaneRecipe {
     tickets: Vec<u32>,
     seed: u64,
     shapes: Vec<SourceShape>,
+    fault: FaultRecipe,
 }
+
+/// What a lane run is compared on: statistics and the fault log.
+type LaneRun = (BusStats, Vec<FaultEvent>);
 
 impl LaneRecipe {
     fn arbiter(&self) -> ArbiterKind {
@@ -96,19 +134,37 @@ impl LaneRecipe {
         for (i, shape) in self.shapes.iter().enumerate() {
             lane = lane.master(format!("M{}", i + 1), shape.build(self.master_seed(i)));
         }
+        if let Some(faults) = self.fault.faults {
+            lane = lane.faults(faults);
+        }
+        if let Some(retry) = self.fault.retry {
+            lane = lane.retry_policy(retry);
+        }
+        if let Some(timeout) = self.fault.timeout {
+            lane = lane.timeout(timeout);
+        }
         lane.arbiter(self.arbiter())
     }
 
-    fn solo(&self) -> BusStats {
+    fn solo(&self) -> LaneRun {
         let mut builder: SystemBuilder<ArbiterKind, SourceKind> =
             SystemBuilder::new(BusConfig::default());
         for (i, shape) in self.shapes.iter().enumerate() {
             builder = builder.master(format!("M{}", i + 1), shape.build(self.master_seed(i)));
         }
+        if let Some(faults) = self.fault.faults {
+            builder = builder.faults(faults);
+        }
+        if let Some(retry) = self.fault.retry {
+            builder = builder.retry_policy(retry);
+        }
+        if let Some(timeout) = self.fault.timeout {
+            builder = builder.timeout(timeout);
+        }
         let mut system = builder.arbiter(self.arbiter()).build().expect("valid random system");
         system.warm_up(WARMUP);
         system.run(MEASURE);
-        system.stats().clone()
+        (system.stats().clone(), system.fault_events().to_vec())
     }
 }
 
@@ -121,20 +177,21 @@ fn lane_recipe() -> impl Strategy<Value = LaneRecipe> {
         0u64..u64::MAX,
         proptest::collection::vec(1u32..9, 4usize..=4),
         proptest::collection::vec(source_shape(), 4usize..=4),
+        fault_recipe(),
     )
-        .prop_map(|(protocol, masters, seed, mut tickets, mut shapes)| {
+        .prop_map(|(protocol, masters, seed, mut tickets, mut shapes, fault)| {
             tickets.truncate(masters);
             shapes.truncate(masters);
-            LaneRecipe { protocol, tickets, seed, shapes }
+            LaneRecipe { protocol, tickets, seed, shapes, fault }
         })
 }
 
-fn run_pack(recipes: &[LaneRecipe]) -> Vec<BusStats> {
+fn run_pack(recipes: &[LaneRecipe]) -> Vec<LaneRun> {
     let mut fleet =
         Fleet::build(recipes.iter().map(LaneRecipe::lane).collect()).expect("valid lanes");
     fleet.warm_up(WARMUP);
     fleet.run(MEASURE);
-    (0..fleet.len()).map(|i| fleet.stats(i).clone()).collect()
+    (0..fleet.len()).map(|i| (fleet.stats(i).clone(), fleet.fault_events(i).to_vec())).collect()
 }
 
 proptest! {
@@ -146,17 +203,18 @@ proptest! {
         recipes in proptest::collection::vec(lane_recipe(), 2..6),
     ) {
         let packed = run_pack(&recipes);
-        for (i, (recipe, lane_stats)) in recipes.iter().zip(&packed).enumerate() {
+        for (i, (recipe, lane_run)) in recipes.iter().zip(&packed).enumerate() {
             let solo = recipe.solo();
             prop_assert_eq!(
-                lane_stats, &solo,
+                lane_run, &solo,
                 "lane {} ({:?} protocol {}) diverged from its solo scalar run",
                 i, recipe.shapes, recipe.protocol
             );
         }
     }
 
-    /// A fleet of one lane IS the scalar kernel.
+    /// A fleet of one lane IS the scalar kernel, fault machinery
+    /// included.
     #[test]
     fn single_lane_fleet_degenerates_to_scalar(recipe in lane_recipe()) {
         let packed = run_pack(std::slice::from_ref(&recipe));
