@@ -60,12 +60,12 @@ pub fn burst_size(settings: &RunSettings) -> Vec<BurstRow> {
         let s = RunSettings { bus: BusConfig { max_burst, ..settings.bus }, ..*settings };
         let sat = common::run_system(
             &saturating_specs(4),
-            Box::new(StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid")),
+            StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid"),
             &s,
         );
         let t6 = common::run_system(
             &TrafficClass::T6.specs_with_frame(&WEIGHTS, crate::fig6::TDMA_BLOCK),
-            Box::new(StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid")),
+            StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid"),
             &s,
         );
         BurstRow {
@@ -96,7 +96,7 @@ pub fn draw_source(settings: &RunSettings) -> Vec<DrawSourceRow> {
             StaticLotteryArbiter::with_source(weight_tickets(), Box::new(StdRngSource::new(7)))
                 .expect("valid")
         };
-        let stats = common::run_system(&saturating_specs(4), Box::new(arbiter), settings);
+        let stats = common::run_system(&saturating_specs(4), arbiter, settings);
         DrawSourceRow {
             source: name.into(),
             proportionality_error: proportionality_error(&common::bandwidth_fractions(&stats, 4)),
@@ -156,7 +156,7 @@ pub fn update_period(settings: &RunSettings) -> Vec<UpdatePeriodRow> {
         let tickets = TicketAssignment::new(vec![1, 1]).expect("valid");
         let mut arbiter = DynamicLotteryArbiter::with_seed(tickets, 5).expect("valid");
         arbiter.set_policy(Box::new(QueueProportionalPolicy::new(vec![1, 1])), period);
-        let stats = common::run_system(&specs, Box::new(arbiter), settings);
+        let stats = common::run_system(&specs, arbiter, settings);
         UpdatePeriodRow { period, bursty_latency: stats.master(MasterId::new(0)).cycles_per_word() }
     })
 }
@@ -180,7 +180,7 @@ pub fn wheel_layout(settings: &RunSettings) -> Vec<WheelLayoutRow> {
         let arbiter = TdmaArbiter::new(&slots, layout).expect("valid wheel");
         let stats = common::run_system(
             &TrafficClass::T6.specs_with_frame(&WEIGHTS, crate::fig6::TDMA_BLOCK),
-            Box::new(arbiter),
+            arbiter,
             settings,
         );
         WheelLayoutRow { layout: name.into(), t6_latency: common::latencies(&stats, 4) }

@@ -2,7 +2,7 @@
 
 use arbiters::ArbiterKind;
 use socsim::{
-    Arbiter, BusConfig, BusStats, Kernel, LaneBuilder, MasterId, SystemBuilder, WindowSample,
+    BusConfig, BusStats, Fleet, Kernel, LaneBuilder, MasterId, SystemBuilder, WindowSample,
 };
 use traffic_gen::{GeneratorSpec, SourceKind};
 
@@ -28,9 +28,12 @@ pub struct RunSettings {
     /// metrics-off run (`tests/golden_outputs.rs` checks exactly that).
     pub metrics_window: Option<u64>,
     /// Which simulation kernel every system built by [`run_system`]
-    /// runs under (see `socsim::fastforward`). Every kernel's results
-    /// are byte-identical to the cycle kernel's, so the suite JSON
-    /// never records this field.
+    /// runs under (see `socsim::fastforward`). `Cycle`, the default,
+    /// runs the lane-exact one-lane fleet (`socsim::Fleet`) unless a
+    /// metrics window is set, and the scalar cycle-kernel system then;
+    /// `Fast` runs the scalar fast-forward kernel. Every kernel's
+    /// results are byte-identical to the cycle kernel's, so the suite
+    /// JSON never records this field.
     pub kernel: Kernel,
 }
 
@@ -78,16 +81,31 @@ impl Default for RunSettings {
 /// Builds a single-bus system from per-master traffic specs and an
 /// arbiter, runs it, and returns the steady-state statistics.
 ///
+/// Under the cycle kernel without a metrics window the system runs as a
+/// one-lane [`Fleet`], the cycle kernel's lane-exact batched form;
+/// otherwise it runs as a scalar [`socsim::System`] under the settings'
+/// kernel. Every path returns the same statistics. The arbiter runs as
+/// an [`ArbiterKind`], so both engines are built for one arbiter type
+/// and a built-in protocol's fleet lane can lower (see
+/// `socsim::fleet`).
+///
 /// # Panics
 ///
 /// Panics if the system cannot be built (the experiment definitions are
 /// all statically valid).
-pub fn run_system<A: Arbiter>(
+pub fn run_system(
     specs: &[GeneratorSpec],
-    arbiter: A,
+    arbiter: impl Into<ArbiterKind>,
     settings: &RunSettings,
 ) -> BusStats {
-    let mut system = build_system(specs, arbiter, settings);
+    let lane = lane(specs, arbiter.into(), settings);
+    if settings.kernel == Kernel::Cycle && settings.metrics_window.is_none() {
+        let mut fleet = Fleet::build(vec![lane]).expect("experiment system is valid");
+        fleet.warm_up(settings.warmup);
+        fleet.run(settings.measure);
+        return fleet.stats(0).clone();
+    }
+    let mut system = build_system(lane, settings);
     system.warm_up(settings.warmup);
     system.run(settings.measure);
     system.stats().clone()
@@ -103,14 +121,14 @@ pub fn run_system<A: Arbiter>(
 /// # Panics
 ///
 /// Panics if the system cannot be built or `window` is zero.
-pub fn run_system_timeseries<A: Arbiter>(
+pub fn run_system_timeseries(
     specs: &[GeneratorSpec],
-    arbiter: A,
+    arbiter: impl Into<ArbiterKind>,
     settings: &RunSettings,
     window: u64,
 ) -> (BusStats, Vec<WindowSample>) {
     let with_metrics = RunSettings { metrics_window: Some(window), ..*settings };
-    let mut system = build_system(specs, arbiter, &with_metrics);
+    let mut system = build_system(lane(specs, arbiter.into(), &with_metrics), &with_metrics);
     system.warm_up(settings.warmup);
     system.run(settings.measure);
     system.flush_metrics();
@@ -121,15 +139,12 @@ pub fn run_system_timeseries<A: Arbiter>(
 /// The lane description of one experiment system: masters `C1..Cn`
 /// driven by `specs`, per-master seeds derived from
 /// [`RunSettings::seed`] and the master index, the settings' bus config
-/// and optional metrics window. [`run_system`] builds it into a scalar
-/// system under the settings' kernel and
-/// [`crate::fleet::run_systems_fleet`] packs it as a fleet lane, so both
-/// run the same system.
-pub(crate) fn lane<A: Arbiter>(
+/// and optional metrics window.
+fn lane(
     specs: &[GeneratorSpec],
-    arbiter: A,
+    arbiter: ArbiterKind,
     settings: &RunSettings,
-) -> LaneBuilder<A, SourceKind> {
+) -> LaneBuilder<ArbiterKind, SourceKind> {
     let mut lane = LaneBuilder::new(settings.bus);
     for (i, spec) in specs.iter().enumerate() {
         lane = lane.master(
@@ -143,15 +158,11 @@ pub(crate) fn lane<A: Arbiter>(
     lane.arbiter(arbiter)
 }
 
-fn build_system<A: Arbiter>(
-    specs: &[GeneratorSpec],
-    arbiter: A,
+fn build_system(
+    lane: LaneBuilder<ArbiterKind, SourceKind>,
     settings: &RunSettings,
-) -> socsim::System<A, SourceKind> {
-    SystemBuilder::from(lane(specs, arbiter, settings))
-        .kernel(settings.kernel)
-        .build()
-        .expect("experiment system is valid")
+) -> socsim::System<ArbiterKind, SourceKind> {
+    SystemBuilder::from(lane).kernel(settings.kernel).build().expect("experiment system is valid")
 }
 
 /// Builds the arbiter at `index` of the shared five-protocol comparison
@@ -273,14 +284,11 @@ mod tests {
     #[test]
     fn metrics_collection_never_changes_results() {
         let settings = RunSettings { warmup: 1_000, measure: 8_000, ..RunSettings::quick() };
-        let plain = run_system(
-            &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings,
-        );
+        let plain =
+            run_system(&saturating_specs(4), RoundRobinArbiter::new(4).expect("valid"), &settings);
         let observed = run_system(
             &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
+            RoundRobinArbiter::new(4).expect("valid"),
             &settings.with_metrics(500),
         );
         assert_eq!(plain, observed, "metrics collection perturbed the simulation");
@@ -291,7 +299,7 @@ mod tests {
         let settings = RunSettings { warmup: 1_000, measure: 10_000, ..RunSettings::quick() };
         let (stats, samples) = run_system_timeseries(
             &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
+            RoundRobinArbiter::new(4).expect("valid"),
             &settings,
             1_000,
         );
@@ -306,14 +314,11 @@ mod tests {
     #[test]
     fn fast_forward_never_changes_results() {
         let settings = RunSettings { warmup: 1_000, measure: 8_000, ..RunSettings::quick() };
-        let cycle = run_system(
-            &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings,
-        );
+        let cycle =
+            run_system(&saturating_specs(4), RoundRobinArbiter::new(4).expect("valid"), &settings);
         let fast = run_system(
             &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
+            RoundRobinArbiter::new(4).expect("valid"),
             &settings.with_kernel(Kernel::Fast),
         );
         assert_eq!(cycle, fast, "fast-forward kernel perturbed the simulation");
@@ -324,13 +329,13 @@ mod tests {
         let settings = RunSettings { warmup: 1_000, measure: 20_000, ..RunSettings::quick() };
         let cycle = run_system(
             &low_utilization_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
+            RoundRobinArbiter::new(4).expect("valid"),
             &settings,
         );
         for kernel in [Kernel::Fast, Kernel::Tlm] {
             let other = run_system(
                 &low_utilization_specs(4),
-                Box::new(RoundRobinArbiter::new(4).expect("valid")),
+                RoundRobinArbiter::new(4).expect("valid"),
                 &settings.with_kernel(kernel),
             );
             assert_eq!(cycle, other, "{} kernel perturbed an idle-heavy workload", kernel.name());
@@ -340,11 +345,8 @@ mod tests {
     #[test]
     fn run_system_produces_saturated_stats() {
         let settings = RunSettings { warmup: 1_000, measure: 10_000, ..RunSettings::quick() };
-        let stats = run_system(
-            &saturating_specs(4),
-            Box::new(RoundRobinArbiter::new(4).expect("valid")),
-            &settings,
-        );
+        let stats =
+            run_system(&saturating_specs(4), RoundRobinArbiter::new(4).expect("valid"), &settings);
         assert_eq!(stats.cycles, 10_000);
         assert!(stats.bus_utilization() > 0.95, "util {}", stats.bus_utilization());
         let fractions = bandwidth_fractions(&stats, 4);

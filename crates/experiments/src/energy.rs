@@ -11,7 +11,7 @@
 use crate::common::{self, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
-use arbiters::{RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter, WheelLayout};
+use arbiters::{ArbiterKind, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter, WheelLayout};
 use hwmodel::power::{estimate_energy, ActivityCounts, EnergyModel, EnergyReport};
 use hwmodel::{managers, CellLibrary};
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
@@ -49,7 +49,7 @@ pub fn run(settings: &RunSettings) -> EnergyTable {
 
     // Hardware estimates are precomputed (plain data crosses the thread
     // boundary); the arbiters themselves are built inside each job from
-    // the architecture name, since `Box<dyn Arbiter>` is not `Send`.
+    // the architecture name, since `ArbiterKind` is not `Send`.
     let candidates: Vec<(&str, hwmodel::HwEstimate)> = vec![
         ("static-priority", managers::static_priority_arbiter(&lib, 4).total),
         ("round-robin", managers::static_priority_arbiter(&lib, 4).total),
@@ -59,28 +59,26 @@ pub fn run(settings: &RunSettings) -> EnergyTable {
     ];
 
     let rows = runner::map(settings, &candidates, |_, &(name, hw)| {
-        let arbiter: Box<dyn socsim::Arbiter> = match name {
+        let arbiter: ArbiterKind = match name {
             "static-priority" => {
-                Box::new(StaticPriorityArbiter::new(weights.to_vec()).expect("valid"))
+                StaticPriorityArbiter::new(weights.to_vec()).expect("valid").into()
             }
-            "round-robin" => Box::new(RoundRobinArbiter::new(4).expect("valid")),
+            "round-robin" => RoundRobinArbiter::new(4).expect("valid").into(),
             "tdma-2level" => {
-                Box::new(TdmaArbiter::new(&slots, WheelLayout::Contiguous).expect("valid"))
+                TdmaArbiter::new(&slots, WheelLayout::Contiguous).expect("valid").into()
             }
-            "lottery-static" => Box::new(
-                StaticLotteryArbiter::with_seed(
-                    TicketAssignment::new(weights.to_vec()).expect("valid"),
-                    settings.seed as u32 | 1,
-                )
-                .expect("valid"),
-            ),
-            "lottery-dynamic" => Box::new(
-                lotterybus::DynamicLotteryArbiter::with_seed(
-                    TicketAssignment::new(weights.to_vec()).expect("valid"),
-                    settings.seed as u32 | 1,
-                )
-                .expect("valid"),
-            ),
+            "lottery-static" => StaticLotteryArbiter::with_seed(
+                TicketAssignment::new(weights.to_vec()).expect("valid"),
+                settings.seed as u32 | 1,
+            )
+            .expect("valid")
+            .into(),
+            "lottery-dynamic" => lotterybus::DynamicLotteryArbiter::with_seed(
+                TicketAssignment::new(weights.to_vec()).expect("valid"),
+                settings.seed as u32 | 1,
+            )
+            .expect("valid")
+            .into(),
             other => panic!("unknown architecture {other}"),
         };
         let stats = common::run_system(&specs, arbiter, settings);

@@ -15,7 +15,7 @@ use crate::common::{self, RunSettings};
 use crate::fig6::TDMA_BLOCK;
 use crate::json::{Json, ToJson};
 use crate::runner;
-use arbiters::{TdmaArbiter, WheelLayout};
+use arbiters::{ArbiterKind, TdmaArbiter, WheelLayout};
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
 use serde::{Deserialize, Serialize};
 use traffic_gen::TrafficClass;
@@ -50,7 +50,7 @@ pub fn run_bandwidth(settings: &RunSettings) -> Fig12a {
         let tickets = TicketAssignment::new(WEIGHTS.to_vec()).expect("valid");
         let arbiter = StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
             .expect("4-master LUT fits");
-        let stats = common::run_system(&specs, Box::new(arbiter), settings);
+        let stats = common::run_system(&specs, arbiter, settings);
         Fig12aRow {
             class,
             bandwidth: common::bandwidth_fractions(&stats, 4),
@@ -117,7 +117,7 @@ pub fn run_tdma_latency(settings: &RunSettings) -> LatencySurface {
     run_latency_surface("TDMA", settings, |seed| {
         let slots: Vec<u32> = WEIGHTS.iter().map(|w| w * TDMA_BLOCK).collect();
         let _ = seed;
-        Box::new(TdmaArbiter::new(&slots, WheelLayout::Contiguous).expect("valid wheel"))
+        TdmaArbiter::new(&slots, WheelLayout::Contiguous).expect("valid wheel").into()
     })
 }
 
@@ -125,18 +125,18 @@ pub fn run_tdma_latency(settings: &RunSettings) -> LatencySurface {
 pub fn run_lottery_latency(settings: &RunSettings) -> LatencySurface {
     run_latency_surface("LOTTERYBUS", settings, |seed| {
         let tickets = TicketAssignment::new(WEIGHTS.to_vec()).expect("valid");
-        Box::new(StaticLotteryArbiter::with_seed(tickets, seed).expect("4-master LUT fits"))
+        StaticLotteryArbiter::with_seed(tickets, seed).expect("4-master LUT fits").into()
     })
 }
 
 fn run_latency_surface(
     name: &str,
     settings: &RunSettings,
-    make_arbiter: impl Fn(u32) -> Box<dyn socsim::Arbiter> + Sync,
+    make_arbiter: impl Fn(u32) -> ArbiterKind + Sync,
 ) -> LatencySurface {
     let classes: Vec<TrafficClass> = TrafficClass::latency_set().to_vec();
     // Each class runs on its own worker; the arbiter is constructed
-    // inside the job (`Box<dyn Arbiter>` is not `Send`).
+    // inside the job (`ArbiterKind` is not `Send`).
     let latency = runner::map(settings, &classes, |_, class| {
         let specs = class.specs_with_frame(&WEIGHTS, TDMA_BLOCK);
         let stats = common::run_system(&specs, make_arbiter(settings.seed as u32 | 1), settings);

@@ -40,7 +40,7 @@ pub fn run(settings: &RunSettings) -> Fig4 {
     let perms = common::permutations(4);
     let rows = runner::map(settings, &perms, |_, perm| {
         let arbiter = StaticPriorityArbiter::new(perm.clone()).expect("unique priorities");
-        let stats = common::run_system(&specs, Box::new(arbiter), settings);
+        let stats = common::run_system(&specs, arbiter, settings);
         Fig4Row {
             assignment: common::permutation_label(perm),
             priorities: perm.clone(),

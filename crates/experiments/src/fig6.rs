@@ -48,7 +48,7 @@ pub fn run_bandwidth(settings: &RunSettings) -> Fig6a {
         let tickets = TicketAssignment::new(perm.clone()).expect("valid tickets");
         let arbiter = StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
             .expect("4-master LUT fits");
-        let stats = common::run_system(&specs, Box::new(arbiter), settings);
+        let stats = common::run_system(&specs, arbiter, settings);
         Fig6aRow {
             assignment: common::permutation_label(perm),
             tickets: perm.clone(),
@@ -135,13 +135,13 @@ pub fn run_latency(class: TrafficClass, settings: &RunSettings) -> Fig6b {
         || {
             let slots: Vec<u32> = weights.iter().map(|w| w * TDMA_BLOCK).collect();
             let tdma = TdmaArbiter::new(&slots, WheelLayout::Contiguous).expect("valid wheel");
-            common::run_system(&specs, Box::new(tdma), settings)
+            common::run_system(&specs, tdma, settings)
         },
         || {
             let tickets = TicketAssignment::new(weights.to_vec()).expect("valid tickets");
             let lottery = StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
                 .expect("4-master LUT fits");
-            common::run_system(&specs, Box::new(lottery), settings)
+            common::run_system(&specs, lottery, settings)
         },
     );
     Fig6b {

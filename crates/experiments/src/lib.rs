@@ -24,7 +24,6 @@ pub mod fig12;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod fleet;
 pub mod hotpath;
 pub mod hw_table;
 pub mod json;

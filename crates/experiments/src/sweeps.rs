@@ -14,7 +14,6 @@
 //!   each protocol's knee sits.
 
 use crate::common::{self, RunSettings};
-use crate::fleet::{fleet_pack_allowed, run_systems_fleet, FleetJob};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::ArbiterKind;
@@ -47,16 +46,9 @@ pub fn ticket_granularity(settings: &RunSettings) -> Vec<GranularityPoint> {
     // Every master must offer more than any possible entitlement
     // (up to 64/67 ≈ 96 %), so each offers ~1.4× bus capacity.
     let spec = GeneratorSpec::poisson(0.09, SizeDist::fixed(16));
-    let stats: Vec<BusStats> = if fleet_pack_allowed(settings) {
-        // All nine points as lanes of one lockstep fleet (lane-exact,
-        // so the curve is byte-identical to the scalar fan-out).
-        let jobs: Vec<FleetJob> = counts.iter().map(|&k| (vec![spec; 4], arbiter_for(k))).collect();
-        run_systems_fleet(jobs, settings)
-    } else {
-        runner::map(settings, &counts, |_, &k| {
-            common::run_system(&vec![spec; 4], arbiter_for(k), settings)
-        })
-    };
+    let stats: Vec<BusStats> = runner::map(settings, &counts, |_, &k| {
+        common::run_system(&vec![spec; 4], arbiter_for(k), settings)
+    });
     counts
         .iter()
         .zip(stats)
@@ -105,25 +97,11 @@ pub fn latency_vs_load(settings: &RunSettings) -> Vec<LoadPoint> {
             })
             .collect()
     };
-    let latencies: Vec<Option<f64>> = if fleet_pack_allowed(settings) {
-        // The whole 30-cell cross-product as one lockstep fleet.
-        let jobs: Vec<FleetJob> = cells
-            .iter()
-            .map(|&(load, protocol)| {
-                (cell_specs(load), common::protocol_arbiter(protocol, settings.seed))
-            })
-            .collect();
-        run_systems_fleet(jobs, settings)
-            .iter()
-            .map(|stats| stats.master(MasterId::new(3)).cycles_per_word())
-            .collect()
-    } else {
-        runner::map(settings, &cells, |_, &(load, protocol)| {
-            let arbiter = common::protocol_arbiter(protocol, settings.seed);
-            let stats = common::run_system(&cell_specs(load), arbiter, settings);
-            stats.master(MasterId::new(3)).cycles_per_word()
-        })
-    };
+    let latencies: Vec<Option<f64>> = runner::map(settings, &cells, |_, &(load, protocol)| {
+        let arbiter = common::protocol_arbiter(protocol, settings.seed);
+        let stats = common::run_system(&cell_specs(load), arbiter, settings);
+        stats.master(MasterId::new(3)).cycles_per_word()
+    });
     loads
         .iter()
         .enumerate()

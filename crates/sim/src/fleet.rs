@@ -21,16 +21,27 @@
 //!    and the same [`Bus`] as [`System`] does, so they match by
 //!    construction. Lowered lanes route the bus's arbitration to their
 //!    SoA kernel slot, which replicates the scalar protocol exactly.
-//! 3. **Tenure batching** replays the interior of a bus tenure
-//!    arithmetically, and is only entered when every elided poll is a
-//!    *provable no-op*: the source must declare
-//!    [`TrafficSource::pure_while_backlogged`] and its port's backlog
-//!    must be nonempty for the whole batch. Sources that cannot make
-//!    that promise bound the batch (future horizons) or force a
-//!    per-cycle step (due polls), never an approximation.
-//! 4. **The fused loop** serves back-to-back tenures of an idle lane
-//!    under the same legality scan, and a lowered TDMA lane with every
-//!    master pending walks its slot wheel arithmetically.
+//! 3. **Tenure batching** replays the rest of a bus tenure
+//!    arithmetically. A source that comes due inside the tenure is
+//!    polled inline, at its own cycle: a tenure never re-arbitrates, an
+//!    enqueue lands behind work the bus already sees, and the owner's
+//!    backlog changes only at its last word, whose poll comes before
+//!    the transfer, so every poll sees the backlog a step would show
+//!    it. A source that declares
+//!    [`TrafficSource::pure_while_backlogged`] and whose port holds work
+//!    is *elidable*: its polls are provable no-ops, so it is not polled
+//!    and never bounds a window.
+//! 4. **The fused loop** serves back-to-back tenures of an idle lane,
+//!    running each boundary's poll phase before its arbitration, as a
+//!    step orders them; a lowered TDMA lane with every master pending
+//!    walks its slot wheel arithmetically.
+//!
+//! A batch move starts with the current cycle's poll phase. When the
+//! next poll (or the run target) then falls on the very next cycle —
+//! a *one-cycle window* — the cycle finishes as an ordinary step, so a
+//! source that keeps the every-cycle default horizon is still stepped.
+//! Otherwise the move runs on to the run target or the chunk boundary,
+//! polling inline: a Bernoulli arrival no longer ends it.
 //!
 //! Moves 3 and 4 are skipped entirely on lanes with windowed metrics
 //! (whose gauges sample every busy cycle boundary) and on lanes with a
@@ -41,6 +52,8 @@
 //! Moves 3 and 4 are what make fleets fast at saturation, where the
 //! scalar cycle kernel pays the full per-cycle cost: a saturated 8-word
 //! tenure collapses into one arbitration plus one arithmetic batch.
+//! That is also why a one-lane fleet is the cycle kernel's fastest
+//! exact form, and why the experiments run through one.
 //!
 //! Streaming trace sinks and the phase profiler exist on [`System`]
 //! only.
@@ -78,8 +91,8 @@ pub use crate::lane::LaneBuilder;
 
 /// Lockstep chunk length: lanes are advanced in windows of this many
 /// cycles so the whole fleet stays within one chunk of simulated time.
-/// Tenures and idle spans are far shorter than this in practice, so the
-/// cap never truncates a batch that matters.
+/// A batch move ends at a chunk boundary, which costs a lane one extra
+/// move per chunk.
 const CHUNK: u64 = 1024;
 
 /// A lane failed to validate while building a [`Fleet`].
@@ -376,7 +389,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     }
 
     /// The master ports of lane `lane`, in [`MasterId`] order.
-    pub fn lane_ports(&self, lane: usize) -> &[MasterPort] {
+    fn lane_ports(&self, lane: usize) -> &[MasterPort] {
         &self.ports[self.offsets[lane]..self.offsets[lane + 1]]
     }
 
@@ -452,23 +465,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         }
     }
 
-    /// Advances every lane by `cycles` cycles in lockstep chunks.
+    /// Advances every lane by `cycles` cycles, in lockstep chunks so the
+    /// whole fleet stays within one chunk of simulated time.
     pub fn run(&mut self, cycles: u64) {
-        self.run_lanes_to(|now| now + cycles);
-    }
-
-    /// Advances every lane whose clock is behind `target` up to exactly
-    /// `target`, in lockstep chunks. Lanes already at or past `target`
-    /// are untouched. This is the phase driver for packed scenario
-    /// lanes, whose phase boundaries differ per lane.
-    pub fn run_until(&mut self, target: Cycle) {
-        self.run_lanes_to(|now| now.max(target));
-    }
-
-    /// Advances every lane from its clock `now` to `target_of(now)`, in
-    /// lockstep chunks so the whole fleet stays within one chunk of
-    /// simulated time.
-    fn run_lanes_to(&mut self, target_of: impl Fn(Cycle) -> Cycle) {
         let Some(&start) = self.now.iter().min() else {
             return;
         };
@@ -476,7 +475,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         // build) so steady-state runs make no heap allocations.
         let mut targets = std::mem::take(&mut self.targets);
         targets.clear();
-        targets.extend(self.now.iter().map(|&n| target_of(n)));
+        targets.extend(self.now.iter().map(|&n| n + cycles));
         let end = targets.iter().copied().max().unwrap_or(start);
         let mut chunk_end = start;
         while chunk_end < end {
@@ -504,19 +503,18 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         self.reset_stats();
     }
 
-    /// Advances one lane to `target`, preferring the batch moves where
-    /// they are legal and falling back to a per-cycle step (see the
-    /// module docs); the fleet's counterpart of the scalar run loop.
+    /// Advances one lane to `target`: an idle skip where nothing is due,
+    /// a per-cycle step on lanes that may not batch, and a batch move
+    /// ([`Fleet::batch_lane`]) otherwise; the fleet's counterpart of the
+    /// scalar run loop.
     fn advance_lane(&mut self, lane: usize, target: Cycle) {
         while self.now[lane] < target {
             let horizon = self.idle_horizon_lane(lane).min(target);
             if horizon > self.now[lane] {
                 self.with_lane(lane, |core| core.skip_to(horizon));
-            } else if self.buses[lane].is_busy() {
-                if !self.skip_tenure_lane(lane, target) {
-                    self.step_lane(lane);
-                }
-            } else if !self.fast_arbitrate_lane(lane, target) {
+            } else if self.batch_ok[lane] {
+                self.batch_lane(lane, target);
+            } else {
                 self.step_lane(lane);
             }
         }
@@ -555,8 +553,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     fn step_lane(&mut self, lane: usize) {
         self.with_lane(lane, |core| {
             core.poll();
-            let completed = core.bus_step();
-            core.end_cycle(completed);
+            core.finish_step();
         });
     }
 
@@ -575,78 +572,118 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         )
     }
 
-    /// Scans lane `lane`'s sources for the batch legality window
-    /// starting at its current cycle: returns the first cycle before
-    /// `end` at which a source comes due, or `None` when a poll due now
-    /// is not a provable no-op (the source is impure while backlogged,
-    /// or its port has no backlog to keep it a no-op).
+    /// Whether source `i`'s polls are provable no-ops: it is pure while
+    /// backlogged and its port holds work. Such a source never bounds a
+    /// window and is never polled inside one; its cached horizon stays
+    /// due, so the first poll phase after its backlog drains polls it.
     #[inline]
-    fn batch_limit(&self, lane: usize, end: Cycle) -> Option<Cycle> {
-        let now = self.now[lane];
-        let mut limit = end;
+    fn elidable(&self, i: usize) -> bool {
+        self.pure_backlog[i] && self.ports[i].backlog_transactions() > 0
+    }
+
+    /// The earliest cycle at which a source of lane `lane` that is not
+    /// [elidable](Fleet::elidable) comes due.
+    fn next_poll(&self, lane: usize) -> Cycle {
+        (self.offsets[lane]..self.offsets[lane + 1])
+            .filter(|&i| !self.elidable(i))
+            .map(|i| self.poll_horizon[i])
+            .min()
+            .unwrap_or(Cycle::NEVER)
+    }
+
+    /// Runs every poll of lane `lane` that comes due in `[from, to)`, each
+    /// at its own cycle, source by source: a source whose cached horizon
+    /// has passed is polled at `from`, then at each horizon it reports,
+    /// until it is [elidable](Fleet::elidable) or its horizon reaches `to`.
+    ///
+    /// Running the span's polls ahead of its bus work is exact when the
+    /// bus reads no request line inside `(from, to)` (no arbitration, or
+    /// only ports that stay requesting) and no queue head pops before the
+    /// span's last cycle. Then an enqueue only lands behind work the bus
+    /// already sees, every poll reads the backlog a step would show it
+    /// (the one completion, on the last cycle, pops after that cycle's
+    /// poll), and sources never read each other.
+    fn poll_span(&mut self, lane: usize, from: Cycle, to: Cycle) {
+        let mut polls = 0;
         for i in self.offsets[lane]..self.offsets[lane + 1] {
-            let cached = self.poll_horizon[i];
-            if cached > now {
-                // A true future horizon: nothing to poll before it, so
-                // it bounds the batch and the source stays exact.
-                limit = limit.min(cached);
-            } else if !(self.pure_backlog[i] && self.ports[i].backlog_transactions() > 0) {
-                // A poll is due this cycle (and every batched cycle). It
-                // may only be elided if it is a no-op by contract: pure
-                // while backlogged, with a backlog that cannot drain
-                // mid-batch.
-                return None;
+            loop {
+                let at = self.poll_horizon[i].max(from);
+                if at >= to || self.elidable(i) {
+                    break;
+                }
+                let (port, source) = (&mut self.ports[i], &mut self.sources[i]);
+                polls += 1;
+                if let Some(txn) = source.poll_with_backlog(at, port.backlog_transactions()) {
+                    port.enqueue(txn);
+                }
+                self.poll_horizon[i] = source.next_event(at + 1);
             }
         }
-        (limit > now).then_some(limit)
+        self.moves[lane].polls += polls;
+    }
+
+    /// One batch move of lane `lane` from its current cycle toward `end`.
+    ///
+    /// The move first runs the current cycle's poll phase, as a step
+    /// orders it: before the bus phase. A one-cycle window — the next
+    /// poll or `end` falls on the very next cycle, as for a source that
+    /// keeps the every-cycle default — finishes as an ordinary step, and
+    /// so does an idle lane that may not fuse or has nothing to
+    /// arbitrate. Otherwise the move replays the tenure in flight
+    /// ([`Fleet::resume_tenure`]) and, on lanes that may fuse, serves
+    /// tenures back to back ([`Fleet::fuse_tenures`]) until `end`. Polls
+    /// that come due meanwhile run inline at their own cycles
+    /// ([`Fleet::poll_span`]), so a Bernoulli arrival no longer ends the
+    /// move.
+    fn batch_lane(&mut self, lane: usize, end: Cycle) {
+        let now = self.now[lane];
+        self.poll_span(lane, now, now + 1);
+        let busy = self.buses[lane].is_busy();
+        let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
+        let fuses = self.fast_ok[lane] && self.ports[lo..hi].iter().any(MasterPort::is_requesting);
+        if self.next_poll(lane).min(end) <= now + 1 || !(busy || fuses) {
+            self.with_lane(lane, |core| core.finish_step());
+            return;
+        }
+        let mut cursor = now;
+        if busy {
+            cursor += self.resume_tenure(lane, cursor, end);
+            if !self.fast_ok[lane] || cursor >= end || self.buses[lane].is_busy() {
+                self.finish_batch(lane, cursor - now);
+                return;
+            }
+            self.poll_span(lane, cursor, cursor + 1);
+        }
+        let cursor = self.fuse_tenures(lane, cursor, end);
+        self.finish_batch(lane, cursor - now);
     }
 
     /// Closes a batch move of `cycles` cycles on lane `lane`: cycle and
-    /// failover accounting, the move count and the clock. Returns the
-    /// lane's move counters for the caller to credit its kind of move.
+    /// failover accounting, the move count and the clock. The parts of
+    /// the move credit their own kind of cycles.
     #[inline]
-    fn finish_batch(&mut self, lane: usize, cycles: u64) -> &mut MoveCounters {
+    fn finish_batch(&mut self, lane: usize, cycles: u64) {
         self.stats[lane].record_cycles(cycles);
         self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
         self.now[lane] += cycles;
-        let moves = &mut self.moves[lane];
-        moves.moves += 1;
-        moves
+        self.moves[lane].moves += 1;
     }
 
-    /// Batches the interior of lane `lane`'s tenure in flight, exactly.
+    /// Replays lane `lane`'s tenure in flight from `cursor`, clipped at
+    /// `end`, with the polls that come due inside it. Returns the cycles
+    /// consumed.
     ///
-    /// The batch only proceeds when every due poll is a provable no-op
-    /// (deferring a due poll would thin the source's arrival process):
-    /// the source declares
-    /// [`TrafficSource::pure_while_backlogged`] and its port has a
-    /// nonempty backlog, which persists for the whole batch (the owner's
-    /// head transaction pops only in the bus phase of its completion
-    /// cycle, after that cycle's polls; non-owners transfer nothing).
-    /// Sources with true future horizons bound the batch instead, so
-    /// their next poll happens on time. Lanes with windowed metrics or a
-    /// fault layer never batch.
-    ///
-    /// Returns whether any cycles were consumed; `false` sends the
-    /// caller to a per-cycle step.
-    fn skip_tenure_lane(&mut self, lane: usize, end: Cycle) -> bool {
-        if !self.batch_ok[lane] {
-            return false;
-        }
-        let Some(limit) = self.batch_limit(lane, end) else {
-            return false;
-        };
-        let now = self.now[lane];
-        let consumed = self.batch_tenure(lane, now, limit - now);
-        if consumed == 0 {
-            return false;
-        }
-        // Elided sources keep their (due) cached horizons: their
-        // `next_event` is the identity while backlogged, so per-cycle
-        // stepping would also leave them due at the new `now` — they are
-        // re-polled at the next unskipped cycle either way.
-        self.finish_batch(lane, consumed).tenure_batched += consumed;
-        true
+    /// Exact because a tenure never re-arbitrates, and its owner's
+    /// backlog changes only at its last word, whose poll comes before the
+    /// transfer (see [`Fleet::poll_span`]). The poll phase of `cursor`
+    /// must have run.
+    fn resume_tenure(&mut self, lane: usize, cursor: Cycle, end: Cycle) -> u64 {
+        let (_, stall, words) = self.buses[lane].tenure().expect("a tenure is in flight");
+        let span = (u64::from(stall) + u64::from(words)).min(end - cursor);
+        self.poll_span(lane, cursor + 1, cursor + span);
+        let consumed = self.batch_tenure(lane, cursor, span);
+        self.moves[lane].tenure_batched += consumed;
+        consumed
     }
 
     /// Replays up to `max_cycles` of lane `lane`'s tenure in flight
@@ -685,181 +722,138 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         consumed
     }
 
-    /// Fuses an idle lane's arbitration cycle with the tenure batch it
-    /// starts, eliding the per-cycle poll/step machinery when every
-    /// elided poll is a provable no-op (the same legality scan as
-    /// [`Fleet::skip_tenure_lane`]). Exact because the elided pieces
-    /// are exactly the pieces proven elidable there, the arbitration
-    /// itself runs unchanged, and [`Fleet::batch_tenure`] replays the
-    /// armed tenure — including the grant cycle's own stall payment or
-    /// first word — with identical accounting. Lanes with tracing,
-    /// metrics or a fault layer never take this path.
+    /// Serves lane `lane`'s tenures back to back from the idle boundary
+    /// `cursor`, whose poll phase has run, until `end`, an idle decision
+    /// or a tenure clipped at `end`. Returns the cycle it stopped at.
+    ///
+    /// Each boundary is one arbitration over a request map rebuilt from
+    /// the ports, exactly as [`Bus::step`] builds it; the tenure it grants
+    /// is replayed like [`Fleet::resume_tenure`], and the next boundary's
+    /// poll phase runs before the next arbitration, as a step orders it.
+    /// Only lanes without tracing, metrics or a fault layer take this
+    /// path (`fast_ok`): it records no per-cycle trace detail.
     ///
     /// Wheel-lowered lanes with every master pending divert into the
-    /// arithmetic slot walk ([`Fleet::wheel_batch_lane`]) instead,
-    /// covering many single-word TDMA tenures per call.
-    ///
-    /// Returns whether any cycles were consumed; `false` sends the
-    /// caller to a per-cycle step.
-    fn fast_arbitrate_lane(&mut self, lane: usize, end: Cycle) -> bool {
-        if !self.fast_ok[lane] {
-            return false;
-        }
-        let Some(mut limit) = self.batch_limit(lane, end) else {
-            return false;
-        };
-        let now = self.now[lane];
+    /// arithmetic slot walk ([`Fleet::wheel_batch_lane`]), covering many
+    /// single-word TDMA tenures per boundary.
+    fn fuse_tenures(&mut self, lane: usize, mut cursor: Cycle, end: Cycle) -> Cycle {
+        let start = cursor;
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
-        self.scratch.reset_for(hi - lo);
-        let mut all_pending = true;
-        for port in &self.ports[lo..hi] {
-            if port.is_requesting() {
-                self.scratch.set_pending(port.id(), port.pending_words());
-            } else {
-                all_pending = false;
-            }
-        }
-        if all_pending && self.zero_stall[lane] {
-            if let Some((kernel, slot)) = self.lowered[lane] {
-                if self.kernels[kernel as usize].wheel_walk(slot as usize).is_some() {
-                    return self.wheel_batch_lane(lane, now, limit);
-                }
-            }
-        }
-        // Serve tenures back to back until the legality window closes.
-        // The scan above holds for every cycle in `[now, limit)`: bounded
-        // sources never come due before `limit`, and elided due polls
-        // stay no-ops as long as their backlog survives — which only the
-        // granted master's completion can change, so only its entry is
-        // re-validated (and its scratch slot refreshed) between tenures.
-        // No other port changes state: elided polls enqueue nothing and
-        // non-owners transfer nothing.
-        let mut cursor = now;
-        let mut polls = 0u64;
+        let max_burst = self.buses[lane].config().max_burst;
+        let mut wheel = 0;
         loop {
-            if self.scratch.pending_count() >= 2 {
-                self.stats[lane].record_contended_arbitration();
-            }
-            let decision =
-                lane_arbiter(&mut self.kernels, &mut self.arbiters, self.lowered[lane], lane)
-                    .arbitrate(&self.scratch, cursor);
-            let Some(grant) = decision else {
-                // An idle decision consumes exactly one cycle; the elided
-                // polls are no-ops and tracing is off on this path. Hand
-                // the (rare) idle lane back to the horizon machinery.
-                cursor += 1;
-                break;
-            };
-            debug_assert!(
-                (self.scratch.bits() >> grant.master.index()) & 1 == 1,
-                "arbiter `{}` granted idle master {}",
-                self.arbiters[lane].name(),
-                grant.master
-            );
-            debug_assert!(grant.max_words > 0, "arbiter granted zero words");
-            let winner = grant.master;
-            let max_burst = self.buses[lane].config().max_burst;
-            let port = &mut self.ports[lo + winner.index()];
-            let words = grant.max_words.min(max_burst).min(port.pending_words());
-            self.stats[lane].record_grant(winner);
-            port.note_grant(cursor);
-            // A zero-stall lane (no arbitration overhead, every slave at
-            // zero wait states) makes the slave lookup dead: grant_stall
-            // is zero for any wait-state value it could resolve.
-            let stall = if self.zero_stall[lane] {
-                0
-            } else {
-                let slave = port.head_slave().expect("pending master has head");
-                let (slo, shi) = (self.slave_offsets[lane], self.slave_offsets[lane + 1]);
-                self.buses[lane].grant_stall(&self.slaves[slo..shi], slave)
-            };
-            // Arm the whole tenure *including* the grant cycle's own
-            // work: paying `stall` from the armed stall records the same
-            // stall cycles as the stepped 1 + (stall - 1) split, and a
-            // zero-stall grant's first word is just the first word of
-            // the armed burst. A stall-free burst that fits the window
-            // replays inline — `batch_tenure` with the stall arm and
-            // the bus round-trip folded away, and the trace call elided
-            // because `fast_ok` proved tracing off.
-            let consumed = if stall == 0 && u64::from(words) <= limit - cursor {
-                self.stats[lane].record_words(winner, words);
-                let last = cursor + (u64::from(words) - 1);
-                if let Some(done) = self.ports[lo + winner.index()].transfer(words, last) {
-                    self.stats[lane].record_completion(winner, &done);
+            self.scratch.reset_for(hi - lo);
+            let mut all_pending = true;
+            for port in &self.ports[lo..hi] {
+                if port.is_requesting() {
+                    self.scratch.set_pending(port.id(), port.pending_words());
+                } else {
+                    all_pending = false;
                 }
-                u64::from(words)
-            } else {
-                self.buses[lane].set_tenure(winner, stall, words);
-                self.batch_tenure(lane, cursor, limit - cursor)
-            };
-            debug_assert!(consumed > 0, "fused arbitration must consume cycles");
-            cursor += consumed;
-            if cursor >= limit || self.buses[lane].is_busy() {
-                // Window exhausted (possibly mid-tenure, which the busy
-                // path resumes next window).
-                break;
             }
-            // The winner's completion may have drained the backlog that
-            // proved its due poll elidable; anyone else is untouched. A
-            // no-longer-elidable poll is simply *run* — exactly as the
-            // stepped poll phase would at `cursor` — so back-to-back
-            // tenures keep fusing across transaction refills.
-            let wi = lo + winner.index();
-            if self.poll_horizon[wi] <= cursor
-                && !(self.pure_backlog[wi] && self.ports[wi].backlog_transactions() > 0)
-            {
-                let port = &mut self.ports[wi];
-                let source = &mut self.sources[wi];
-                polls += 1;
-                if let Some(txn) = source.poll_with_backlog(cursor, port.backlog_transactions()) {
-                    port.enqueue(txn);
+            let walk = match self.lowered[lane] {
+                Some((kernel, slot)) if all_pending && self.zero_stall[lane] => {
+                    self.kernels[kernel as usize].wheel_walk(slot as usize).is_some()
                 }
-                self.poll_horizon[wi] = source.next_event(cursor + 1);
-                // Further fusing needs the entry scan's proof for this
-                // master: elidable no-op polls, or no poll due inside
-                // the window (shrinking it to the fresh horizon).
-                if !(self.pure_backlog[wi] && port.backlog_transactions() > 0) {
-                    if self.poll_horizon[wi] > cursor {
-                        limit = limit.min(self.poll_horizon[wi]);
-                    } else {
-                        break;
+                _ => false,
+            };
+            if walk {
+                let span = self.wheel_batch_lane(lane, cursor, end);
+                wheel += span;
+                cursor += span;
+            } else {
+                if self.scratch.pending_count() >= 2 {
+                    self.stats[lane].record_contended_arbitration();
+                }
+                let decision =
+                    lane_arbiter(&mut self.kernels, &mut self.arbiters, self.lowered[lane], lane)
+                        .arbitrate(&self.scratch, cursor);
+                let Some(grant) = decision else {
+                    // An idle decision consumes exactly one cycle (tracing
+                    // is off on this path). Hand the idle lane back to the
+                    // horizon machinery.
+                    cursor += 1;
+                    break;
+                };
+                debug_assert!(
+                    (self.scratch.bits() >> grant.master.index()) & 1 == 1,
+                    "arbiter `{}` granted idle master {}",
+                    self.arbiters[lane].name(),
+                    grant.master
+                );
+                debug_assert!(grant.max_words > 0, "arbiter granted zero words");
+                let winner = grant.master;
+                let port = &mut self.ports[lo + winner.index()];
+                let words = grant.max_words.min(max_burst).min(port.pending_words());
+                self.stats[lane].record_grant(winner);
+                port.note_grant(cursor);
+                // A zero-stall lane (no arbitration overhead, every slave
+                // at zero wait states) makes the slave lookup dead:
+                // grant_stall is zero for any wait-state value it could
+                // resolve.
+                let stall = if self.zero_stall[lane] {
+                    0
+                } else {
+                    let slave = port.head_slave().expect("pending master has head");
+                    let (slo, shi) = (self.slave_offsets[lane], self.slave_offsets[lane + 1]);
+                    self.buses[lane].grant_stall(&self.slaves[slo..shi], slave)
+                };
+                // The tenure covers the grant cycle's own work: paying
+                // `stall` from the armed stall records the same stall
+                // cycles as the stepped 1 + (stall - 1) split, and a
+                // zero-stall grant's first word is the first word of the
+                // burst.
+                let span = (u64::from(stall) + u64::from(words)).min(end - cursor);
+                self.poll_span(lane, cursor + 1, cursor + span);
+                if stall == 0 && u64::from(words) == span {
+                    // A stall-free burst that fits: `batch_tenure` with
+                    // the stall arm and the bus round-trip folded away,
+                    // and the trace call elided (tracing is off).
+                    self.stats[lane].record_words(winner, words);
+                    let last = cursor + (span - 1);
+                    if let Some(done) = self.ports[lo + winner.index()].transfer(words, last) {
+                        self.stats[lane].record_completion(winner, &done);
                     }
+                } else {
+                    self.buses[lane].set_tenure(winner, stall, words);
+                    self.batch_tenure(lane, cursor, span);
                 }
+                cursor += span;
             }
-            let port = &self.ports[wi];
-            if port.is_requesting() {
-                self.scratch.set_pending(winner, port.pending_words());
-            } else {
-                self.scratch.clear_pending(winner);
+            if cursor >= end || self.buses[lane].is_busy() {
+                break;
             }
+            self.poll_span(lane, cursor, cursor + 1);
         }
-        let moves = self.finish_batch(lane, cursor - now);
-        moves.fused += cursor - now;
-        moves.polls += polls;
-        true
+        let moves = &mut self.moves[lane];
+        moves.wheel_batched += wheel;
+        moves.fused += cursor - start - wheel;
+        cursor
     }
 
-    /// Replays a window of an all-pending TDMA lane arithmetically: with
-    /// every master pending, the grant sequence from the current wheel
-    /// position is exactly the wheel sequence (the owner is always
-    /// pending, so slot reclaim never fires and the round-robin reclaim
-    /// pointer is untouched), every grant moves one word with zero
-    /// setup stall, and every cycle is busy and contended. The walk is
-    /// cut at the first head-transaction completion, so at most one
-    /// completion occurs, at the batch's final cycle — identical to the
-    /// per-cycle path's bookkeeping.
-    fn wheel_batch_lane(&mut self, lane: usize, now: Cycle, limit: Cycle) -> bool {
+    /// Replays a window of an all-pending TDMA lane arithmetically from
+    /// `now`, clipped at `end`, and returns its length. With every master
+    /// pending, the grant sequence from the current wheel position is
+    /// exactly the wheel sequence (the owner is always pending, so slot
+    /// reclaim never fires and the round-robin reclaim pointer is
+    /// untouched), every grant moves one word with zero setup stall, and
+    /// every cycle is busy and contended. The walk is cut at the first
+    /// head-transaction completion, so at most one completion occurs, at
+    /// the batch's final cycle — identical to the per-cycle path's
+    /// bookkeeping. Every port stays requesting until then, so the polls
+    /// that come due inside the walk run inline ([`Fleet::poll_span`]).
+    fn wheel_batch_lane(&mut self, lane: usize, now: Cycle, end: Cycle) -> u64 {
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
         let masters = hi - lo;
         let (kernel, slot) = self.lowered[lane].expect("wheel lanes are lowered");
         let (kernel, slot) = (kernel as usize, slot as usize);
+        // The batch ends at `end` or one cycle past the earliest
+        // completion, whichever is sooner. Masters owning no wheel slots
+        // are never granted while everyone is pending (the paths that
+        // could reach them all go through reclaim), so they transfer
+        // nothing and impose no bound — exactly like scalar.
+        let mut span = end - now;
         let walk = self.kernels[kernel].wheel_walk(slot).expect("wheel kernel");
-        // The batch ends at the window bound or one cycle past the
-        // earliest completion, whichever is sooner. Masters owning no
-        // wheel slots are never granted while everyone is pending (the
-        // paths that could reach them all go through reclaim), so they
-        // transfer nothing and impose no bound — exactly like scalar.
-        let mut span = limit - now;
         for m in 0..masters {
             let remaining = u64::from(self.ports[lo + m].pending_words());
             if let Some(offset) = walk.occurrence_offset(m, remaining) {
@@ -867,6 +861,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             }
         }
         debug_assert!(span > 0);
+        self.poll_span(lane, now + 1, now + span);
+        let walk = self.kernels[kernel].wheel_walk(slot).expect("wheel kernel");
         for m in 0..masters {
             let granted = walk.count_in(m, span);
             if granted == 0 {
@@ -889,8 +885,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             self.stats[lane].record_contended_arbitrations(span);
         }
         self.kernels[kernel].advance_wheel(slot, span);
-        self.finish_batch(lane, span).wheel_batched += span;
-        true
+        span
     }
 }
 
@@ -1132,23 +1127,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_advances_only_trailing_lanes() {
-        let shapes = shapes();
-        let fleet_lanes = shapes.iter().map(lane_for).collect();
-        let mut fleet = Fleet::build(fleet_lanes).expect("valid fleet");
-        fleet.run_until(Cycle::new(700));
-        assert!((0..fleet.len()).all(|l| fleet.now(l) == Cycle::new(700)));
-        fleet.run_until(Cycle::new(500));
-        assert!((0..fleet.len()).all(|l| fleet.now(l) == Cycle::new(700)), "no lane rewinds");
-        fleet.run_until(Cycle::new(2_500));
-        for (lane, shape) in shapes.iter().enumerate() {
-            let mut scalar = scalar_for(shape);
-            scalar.run(2_500);
-            assert_lane_matches_scalar(&fleet, lane, &scalar);
-        }
-    }
-
-    #[test]
     fn build_validation_mirrors_system_builder() {
         let empty: Vec<LaneBuilder<FixedOrderArbiter, TestSource>> = Vec::new();
         assert!(Fleet::build(empty).expect("empty fleet is valid").is_empty());
@@ -1175,7 +1153,7 @@ mod tests {
     }
 
     /// `shape`'s lane with trace and metrics off — the configuration
-    /// under which `fast_arbitrate_lane` is legal (`fast_ok`).
+    /// under which `fuse_tenures` is legal (`fast_ok`).
     fn untraced_lane_for(shape: &LaneShape) -> LaneBuilder<FixedOrderArbiter, TestSource> {
         let mut lane = LaneBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
             SlaveId::new(0),

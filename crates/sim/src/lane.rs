@@ -40,6 +40,8 @@ use crate::trace::BusTrace;
 /// Builder for one bus system, run as a [`crate::Fleet`] lane or, via
 /// `SystemBuilder::from`, as a scalar [`crate::System`].
 ///
+/// A fleet lane batches and fuses tenures, polling the sources that
+/// come due inside a batch at their own cycles (see [`crate::fleet`]).
 /// Lanes with a fault plan, retry policy or watchdog step and skip idle
 /// spans exactly like the scalar fast kernel, but never batch tenures
 /// (their fault machinery acts every cycle). Lanes with windowed
@@ -235,6 +237,14 @@ impl<R: Arbiter + ?Sized, S: TrafficSource> Lane<'_, R, S> {
     #[inline]
     pub(crate) fn bus_step(&mut self) -> Option<(MasterId, Completion)> {
         self.bus.step(self.arbiter, self.ports, self.slaves, *self.now, self.stats, self.trace)
+    }
+
+    /// The bus and accounting phases of a step, for a caller that has
+    /// run the poll phase.
+    #[inline]
+    pub(crate) fn finish_step(&mut self) {
+        let completed = self.bus_step();
+        self.end_cycle(completed);
     }
 
     /// The accounting phase of a step: statistics, failovers and the

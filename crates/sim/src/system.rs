@@ -71,10 +71,15 @@ pub trait TrafficSource {
     /// may elide the per-cycle poll for the whole stretch a backlog is
     /// known to persist — every elided poll is a provable no-op, so
     /// states and statistics stay byte-identical to polling every cycle.
+    /// Such a source never bounds a fleet batch while its port holds
+    /// work.
     ///
     /// The default is `false`, which is always correct: the source is
-    /// polled every cycle. Only stateless backlog-gated sources (e.g.
-    /// `SaturateSource` in the `traffic-gen` crate) should override this.
+    /// polled whenever its [`TrafficSource::next_event`] horizon comes
+    /// due — inside a fleet batch too, at its own cycle — and a source
+    /// that keeps the every-cycle default horizon is stepped. Only
+    /// stateless backlog-gated sources (e.g. `SaturateSource` in the
+    /// `traffic-gen` crate) should override this.
     fn pure_while_backlogged(&self) -> bool {
         false
     }

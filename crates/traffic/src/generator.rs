@@ -77,6 +77,13 @@ impl StochasticSource {
         &self.spec
     }
 
+    /// Whether the process stamps its messages in nondecreasing order,
+    /// so the queue's head is its earliest message: Bernoulli, on–off,
+    /// and periodic without jitter.
+    fn monotone(&self) -> bool {
+        !matches!(self.spec.arrival, ArrivalSpec::Periodic { jitter, .. } if jitter > 0)
+    }
+
     fn push_message(&mut self, arrival: u64) {
         let words = self.spec.size.sample(&mut self.rng);
         self.pending.push_back(Transaction::new(
@@ -114,16 +121,27 @@ impl StochasticSource {
                 }
                 // Catch up on every cycle up to `now`, then draw ahead to
                 // the next hit. An empty window leaves `next_event` as
-                // the checkpoint horizon.
+                // the checkpoint horizon. The draws run on local copies
+                // of the generator and the cursor, written back before
+                // each hit samples its size from the same generator.
                 let window_end = now.saturating_add(DRAW_AHEAD);
-                while self.next_event <= window_end {
-                    let cycle = self.next_event;
-                    self.next_event += 1;
-                    if self.rng.gen_bool(rate.min(1.0)) {
-                        self.push_message(cycle);
-                        if cycle > now {
-                            return;
+                let rate = rate.min(1.0);
+                loop {
+                    let (mut rng, mut next) = (self.rng.clone(), self.next_event);
+                    let mut hit = None;
+                    while next <= window_end {
+                        let cycle = next;
+                        next += 1;
+                        if rng.gen_bool(rate) {
+                            hit = Some(cycle);
+                            break;
                         }
+                    }
+                    (self.rng, self.next_event) = (rng, next);
+                    let Some(cycle) = hit else { return };
+                    self.push_message(cycle);
+                    if cycle > now {
+                        return;
                     }
                 }
             }
@@ -149,9 +167,14 @@ impl TrafficSource for StochasticSource {
     fn poll(&mut self, now: Cycle) -> Option<Transaction> {
         self.generate_arrivals(now.index());
         // Messages stamped in the future (jitter / intra-burst gaps) wait
-        // in the queue until due. Arrival stamps within one process are
-        // non-decreasing except for jitter; a linear scan of the short
-        // queue finds the earliest due message.
+        // in the queue until due. Where the process stamps in order, the
+        // head is the earliest message; jitter can stamp out of order,
+        // and a linear scan of the short queue finds the earliest due
+        // message then.
+        if self.monotone() {
+            let head = self.pending.front()?;
+            return if head.issued_at() <= now { self.pending.pop_front() } else { None };
+        }
         let due = self
             .pending
             .iter()
@@ -176,7 +199,11 @@ impl TrafficSource for StochasticSource {
     ///   waiting in the queue (jitter and intra-burst stamps can sit in
     ///   the future).
     fn next_event(&self, now: Cycle) -> Cycle {
-        let pending = self.pending.iter().map(Transaction::issued_at).min();
+        let pending = if self.monotone() {
+            self.pending.front().map(Transaction::issued_at)
+        } else {
+            self.pending.iter().map(Transaction::issued_at).min()
+        };
         let horizon = match self.spec.arrival {
             ArrivalSpec::Bernoulli { rate } if rate <= 0.0 => pending.unwrap_or(Cycle::NEVER),
             ArrivalSpec::Bernoulli { .. } if self.next_event == UNANCHORED => return now,

@@ -325,60 +325,86 @@ fn dispatch_outputs<S: TrafficSource>(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet lockstep kernel vs scalar kernels (PR 9).
+// Fleet lockstep kernel vs scalar kernels.
 //
-// The SoA fleet kernel advances N independent systems per cycle over
-// contiguous state. It must be *lane-exact*: every lane's statistics,
+// The SoA fleet kernel advances N independent systems over contiguous
+// state, and `common::run_system` runs every cycle-kernel experiment as
+// a one-lane fleet. It must be *lane-exact*: every lane's statistics,
 // trace stream, and windowed metrics byte-identical to the same system
 // run solo through the scalar cycle kernel. The matrix covers every
 // suite experiment workload shape, the committed scenario library, and
 // a full-observability mixed fleet.
 // ---------------------------------------------------------------------------
 
-use lotterybus_repro::experiments::fleet::{run_systems_fleet, FleetJob};
 use lotterybus_repro::socsim::{Fleet, LaneBuilder, Slave, SlaveId};
 
-/// The suite's three workload shapes: saturated, mostly idle, and a
-/// weighted Bernoulli mix (the load-sweep cell at 85% offered load).
+/// The suite's workload shapes: saturated, mostly idle, a weighted
+/// Bernoulli mix (the load-sweep cell at 85% offered load), fig12's
+/// three on–off classes (bursts land several messages in one poll) and
+/// a jittered periodic mix whose jitter exceeds its period (stamps out
+/// of order).
 fn suite_workloads() -> Vec<(&'static str, Vec<GeneratorSpec>)> {
     let weighted: Vec<GeneratorSpec> = [1u32, 2, 3, 4]
         .iter()
         .map(|&w| GeneratorSpec::poisson(0.85 * f64::from(w) / 10.0 / 16.0, SizeDist::fixed(16)))
         .collect();
+    let jittered: Vec<GeneratorSpec> = (0..4u64)
+        .map(|i| GeneratorSpec::periodic_jittered(24, 5 * i, 30, SizeDist::uniform(2, 8)))
+        .collect();
     vec![
         ("saturating", lotterybus_repro::traffic::classes::saturating_specs(4)),
         ("low-utilization", experiments::common::low_utilization_specs(4)),
         ("weighted-poisson", weighted),
+        ("on-off T2", TrafficClass::T2.specs(&[1, 2, 3, 4])),
+        ("on-off T6", TrafficClass::T6.specs(&[1, 2, 3, 4])),
+        ("on-off T9", TrafficClass::T9.specs(&[1, 2, 3, 4])),
+        ("jittered-periodic", jittered),
     ]
+}
+
+/// The scalar cycle-kernel oracle of one `common::run_system` call:
+/// masters `C1..Cn` seeded from the settings' seed and the master index.
+fn scalar_oracle<A: Arbiter>(specs: &[GeneratorSpec], arbiter: A, s: &RunSettings) -> BusStats {
+    let mut builder = SystemBuilder::new(s.bus).kernel(Kernel::Cycle);
+    for (i, spec) in specs.iter().enumerate() {
+        let seed = s.seed.wrapping_add(i as u64 * 0x9E37_79B9);
+        builder = builder.master(format!("C{}", i + 1), spec.build_kind(seed));
+    }
+    let mut system = builder.arbiter(arbiter).build().expect("valid experiment system");
+    system.warm_up(s.warmup);
+    system.run(s.measure);
+    system.stats().clone()
 }
 
 #[test]
 fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
-    // All (protocol × workload) combinations of the suite's experiment
-    // matrix as lanes of ONE fleet, each compared to its solo scalar
-    // cycle-kernel run.
+    // Every (protocol × workload) cell of the suite's experiment matrix
+    // through `common::run_system` — a one-lane fleet under the cycle
+    // kernel, the scalar system under `fast` or with a metrics window —
+    // against the scalar cycle-kernel oracle.
     let settings = short();
-    let cells: Vec<(usize, &'static str, Vec<GeneratorSpec>)> = (0..5)
-        .flat_map(|p| suite_workloads().into_iter().map(move |(name, specs)| (p, name, specs)))
-        .collect();
-    let jobs: Vec<FleetJob> = cells
-        .iter()
-        .map(|(p, _, specs)| {
-            (specs.clone(), experiments::common::protocol_arbiter(*p, settings.seed))
-        })
-        .collect();
-    let packed = run_systems_fleet(jobs, &settings);
-    for ((p, name, specs), lane_stats) in cells.iter().zip(&packed) {
-        let solo = experiments::common::run_system(
-            specs,
-            experiments::common::protocol_arbiter(*p, settings.seed),
-            &settings,
-        );
-        assert_eq!(
-            *lane_stats, solo,
-            "protocol {p} on the {name} workload: fleet lane diverged from its scalar run"
-        );
+    let arbiter = |p: usize| experiments::common::protocol_arbiter(p, settings.seed);
+    for p in 0..5 {
+        for (name, specs) in suite_workloads() {
+            let oracle = scalar_oracle(&specs, arbiter(p), &settings);
+            for (path, s) in [
+                ("fleet", settings),
+                ("fast", settings.with_kernel(Kernel::Fast)),
+                ("metrics", settings.with_metrics(500)),
+            ] {
+                let stats = experiments::common::run_system(&specs, arbiter(p), &s);
+                assert_eq!(stats, oracle, "protocol {p} on the {name} workload: {path} diverged");
+            }
+        }
     }
+    // A two-master sparse lane under a two-master arbiter.
+    let sparse = vec![GeneratorSpec::poisson(0.01, SizeDist::fixed(8)); 2];
+    let rr2 = || lotterybus_repro::arbiters::RoundRobinArbiter::new(2).expect("valid");
+    assert_eq!(
+        experiments::common::run_system(&sparse, rr2(), &settings),
+        scalar_oracle(&sparse, rr2(), &settings),
+        "two-master sparse lane diverged"
+    );
 }
 
 #[test]
