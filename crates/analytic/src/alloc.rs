@@ -32,6 +32,29 @@ pub fn weighted_water_fill(
     let n = units.len();
     assert!(n <= MAX_MASTERS, "at most {MAX_MASTERS} masters");
     assert!(cost.len() == n && weight.len() == n && alloc.len() == n, "slice lengths must match");
+    let mut ratio = [0.0; MAX_MASTERS];
+    let mut wcost = [0.0; MAX_MASTERS];
+    for i in 0..n {
+        ratio[i] = units[i] / weight[i];
+        wcost[i] = weight[i] * cost[i];
+    }
+    water_fill(units, weight, &ratio[..n], &wcost[..n], capacity, alloc);
+}
+
+/// [`weighted_water_fill`] on precomputed per-master ratios: master
+/// `i` saturates at level `ratio[i] = units[i] / weight[i]` and costs
+/// `wcost[i] = weight[i] · cost[i]` cycles per unit of level. The
+/// design-space search tabulates both per ticket count, so a scanned
+/// point divides only once, when capacity runs out.
+pub(crate) fn water_fill(
+    units: &[f64],
+    weight: &[f64],
+    ratio: &[f64],
+    wcost: &[f64],
+    capacity: f64,
+    alloc: &mut [f64],
+) {
+    let n = units.len();
     alloc.fill(0.0);
     let mut active: u32 = 0;
     for i in 0..n {
@@ -44,23 +67,23 @@ pub fn weighted_water_fill(
     while active != 0 && cap > EPS {
         // Weighted cycle cost of raising the level by dθ, and the next
         // level at which some master's demand saturates.
-        let mut wcost = 0.0;
+        let mut level_cost = 0.0;
         let mut next_level = f64::INFINITY;
         let mut bits = active;
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            wcost += weight[i] * cost[i];
-            next_level = next_level.min(units[i] / weight[i]);
+            level_cost += wcost[i];
+            next_level = next_level.min(ratio[i]);
         }
-        if wcost <= EPS {
+        if level_cost <= EPS {
             break;
         }
-        let need = (next_level - level) * wcost;
+        let need = (next_level - level) * level_cost;
         if need >= cap {
             // Capacity runs out before the next demand saturates: every
             // remaining master stays backlogged at the final level.
-            level += cap / wcost;
+            level += cap / level_cost;
             let mut bits = active;
             while bits != 0 {
                 let i = bits.trailing_zeros() as usize;
@@ -75,7 +98,7 @@ pub fn weighted_water_fill(
         while bits != 0 {
             let i = bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            if units[i] / weight[i] <= level + EPS {
+            if ratio[i] <= level + EPS {
                 alloc[i] = units[i];
                 active &= !(1 << i);
             } else {
@@ -98,6 +121,20 @@ pub fn priority_fill(demand: &[f64], weight: &[f64], capacity: f64, alloc: &mut 
     assert!(n <= MAX_MASTERS, "at most {MAX_MASTERS} masters");
     assert!(weight.len() == n && alloc.len() == n, "slice lengths must match");
     alloc.fill(0.0);
+    let mut rem = capacity;
+    for &i in &priority_order(weight)[..n] {
+        let take = demand[i].min(rem).max(0.0);
+        alloc[i] = take;
+        rem -= take;
+    }
+}
+
+/// The static-priority service order: master indices by descending
+/// weight, ties broken by lower index. Both the waterfall and Cobham's
+/// waiting times follow it, so a static-priority prediction depends on
+/// the weights only through this order.
+pub(crate) fn priority_order(weight: &[f64]) -> [usize; MAX_MASTERS] {
+    let n = weight.len();
     let mut order = [0usize; MAX_MASTERS];
     for (i, slot) in order.iter_mut().take(n).enumerate() {
         *slot = i;
@@ -105,12 +142,7 @@ pub fn priority_fill(demand: &[f64], weight: &[f64], capacity: f64, alloc: &mut 
     order[..n].sort_by(|&a, &b| {
         weight[b].partial_cmp(&weight[a]).expect("finite weights").then(a.cmp(&b))
     });
-    let mut rem = capacity;
-    for &i in &order[..n] {
-        let take = demand[i].min(rem).max(0.0);
-        alloc[i] = take;
-        rem -= take;
-    }
+    order
 }
 
 #[cfg(test)]

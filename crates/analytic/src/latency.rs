@@ -7,7 +7,8 @@
 //! `cycles_per_word = Σ (completion − issue) / Σ words`, i.e. the mean
 //! per-message sojourn divided by the mean message size.
 
-use crate::model::{Protocol, Scratch, SystemModel, EPS};
+use crate::alloc::priority_order;
+use crate::model::{MasterModel, Protocol, Scratch, SystemModel, EPS};
 
 /// `ln(100)` — the exponential-tail factor taking a mean waiting time
 /// to its 99th percentile.
@@ -27,15 +28,17 @@ pub(crate) fn fill(model: &SystemModel, scratch: &mut Scratch, n: usize) {
 /// `rᵢ = 1 − Σ_{j≠i} cⱼ`. Its service times stretch by `1/rᵢ` and the
 /// Pollaczek–Khinchine mean wait applies to the stretched moments:
 /// `Wᵢ = λᵢ E[s²] / (2 (1 − λᵢ E[s]))`. For two-level TDMA an extra
-/// slot-alignment wait is added (see [`tdma_slot_wait`]).
+/// slot-alignment wait is added (see [`slot_wait`]).
 fn reduced_rate(model: &SystemModel, scratch: &mut Scratch, n: usize) {
     let granted: f64 = scratch.alloc[..n].iter().sum();
+    let tdma = model.protocol == Protocol::Tdma2Level;
+    let block = f64::from(model.tdma_block);
+    let frame: f64 =
+        if tdma { model.masters.iter().map(|m| block * f64::from(m.weight)).sum() } else { 0.0 };
     for i in 0..n {
         let m = &model.masters[i];
-        let rate = 1.0 - (granted - scratch.alloc[i]);
-        let extra =
-            if model.protocol == Protocol::Tdma2Level { tdma_slot_wait(model, i) } else { 0.0 };
-        let (cpw, p99) = mg1(m.lambda, m.mean_tenure, m.tenure_sq, m.mean_words, rate, extra);
+        let extra = if tdma { slot_wait(frame, block * f64::from(m.weight)) } else { 0.0 };
+        let (cpw, p99) = sojourn(m, granted, scratch.alloc[i], extra);
         let pred = &mut scratch.preds[i];
         pred.cycles_per_word = cpw;
         pred.p99_latency = p99;
@@ -45,43 +48,42 @@ fn reduced_rate(model: &SystemModel, scratch: &mut Scratch, n: usize) {
     }
 }
 
-/// One master's reduced-rate M/G/1 sojourn: returns
-/// `(cycles_per_word, p99)` or `(None, None)` when the queue is
+/// One master's reduced-rate M/G/1 sojourn when the bus grants
+/// `granted` cycles per cycle in all, `own` of them to this master,
+/// plus `extra_wait` cycles of protocol wait: returns
+/// `(cycles_per_word, p99)`, or `(None, None)` when the queue is
 /// unstable at the residual rate.
-fn mg1(
-    lambda: f64,
-    mean_tenure: f64,
-    tenure_sq: f64,
-    mean_words: f64,
-    rate: f64,
+pub(crate) fn sojourn(
+    m: &MasterModel,
+    granted: f64,
+    own: f64,
     extra_wait: f64,
 ) -> (Option<f64>, Option<f64>) {
+    let rate = 1.0 - (granted - own);
     if rate <= EPS {
         return (None, None);
     }
-    let s = mean_tenure / rate;
-    let s_sq = tenure_sq / (rate * rate);
-    let rho = lambda * s;
+    let s = m.mean_tenure / rate;
+    let s_sq = m.tenure_sq / (rate * rate);
+    let rho = m.lambda * s;
     if rho >= 1.0 - EPS {
         return (None, None);
     }
-    let wait = lambda * s_sq / (2.0 * (1.0 - rho)) + extra_wait;
-    (Some((wait + s) / mean_words), Some(s + LN_100 * wait))
+    let wait = m.lambda * s_sq / (2.0 * (1.0 - rho)) + extra_wait;
+    (Some((wait + s) / m.mean_words), Some(s + LN_100 * wait))
 }
 
 /// Mean cycles a random arrival waits for its reserved TDMA block:
-/// with a frame of `F` cycles and an own block of `b`, a uniformly
-/// placed arrival outside the block waits `(F − b)² / (2F)` on
-/// average. The second-level round-robin reclaims unclaimed slots, so
-/// this is an upper-bound flavour of the alignment penalty; the
-/// validation grid measures how tight it is.
-fn tdma_slot_wait(model: &SystemModel, i: usize) -> f64 {
-    let block = f64::from(model.tdma_block);
-    let frame: f64 = model.masters.iter().map(|m| block * f64::from(m.weight)).sum();
+/// with a frame of `frame` cycles (`Σ tdma_block · weight`) and an own
+/// block of `own`, a uniformly placed arrival outside the block waits
+/// `(frame − own)² / (2 · frame)` on average. The second-level
+/// round-robin reclaims unclaimed slots, so this is an upper-bound
+/// flavour of the alignment penalty; the validation grid measures how
+/// tight it is.
+pub(crate) fn slot_wait(frame: f64, own: f64) -> f64 {
     if frame <= EPS {
         return 0.0;
     }
-    let own = block * f64::from(model.masters[i].weight);
     let foreign = (frame - own).max(0.0);
     foreign * foreign / (2.0 * frame)
 }
@@ -89,20 +91,14 @@ fn tdma_slot_wait(model: &SystemModel, i: usize) -> f64 {
 /// Cobham's mean waits for non-preemptive M/G/1 priority queueing:
 /// `Wₖ = R / ((1 − σₖ₋₁)(1 − σₖ))` with residual service
 /// `R = Σⱼ λⱼ E[tⱼ²] / 2` over *all* classes and `σₖ` the demand of
-/// classes at priority ≥ k. Classes are ordered by descending weight,
-/// ties broken by lower index (the simulator's tie-break). A class
-/// whose cumulative demand reaches capacity is unstable: its latency —
-/// and every lower class's — is unbounded.
+/// classes at priority ≥ k. Classes follow the waterfall's
+/// [`priority_order`]. A class whose cumulative demand reaches
+/// capacity is unstable: its latency — and every lower class's — is
+/// unbounded.
 fn priority(model: &SystemModel, scratch: &mut Scratch, n: usize) {
     let residual: f64 = model.masters.iter().map(|m| m.lambda * m.tenure_sq / 2.0).sum::<f64>();
-    let mut order = [0usize; crate::MAX_MASTERS];
-    for (i, slot) in order.iter_mut().take(n).enumerate() {
-        *slot = i;
-    }
-    order[..n]
-        .sort_by(|&a, &b| model.masters[b].weight.cmp(&model.masters[a].weight).then(a.cmp(&b)));
     let mut sigma_above = 0.0;
-    for &i in &order[..n] {
+    for &i in &priority_order(&scratch.weight[..n])[..n] {
         let m = &model.masters[i];
         let sigma_incl = sigma_above + m.demand();
         let pred = &mut scratch.preds[i];

@@ -5,13 +5,17 @@
 //! *predicts* them in O(masters) arithmetic from the same inputs — the
 //! traffic specs of [`traffic_gen`] and the bus parameters of
 //! [`socsim::BusConfig`] — in the spirit of Mandal et al.'s analytic
-//! NoC models. One evaluation costs about a tenth of a microsecond,
-//! which turns ticket-allocation tuning from an overnight sweep into a
-//! scan of millions of design points per second ([`search()`]; the
-//! benchmark's traced run scans the library's 12.1 M points, 7.05 M of
-//! them evaluated, in 0.77 s, median of five runs on a 2-vCPU shared
-//! virtual machine). Where tickets cannot matter, because the summed
-//! demand fits on the bus, one evaluation stands for a whole cell.
+//! NoC models. One full evaluation costs about a tenth of a
+//! microsecond, and the search scores a point in a few tens of
+//! nanoseconds by preparing each (burst, load-scale) cell once and
+//! computing only what its targets read. That turns ticket-allocation
+//! tuning from an overnight sweep into a scan of tens of millions of
+//! design points per second ([`search()`]; one traced benchmark run
+//! scans the library's 12.1 M points, 6.05 M of them evaluated, in
+//! 0.32 s on a 2-vCPU shared virtual machine, a single run and so
+//! indicative). Where tickets cannot matter, because the summed demand
+//! fits on the bus, one evaluation stands for a whole cell; a
+//! static-priority cell costs one evaluation per priority order.
 //!
 //! The model rests on three explicit approximations, stated once here
 //! and assumed everywhere:

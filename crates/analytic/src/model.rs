@@ -113,6 +113,24 @@ impl Protocol {
     }
 }
 
+impl Space {
+    /// The resource units master `m` demands per cycle in this space,
+    /// and the bus cycles one unit costs.
+    pub(crate) fn units_and_cost(self, m: &MasterModel) -> (f64, f64) {
+        match self {
+            Space::Waterfall | Space::Cycle => (m.demand(), 1.0),
+            Space::Grant => (m.lambda * m.mean_grants, m.mean_tenure / m.mean_grants),
+            Space::Word => (m.word_rate(), m.mean_tenure / m.mean_words),
+        }
+    }
+}
+
+/// Deficit round-robin's effective weight `min(weight · quantum,
+/// max_burst)`: words moved per round by a master of `weight` tickets.
+pub(crate) fn drr_effective(weight: u32, quantum: u32, max_burst: u32) -> u32 {
+    weight.saturating_mul(quantum.max(1)).min(max_burst.max(1))
+}
+
 impl std::fmt::Display for Protocol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
@@ -272,6 +290,14 @@ pub struct Summary {
     pub saturated: bool,
 }
 
+/// The bus cycles per cycle granted to master `m` when it holds
+/// `alloc` resource units at `cost` cycles each, and the bandwidth
+/// share (words per cycle) those cycles carry.
+pub(crate) fn granted(m: &MasterModel, alloc: f64, cost: f64) -> (f64, f64) {
+    let cycles = alloc * cost;
+    (cycles, cycles * m.mean_words / m.mean_tenure)
+}
+
 /// A bus, its protocol, and its masters — everything the closed forms
 /// need.
 #[derive(Debug, Clone, PartialEq)]
@@ -353,7 +379,22 @@ impl SystemModel {
     /// each backlogged master once per round, so quantum beyond one
     /// full burst buys nothing.
     pub fn drr_effective_weight(&self, i: usize) -> u32 {
-        self.masters[i].weight.saturating_mul(self.drr_quantum.max(1)).min(self.max_burst.max(1))
+        drr_effective(self.masters[i].weight, self.drr_quantum, self.max_burst)
+    }
+
+    /// The weight the water fill divides by for a master declaring
+    /// `weight`: 1 under plain round-robin, which serves backlogged
+    /// masters equally whatever their weights; the effective weight
+    /// under deficit round-robin, whose per-round service is one
+    /// burst-clamped grant; the weight itself otherwise.
+    pub(crate) fn fill_weight(&self, weight: u32) -> f64 {
+        match self.protocol {
+            Protocol::RoundRobin => 1.0,
+            Protocol::DeficitRoundRobin => {
+                f64::from(drr_effective(weight, self.drr_quantum, self.max_burst))
+            }
+            _ => f64::from(weight),
+        }
     }
 
     /// Whether every weight vector predicts bit-identically for this
@@ -388,21 +429,8 @@ impl SystemModel {
 
         // Resource units demanded per cycle and bus cycles per unit.
         for (i, m) in self.masters.iter().enumerate() {
-            let (units, cost) = match space {
-                Space::Waterfall | Space::Cycle => (m.demand(), 1.0),
-                Space::Grant => (m.lambda * m.mean_grants, m.mean_tenure / m.mean_grants),
-                Space::Word => (m.word_rate(), m.mean_tenure / m.mean_words),
-            };
-            scratch.units[i] = units;
-            scratch.cost[i] = cost;
-            scratch.weight[i] = match self.protocol {
-                // Plain round-robin serves backlogged masters equally
-                // regardless of declared weights.
-                Protocol::RoundRobin => 1.0,
-                // DRR's per-round service is one burst-clamped grant.
-                Protocol::DeficitRoundRobin => f64::from(self.drr_effective_weight(i)),
-                _ => f64::from(m.weight),
-            };
+            (scratch.units[i], scratch.cost[i]) = space.units_and_cost(m);
+            scratch.weight[i] = self.fill_weight(m.weight);
         }
 
         let total_demand: f64 = self.masters.iter().map(MasterModel::demand).sum();
@@ -426,14 +454,13 @@ impl SystemModel {
         let mut bus_utilization = 0.0;
         for i in 0..n {
             let m = &self.masters[i];
-            let cycle_alloc = scratch.alloc[i] * scratch.cost[i];
-            let share = cycle_alloc * m.mean_words / m.mean_tenure;
+            let (cycles, share) = granted(m, scratch.alloc[i], scratch.cost[i]);
             let stable = scratch.alloc[i] + EPS >= scratch.units[i];
             bus_utilization += share;
             scratch.preds[i] =
                 Prediction { share, demand: m.demand(), stable, ..Prediction::default() };
             // Stash granted cycles for the latency pass.
-            scratch.alloc[i] = cycle_alloc;
+            scratch.alloc[i] = cycles;
         }
 
         latency::fill(self, scratch, n);

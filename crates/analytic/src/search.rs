@@ -3,14 +3,14 @@
 //! the candidates that satisfy a set of SLA targets, and hand the
 //! survivors to the simulator for confirmation.
 //!
-//! One point evaluation is a few hundred flops and allocates nothing,
-//! so a single thread covers a 4-master × 32-ticket grid (1,048,576
-//! points) in about a tenth of a second. Equivalent ticket vectors are
-//! folded together in the short list: scaling every ticket count by a
-//! common factor changes nothing for the lottery, deficit-RR, or
-//! priority models (only the order matters for the latter), so the
-//! short list reports each *allocation shape* once, at its smallest
-//! ticket sum.
+//! Scoring a point allocates nothing and costs a few tens of
+//! nanoseconds, so a single thread covers a 4-master × 32-ticket grid
+//! (1,048,576 points) in a few hundredths of a second. Equivalent
+//! ticket vectors are folded together in the short list: scaling every
+//! ticket count by a common factor changes nothing for the lottery,
+//! deficit-RR, or priority models (only the order matters for the
+//! latter), so the short list reports each *allocation shape* once, at
+//! its smallest ticket sum.
 //!
 //! The short list costs little per offered point: each entry keeps
 //! its shape signature from when it entered, and a full list drops
@@ -28,9 +28,29 @@
 //! but only until the list has settled — no list, or a full one whose
 //! worst margin is at least the cell's — since from then on a repeated
 //! shape arrives at the same margin with a larger ticket sum and a new
-//! shape cannot outrank the worst entry. TDMA and static-priority
-//! cells evaluate every point: the slot-alignment wait and Cobham's
-//! class order read the weights at any load.
+//! shape cannot outrank the worst entry.
+//!
+//! Every other cell is prepared once and then scored point by point:
+//!
+//! - **Water-fill cells** (lottery, deficit RR, TDMA) compute each
+//!   master's constants once, and tabulate per master and ticket count
+//!   the weight the fill divides by, `units / weight`, `weight · cost`
+//!   and TDMA's `block · weight`; the odometer reads the tables for
+//!   the masters it moved. A point is scored against its targets only:
+//!   the water fill runs for every master, but only targeted masters
+//!   are converted to shares, the reduced-rate M/G/1 pass runs only
+//!   for masters with a latency target, and scoring stops at the first
+//!   missed target. A point that enters the short list is then
+//!   evaluated in full by [`SystemModel::evaluate`], so every stored
+//!   prediction, and every margin, is bit-identical to a full
+//!   evaluation of that point.
+//! - **Static-priority cells** depend on the weights only through the
+//!   service order they induce (descending weight, ties by lower
+//!   index), which both the waterfall and Cobham's pass follow. Each
+//!   distinct order is evaluated once per cell and its margin reused,
+//!   so [`SearchReport::evaluated`] counts orders: at most `n!` for
+//!   `n` masters, 6 for three. Systems of more than 8 masters
+//!   evaluate every point.
 //!
 //! ```
 //! use analytic::{Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
@@ -52,7 +72,10 @@
 //! assert_eq!(best.weights[3], *best.weights.iter().max().unwrap());
 //! ```
 
-use crate::model::{MasterModel, Prediction, Protocol, Scratch, SystemModel, MAX_MASTERS};
+use crate::model::{
+    self, drr_effective, MasterModel, Prediction, Protocol, Scratch, SystemModel, MAX_MASTERS,
+};
+use crate::{alloc, latency};
 use socsim::BusConfig;
 use traffic_gen::SizeDist;
 
@@ -84,6 +107,24 @@ pub enum TargetKind {
     MaxCyclesPerWord(f64),
     /// p99 per-message latency in cycles must be at most this.
     MaxP99(f64),
+}
+
+impl TargetKind {
+    /// The target's bound.
+    pub(crate) fn bound(self) -> f64 {
+        match self {
+            TargetKind::MinShare(b)
+            | TargetKind::MaxShare(b)
+            | TargetKind::MaxCyclesPerWord(b)
+            | TargetKind::MaxP99(b) => b,
+        }
+    }
+
+    /// Whether the target reads a latency prediction rather than a
+    /// bandwidth share.
+    pub(crate) fn reads_latency(self) -> bool {
+        matches!(self, TargetKind::MaxCyclesPerWord(_) | TargetKind::MaxP99(_))
+    }
 }
 
 /// A target bound to one master.
@@ -220,11 +261,13 @@ pub struct Candidate {
 pub struct SearchReport {
     /// Design points accounted for: every point of the space.
     pub scanned: u64,
-    /// Closed-form evaluations actually run. Equal to `scanned` except
-    /// for weight-blind cells, where one evaluation stands for the
-    /// whole (burst, load-scale) cell: every round-robin cell, and
-    /// every lottery or deficit-RR cell whose summed cycle demand
-    /// leaves the bus unsaturated by at least `10⁻⁶`.
+    /// Closed-form evaluations actually run: one per point, except
+    /// that one evaluation stands for a whole weight-blind (burst,
+    /// load-scale) cell — every round-robin cell, and every lottery or
+    /// deficit-RR cell whose summed cycle demand leaves the bus
+    /// unsaturated by at least `10⁻⁶` — and one per distinct priority
+    /// order in a static-priority cell of at most 8 masters. The full
+    /// evaluations of short-listed points are not counted.
     pub evaluated: u64,
     /// Points satisfying every target.
     pub feasible: u64,
@@ -240,7 +283,8 @@ pub struct SearchReport {
 /// # Errors
 ///
 /// Returns a description when the space is degenerate (no masters,
-/// zero tickets or bursts, a target naming an out-of-range master).
+/// zero tickets or bursts, a target naming an out-of-range master) or
+/// a target's bound is not finite.
 pub fn search(
     space: &SearchSpace,
     targets: &[SlaTarget],
@@ -251,13 +295,23 @@ pub fn search(
     if let Some(t) = targets.iter().find(|t| t.master >= n) {
         return Err(format!("target names master {} but the system has {n}", t.master));
     }
+    if let Some(t) = targets.iter().find(|t| !t.kind.bound().is_finite()) {
+        return Err(format!("target on master {} has a non-finite bound: {:?}", t.master, t.kind));
+    }
 
-    let mut scratch = Scratch::new();
+    let mut scan = Scan {
+        targets,
+        n,
+        scratch: Scratch::new(),
+        evaluated: 0,
+        feasible: 0,
+        shortlist: Shortlist::new(top),
+    };
     let mut scanned = 0u64;
-    let mut evaluated = 0u64;
-    let mut feasible = 0u64;
-    let mut shortlist = Shortlist::new(top);
     let cell_points = u64::from(space.max_tickets).checked_pow(n as u32).unwrap_or(u64::MAX);
+    let mut prepared = Prepared::new(space, targets);
+    let order_keyed = space.protocol == Protocol::StaticPriority && n <= ORDER_KEYED_MASTERS;
+    let mut orders: Vec<Option<f64>> = vec![None; if order_keyed { (1..=n).product() } else { 0 }];
 
     for &burst in &space.bursts {
         let bus = BusConfig { max_burst: burst, ..space.bus };
@@ -282,47 +336,145 @@ pub fn search(
                 .with_tdma_block(space.tdma_block)
                 .with_drr_quantum(space.drr_quantum);
             model.max_burst = burst;
-            // A weight-blind cell predicts every point exactly like its
-            // all-ones point, so that one evaluation stands for the cell.
-            let blind = model.weight_blind();
-            let stands_for = if blind { cell_points } else { 1 };
-            let mut weights = [1u32; MAX_MASTERS];
-            let mut margin = f64::NAN;
-            for point in 0u64.. {
-                if point == 0 || !blind {
-                    margin = evaluate(&mut model, &weights[..n], targets, &mut scratch);
-                    evaluated += 1;
-                    scanned = scanned.saturating_add(stands_for);
-                    if margin >= 0.0 {
-                        feasible = feasible.saturating_add(stands_for);
-                    }
-                }
-                if margin >= 0.0 {
-                    shortlist.offer(ctx, &weights[..n], scale, margin, &scratch.preds[..n]);
-                }
-                // A blind cell still offers its points in scan order,
-                // but only until no further offer can change the list:
-                // a repeated shape arrives at the same margin with a
-                // larger ticket sum, and a new one at a margin no
-                // higher than the full list's worst. A cell with a
-                // single shape is settled by its first offer.
-                if blind && (margin < 0.0 || shortlist.settled(margin) || ctx.single_shape()) {
-                    break;
-                }
-                if !advance(&mut weights[..n], space.max_tickets) {
-                    break;
-                }
+            scanned = scanned.saturating_add(cell_points);
+            let cell = Cell { model, ctx, scale, max_tickets: space.max_tickets };
+            if cell.model.weight_blind() {
+                scan.blind_cell(cell, cell_points);
+            } else if space.protocol == Protocol::StaticPriority {
+                orders.fill(None);
+                scan.priority_cell(cell, &mut orders);
+            } else {
+                prepared.prepare(&cell.model);
+                scan.prepared_cell(cell, &mut prepared);
             }
         }
     }
 
-    let mut candidates = shortlist.candidates;
+    let mut candidates = scan.shortlist.candidates;
     candidates.sort_by(|a, b| b.margin.partial_cmp(&a.margin).expect("finite margins"));
-    Ok(SearchReport { scanned, evaluated, feasible, candidates })
+    Ok(SearchReport { scanned, evaluated: scan.evaluated, feasible: scan.feasible, candidates })
 }
 
-/// Evaluates `model` at `weights` into `scratch` and returns the worst
-/// normalized slack over `targets`.
+/// Static-priority systems of at most this many masters evaluate each
+/// priority order once per cell, keyed in a table of `n!` margins
+/// (40,320 at the limit); larger ones evaluate every point.
+const ORDER_KEYED_MASTERS: usize = 8;
+
+/// One (burst, load-scale) cell of the scan: its model, with weights
+/// rewritten point by point, and the context its points share.
+struct Cell {
+    model: SystemModel,
+    ctx: ShapeCtx,
+    scale: f64,
+    max_tickets: u32,
+}
+
+/// The scan's running state across cells.
+struct Scan<'a> {
+    targets: &'a [SlaTarget],
+    n: usize,
+    scratch: Scratch,
+    evaluated: u64,
+    feasible: u64,
+    shortlist: Shortlist,
+}
+
+impl Scan<'_> {
+    /// A weight-blind cell: one evaluation, at the all-ones point,
+    /// stands for all `cell_points` points. The cell still offers its
+    /// points to the short list in scan order, but only until no
+    /// further offer can change the list: a repeated shape arrives at
+    /// the same margin with a larger ticket sum, and a new one at a
+    /// margin no higher than the full list's worst. A cell with a
+    /// single shape is settled by its first offer.
+    fn blind_cell(&mut self, mut cell: Cell, cell_points: u64) {
+        let n = self.n;
+        let mut weights = [1u32; MAX_MASTERS];
+        let margin = evaluate(&mut cell.model, &weights[..n], self.targets, &mut self.scratch);
+        self.evaluated += 1;
+        if margin < 0.0 {
+            return;
+        }
+        self.feasible = self.feasible.saturating_add(cell_points);
+        let preds = &self.scratch.preds[..n];
+        loop {
+            self.shortlist.offer(cell.ctx, &weights[..n], cell.scale, margin, |out| {
+                out.copy_from_slice(preds)
+            });
+            if self.shortlist.settled(margin) || cell.ctx.single_shape() {
+                return;
+            }
+            if advance(&mut weights[..n], cell.max_tickets).is_none() {
+                return;
+            }
+        }
+    }
+
+    /// A static-priority cell: a point's predictions depend only on
+    /// its priority order ([`order_rank`]), so each order is evaluated
+    /// once and its margin kept in `orders` for every point that
+    /// induces it. With no table (`orders` empty), every point is
+    /// evaluated.
+    fn priority_cell(&mut self, mut cell: Cell, orders: &mut [Option<f64>]) {
+        let n = self.n;
+        let mut weights = [1u32; MAX_MASTERS];
+        loop {
+            let mut slot = (!orders.is_empty()).then(|| &mut orders[order_rank(&weights[..n])]);
+            let margin = match slot.as_deref() {
+                Some(&Some(margin)) => margin,
+                _ => {
+                    self.evaluated += 1;
+                    let margin =
+                        evaluate(&mut cell.model, &weights[..n], self.targets, &mut self.scratch);
+                    if let Some(slot) = slot.as_mut() {
+                        **slot = Some(margin);
+                    }
+                    margin
+                }
+            };
+            self.offer(&mut cell, &weights[..n], margin);
+            if advance(&mut weights[..n], cell.max_tickets).is_none() {
+                return;
+            }
+        }
+    }
+
+    /// A water-fill cell, scored at every point by `prepared`, which
+    /// reads its per-ticket tables for the masters the odometer moved.
+    fn prepared_cell(&mut self, mut cell: Cell, prepared: &mut Prepared) {
+        let n = self.n;
+        let mut weights = [1u32; MAX_MASTERS];
+        for i in 0..n {
+            prepared.set(i, 1);
+        }
+        loop {
+            self.evaluated += 1;
+            let margin = prepared.margin(&cell.model, self.targets);
+            self.offer(&mut cell, &weights[..n], margin);
+            let Some(moved) = advance(&mut weights[..n], cell.max_tickets) else { return };
+            for (i, &w) in weights[..=moved].iter().enumerate() {
+                prepared.set(i, w);
+            }
+        }
+    }
+
+    /// Counts a feasible point and offers it to the short list, which
+    /// predicts it in full only if it enters.
+    fn offer(&mut self, cell: &mut Cell, weights: &[u32], margin: f64) {
+        if margin < 0.0 {
+            return;
+        }
+        self.feasible += 1;
+        let Scan { scratch, shortlist, .. } = self;
+        shortlist.offer(cell.ctx, weights, cell.scale, margin, |out| {
+            evaluate(&mut cell.model, weights, &[], scratch);
+            out.copy_from_slice(&scratch.preds[..weights.len()]);
+        });
+    }
+}
+
+/// Evaluates `model` at `weights` into `scratch` and scores it like
+/// [`worst_slack`].
 fn evaluate(
     model: &mut SystemModel,
     weights: &[u32],
@@ -333,21 +485,177 @@ fn evaluate(
         m.weight = w;
     }
     model.evaluate(scratch);
-    targets.iter().map(|t| t.slack(&scratch.preds[t.master])).fold(f64::INFINITY, f64::min)
+    worst_slack(targets, |t| scratch.preds[t.master])
+}
+
+/// The worst normalized slack over `targets`, each scored against the
+/// prediction `predict` gives for its master, when every target is met;
+/// otherwise the first negative slack, since the scan only needs to
+/// know that an infeasible point is infeasible.
+fn worst_slack(targets: &[SlaTarget], mut predict: impl FnMut(&SlaTarget) -> Prediction) -> f64 {
+    let mut worst = f64::INFINITY;
+    for t in targets {
+        let slack = t.slack(&predict(t));
+        if slack < 0.0 {
+            return slack;
+        }
+        worst = worst.min(slack);
+    }
+    worst
+}
+
+/// The index of the priority order `weights` induce among the `n!`
+/// orders of `n` masters. Static priority serves masters by descending
+/// weight, ties broken by lower index, so a master `j` is served
+/// before a lower-indexed master `i` exactly when `weights[j] >
+/// weights[i]`; the counts of such `j` for each `i` are the order's
+/// inversion table, which determines the order, and read as a
+/// factorial-base number they give its index.
+fn order_rank(weights: &[u32]) -> usize {
+    let n = weights.len();
+    let mut rank = 0;
+    for (i, &w) in weights.iter().enumerate() {
+        let above = weights[i + 1..].iter().filter(|&&later| later > w).count();
+        rank = rank * (n - i) + above;
+    }
+    rank
+}
+
+/// The scan's evaluator for the water-fill protocols (lottery, deficit
+/// round-robin, TDMA): per-cell constants, per-(master, ticket) tables,
+/// and a target-driven margin that converts only targeted masters to
+/// shares and runs the reduced-rate M/G/1 pass only when a target
+/// reads latency. It computes exactly what [`SystemModel::evaluate`]
+/// computes for the metrics the targets read, from the same shared
+/// formulas, so every margin is bit-identical to a full evaluation's.
+struct Prepared {
+    n: usize,
+    max_tickets: usize,
+    tdma: bool,
+    latency: bool,
+    /// Resource units demanded per cycle and bus cycles per unit.
+    units: [f64; MAX_MASTERS],
+    cost: [f64; MAX_MASTERS],
+    /// Per-(master, ticket) tables at `i · max_tickets + w − 1`: the
+    /// fill weight, `units / weight`, `weight · cost`, and the TDMA
+    /// block `tdma_block · w`.
+    weight_at: Vec<f64>,
+    ratio_at: Vec<f64>,
+    wcost_at: Vec<f64>,
+    slot_at: Vec<f64>,
+    /// The current point's table entries, per master.
+    weight: [f64; MAX_MASTERS],
+    ratio: [f64; MAX_MASTERS],
+    wcost: [f64; MAX_MASTERS],
+    slot: [f64; MAX_MASTERS],
+    /// Granted units, then granted cycles, per master.
+    alloc: [f64; MAX_MASTERS],
+    cycles: [f64; MAX_MASTERS],
+}
+
+impl Prepared {
+    fn new(space: &SearchSpace, targets: &[SlaTarget]) -> Self {
+        let n = space.traffic.len();
+        let max_tickets = space.max_tickets as usize;
+        let water_fill = !matches!(space.protocol, Protocol::StaticPriority | Protocol::RoundRobin);
+        let table = || if water_fill { vec![0.0; n * max_tickets] } else { Vec::new() };
+        Prepared {
+            n,
+            max_tickets,
+            tdma: space.protocol == Protocol::Tdma2Level,
+            latency: targets.iter().any(|t| t.kind.reads_latency()),
+            units: [0.0; MAX_MASTERS],
+            cost: [0.0; MAX_MASTERS],
+            weight_at: table(),
+            ratio_at: table(),
+            wcost_at: table(),
+            slot_at: table(),
+            weight: [0.0; MAX_MASTERS],
+            ratio: [0.0; MAX_MASTERS],
+            wcost: [0.0; MAX_MASTERS],
+            slot: [0.0; MAX_MASTERS],
+            alloc: [0.0; MAX_MASTERS],
+            cycles: [0.0; MAX_MASTERS],
+        }
+    }
+
+    /// Computes the cell's constants and tables from its model.
+    fn prepare(&mut self, model: &SystemModel) {
+        let space = model.protocol.space();
+        let block = f64::from(model.tdma_block);
+        for (i, m) in model.masters.iter().enumerate() {
+            let (units, cost) = space.units_and_cost(m);
+            self.units[i] = units;
+            self.cost[i] = cost;
+            for w in 1..=self.max_tickets as u32 {
+                let at = i * self.max_tickets + w as usize - 1;
+                let weight = model.fill_weight(w);
+                self.weight_at[at] = weight;
+                self.ratio_at[at] = units / weight;
+                self.wcost_at[at] = weight * cost;
+                self.slot_at[at] = block * f64::from(w);
+            }
+        }
+    }
+
+    /// Sets master `i`'s weight to `w` tickets.
+    fn set(&mut self, i: usize, w: u32) {
+        let at = i * self.max_tickets + w as usize - 1;
+        self.weight[i] = self.weight_at[at];
+        self.ratio[i] = self.ratio_at[at];
+        self.wcost[i] = self.wcost_at[at];
+        self.slot[i] = self.slot_at[at];
+    }
+
+    /// Scores the current point against `targets` like [`worst_slack`].
+    fn margin(&mut self, model: &SystemModel, targets: &[SlaTarget]) -> f64 {
+        let n = self.n;
+        alloc::water_fill(
+            &self.units[..n],
+            &self.weight[..n],
+            &self.ratio[..n],
+            &self.wcost[..n],
+            1.0,
+            &mut self.alloc[..n],
+        );
+        let (mut granted, mut frame) = (0.0, 0.0);
+        if self.latency {
+            for i in 0..n {
+                self.cycles[i] = self.alloc[i] * self.cost[i];
+            }
+            granted = self.cycles[..n].iter().sum();
+            if self.tdma {
+                frame = self.slot[..n].iter().sum();
+            }
+        }
+        worst_slack(targets, |t| {
+            let (i, m) = (t.master, &model.masters[t.master]);
+            if t.kind.reads_latency() {
+                let extra = if self.tdma { latency::slot_wait(frame, self.slot[i]) } else { 0.0 };
+                let (cycles_per_word, p99_latency) =
+                    latency::sojourn(m, granted, self.cycles[i], extra);
+                Prediction { cycles_per_word, p99_latency, ..Prediction::default() }
+            } else {
+                let (_, share) = model::granted(m, self.alloc[i], self.cost[i]);
+                Prediction { share, ..Prediction::default() }
+            }
+        })
+    }
 }
 
 /// Steps the odometer over the ticket grid `1..=max_tickets` per
-/// master, master 0 fastest; returns `false` once it wraps back to the
-/// all-ones vector.
-fn advance(weights: &mut [u32], max_tickets: u32) -> bool {
-    for w in weights.iter_mut() {
+/// master, master 0 fastest. Returns the highest master whose weight
+/// changed (masters `0..=k` all did), or `None` once the odometer
+/// wraps back to the all-ones vector.
+fn advance(weights: &mut [u32], max_tickets: u32) -> Option<usize> {
+    for (i, w) in weights.iter_mut().enumerate() {
         *w += 1;
         if *w <= max_tickets {
-            return true;
+            return Some(i);
         }
         *w = 1;
     }
-    false
+    None
 }
 
 /// The dedup context of one scan cell: the protocol plus the knobs
@@ -392,9 +700,7 @@ fn shape(ctx: ShapeCtx, weights: &[u32], out: &mut [u32; MAX_MASTERS]) {
         }
         _ => {
             let eff = |w: u32| match ctx.protocol {
-                Protocol::DeficitRoundRobin => {
-                    w.saturating_mul(ctx.drr_quantum.max(1)).min(ctx.burst.max(1))
-                }
+                Protocol::DeficitRoundRobin => drr_effective(w, ctx.drr_quantum, ctx.burst),
                 _ => w,
             };
             let g = weights.iter().fold(0u32, |g, &w| gcd(g, eff(w))).max(1);
@@ -445,13 +751,16 @@ impl Shortlist {
         self.top == 0 || self.floor >= margin
     }
 
+    /// Offers a feasible point at `margin`; `predict` writes the
+    /// point's full predictions, and runs only if the point enters the
+    /// list.
     fn offer(
         &mut self,
         ctx: ShapeCtx,
         weights: &[u32],
         load_scale: f64,
         margin: f64,
-        preds: &[Prediction],
+        predict: impl FnOnce(&mut [Prediction]),
     ) {
         // Below the floor of a full list a point can neither beat a
         // same-shape entry nor evict the worst one.
@@ -473,7 +782,7 @@ impl Shortlist {
             {
                 existing.weights.copy_from_slice(weights);
                 existing.margin = margin;
-                existing.predicted.copy_from_slice(preds);
+                predict(&mut existing.predicted);
                 self.refresh_floor();
             }
             return;
@@ -491,12 +800,14 @@ impl Shortlist {
             self.candidates.swap_remove(worst_idx);
             self.sigs.swap_remove(worst_idx);
         }
+        let mut predicted = vec![Prediction::default(); weights.len()];
+        predict(&mut predicted);
         self.candidates.push(Candidate {
             weights: weights.to_vec(),
             burst: ctx.burst,
             load_scale,
             margin,
-            predicted: preds.to_vec(),
+            predicted,
         });
         self.sigs.push(sig);
         self.refresh_floor();
@@ -611,6 +922,71 @@ mod tests {
         let s = space(4);
         let bad = [SlaTarget { master: 9, kind: TargetKind::MinShare(0.1) }];
         assert!(search(&s, &bad, 5).is_err());
+        for kind in [
+            TargetKind::MinShare(f64::NAN),
+            TargetKind::MaxShare(f64::INFINITY),
+            TargetKind::MaxCyclesPerWord(f64::NEG_INFINITY),
+            TargetKind::MaxP99(f64::NAN),
+        ] {
+            let e = search(&s, &[SlaTarget { master: 0, kind }], 5).unwrap_err();
+            assert!(e.contains("non-finite bound"), "{e}");
+        }
+    }
+
+    #[test]
+    fn priority_cells_evaluate_each_order_once() {
+        // Three masters have 3! = 6 priority orders, however many
+        // ticket vectors induce them.
+        let mut s = space(20);
+        s.protocol = Protocol::StaticPriority;
+        s.traffic.truncate(3);
+        s.load_scales = vec![0.5, 1.0];
+        let targets = [SlaTarget { master: 0, kind: TargetKind::MaxP99(500.0) }];
+        let report = search(&s, &targets, 4).unwrap();
+        assert_eq!(report.scanned, 2 * 8000);
+        assert_eq!(report.evaluated, 2 * 6, "six orders per cell");
+        // The scores match a full evaluation of any point.
+        for c in &report.candidates {
+            let mut model = SystemModel::new(
+                Protocol::StaticPriority,
+                s.traffic
+                    .iter()
+                    .zip(&c.weights)
+                    .map(|(t, &w)| {
+                        let stall = s.bus.per_grant_overhead();
+                        MasterModel::new(t.lambda * c.load_scale, t.size, w, stall, c.burst)
+                    })
+                    .collect(),
+            );
+            model.max_burst = c.burst;
+            assert_eq!(model.predict().masters, c.predicted, "{c:?}");
+        }
+        // Beyond eight masters there is no order table: every point is
+        // evaluated.
+        s.traffic = traffic(9, 0.01);
+        s.max_tickets = 2;
+        let report = search(&s, &targets, 4).unwrap();
+        assert_eq!((report.scanned, report.evaluated), (2 * 512, 2 * 512));
+    }
+
+    #[test]
+    fn order_rank_indexes_every_order_once() {
+        // Every weight vector over 1..=4 for four masters lands on one
+        // of 4! ranks, vectors inducing the same service order share
+        // a rank, and all 24 ranks are reached.
+        let mut seen = std::collections::HashMap::new();
+        let mut weights = [1u32; 4];
+        loop {
+            let mut order: Vec<usize> = (0..4).collect();
+            order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
+            let rank = order_rank(&weights);
+            assert!(rank < 24);
+            assert_eq!(*seen.entry(rank).or_insert_with(|| order.clone()), order, "{weights:?}");
+            if advance(&mut weights, 4).is_none() {
+                break;
+            }
+        }
+        assert_eq!(seen.len(), 24);
     }
 
     #[test]

@@ -19,15 +19,6 @@ pub enum ArbiterConfigError {
     /// Priority values must be unique (the paper's static-priority bus
     /// assigns each master a distinct priority level).
     DuplicatePriority(u32),
-    /// A TDMA timing wheel must contain at least one slot.
-    EmptyWheel,
-    /// A TDMA slot references a master index outside the bus.
-    SlotOutOfRange {
-        /// The offending master index.
-        master: usize,
-        /// Number of masters on the bus.
-        masters: usize,
-    },
     /// Every master must own at least one slot / one token position.
     UnservedMaster(usize),
     /// A failover arbiter needs at least one cycle of patience before
@@ -47,10 +38,6 @@ impl fmt::Display for ArbiterConfigError {
             }
             ArbiterConfigError::DuplicatePriority(p) => {
                 write!(f, "priority value {p} assigned to more than one master")
-            }
-            ArbiterConfigError::EmptyWheel => write!(f, "TDMA timing wheel has no slots"),
-            ArbiterConfigError::SlotOutOfRange { master, masters } => {
-                write!(f, "slot reserved for master {master} but bus has only {masters} masters")
             }
             ArbiterConfigError::UnservedMaster(m) => {
                 write!(f, "master {m} owns no slot in the timing wheel")
@@ -75,8 +62,6 @@ mod tests {
     fn messages_mention_offenders() {
         assert!(ArbiterConfigError::DuplicatePriority(3).to_string().contains('3'));
         assert!(ArbiterConfigError::UnservedMaster(2).to_string().contains('2'));
-        let e = ArbiterConfigError::SlotOutOfRange { master: 5, masters: 4 };
-        assert!(e.to_string().contains('5'));
     }
 
     #[test]

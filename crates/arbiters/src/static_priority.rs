@@ -61,28 +61,6 @@ impl StaticPriorityArbiter {
         Ok(StaticPriorityArbiter { priorities })
     }
 
-    /// Creates an arbiter from a ranking: `ranking[k]` is the master id
-    /// holding the *k*-th highest priority.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the ranking is not a permutation of
-    /// `0..ranking.len()`.
-    pub fn from_ranking(ranking: &[usize]) -> Result<Self, ArbiterConfigError> {
-        let n = ranking.len();
-        let mut priorities = vec![u32::MAX; n];
-        for (rank, &master) in ranking.iter().enumerate() {
-            if master >= n {
-                return Err(ArbiterConfigError::SlotOutOfRange { master, masters: n });
-            }
-            if priorities[master] != u32::MAX {
-                return Err(ArbiterConfigError::DuplicatePriority(master as u32));
-            }
-            priorities[master] = (n - rank) as u32;
-        }
-        StaticPriorityArbiter::new(priorities)
-    }
-
     /// The priority value of `master` (larger wins).
     pub fn priority(&self, master: MasterId) -> u32 {
         self.priorities[master.index()]
@@ -142,19 +120,5 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert_eq!(StaticPriorityArbiter::new(vec![]).unwrap_err(), ArbiterConfigError::NoMasters);
-    }
-
-    #[test]
-    fn from_ranking_orders_masters() {
-        // Ranking: master 2 highest, then 0, then 1.
-        let arb = StaticPriorityArbiter::from_ranking(&[2, 0, 1]).expect("valid");
-        assert!(arb.priority(MasterId::new(2)) > arb.priority(MasterId::new(0)));
-        assert!(arb.priority(MasterId::new(0)) > arb.priority(MasterId::new(1)));
-    }
-
-    #[test]
-    fn from_ranking_rejects_non_permutation() {
-        assert!(StaticPriorityArbiter::from_ranking(&[0, 0, 1]).is_err());
-        assert!(StaticPriorityArbiter::from_ranking(&[0, 3, 1]).is_err());
     }
 }

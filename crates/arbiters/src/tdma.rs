@@ -77,30 +77,7 @@ impl TdmaArbiter {
             WheelLayout::Contiguous => contiguous_wheel(slots_per_master),
             WheelLayout::Interleaved => interleaved_wheel(slots_per_master),
         };
-        Self::from_wheel(wheel, slots_per_master.len())
-    }
-
-    /// Creates a TDMA arbiter from an explicit wheel: `wheel[k]` is the
-    /// master owning slot *k*.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the wheel is empty, references a master `>=
-    /// masters`, or leaves some master with no slot.
-    pub fn from_wheel(wheel: Vec<MasterId>, masters: usize) -> Result<Self, ArbiterConfigError> {
-        if wheel.is_empty() {
-            return Err(ArbiterConfigError::EmptyWheel);
-        }
-        let mut served = vec![false; masters];
-        for slot in &wheel {
-            if slot.index() >= masters {
-                return Err(ArbiterConfigError::SlotOutOfRange { master: slot.index(), masters });
-            }
-            served[slot.index()] = true;
-        }
-        if let Some(idle) = served.iter().position(|&s| !s) {
-            return Err(ArbiterConfigError::UnservedMaster(idle));
-        }
+        let masters = slots_per_master.len();
         Ok(TdmaArbiter { wheel, masters, position: 0, rr: masters - 1 })
     }
 
@@ -302,15 +279,6 @@ mod tests {
     fn zero_slot_master_rejected() {
         let err = TdmaArbiter::new(&[2, 0], WheelLayout::Contiguous).unwrap_err();
         assert_eq!(err, ArbiterConfigError::UnservedMaster(1));
-    }
-
-    #[test]
-    fn explicit_wheel_validated() {
-        let err = TdmaArbiter::from_wheel(vec![MasterId::new(0), MasterId::new(5)], 2).unwrap_err();
-        assert_eq!(err, ArbiterConfigError::SlotOutOfRange { master: 5, masters: 2 });
-        let err = TdmaArbiter::from_wheel(vec![MasterId::new(0)], 2).unwrap_err();
-        assert_eq!(err, ArbiterConfigError::UnservedMaster(1));
-        assert_eq!(TdmaArbiter::from_wheel(vec![], 1).unwrap_err(), ArbiterConfigError::EmptyWheel);
     }
 
     #[test]

@@ -128,6 +128,36 @@ fn max_tickets_accepts_4096_and_rejects_4097() {
     assert!(err.contains("usage:"), "{err}");
 }
 
+#[test]
+fn priority_scan_evaluates_each_priority_order_once() {
+    // Three masters have six priority orders; the million points
+    // reuse their margins.
+    let out = scan("priority-starvation", &[]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("scanned 1000000 design points (6 evaluated)"), "{err}");
+}
+
+#[test]
+fn non_finite_sla_bounds_exit_1_from_scenario_and_search() {
+    for bound in ["nan", "inf"] {
+        let path = write_spec(
+            &format!("{bound}-bound.scenario"),
+            &format!(
+                "scenario bounds\nmaster cpu load=0.3\nmaster dma load=0.3\n\
+                 phase p duration=1000\nsla bandwidth master=cpu min={bound}\n"
+            ),
+        );
+        for command in ["scenario", "search"] {
+            let out = binary().arg(command).arg(&path).output().expect("run");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} min={bound}: {err}");
+            assert!(err.contains("`min=` must be a finite number"), "{command}: {err}");
+            assert!(out.stdout.is_empty(), "{command} min={bound} printed a report");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// Runs `cmd` and returns its output, failing the test if it has not
 /// exited within `secs` seconds (the child is killed first).
 fn output_within(mut cmd: Command, secs: u64) -> std::process::Output {

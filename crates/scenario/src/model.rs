@@ -399,18 +399,13 @@ impl Scenario {
         self.phases.iter().position(|p| p.name == name)
     }
 
-    /// Whether any stochastic fault class has a nonzero rate.
-    pub fn has_stochastic_faults(&self) -> bool {
-        self.fault.is_active()
-    }
-
     /// Whether the scenario injects any failure mechanism at all
     /// (stochastic faults, wedge windows, or a watchdog that can
     /// abort legitimate waits). The fuzzer's "no silent loss" and
     /// "no silent starvation" invariants only apply when this is
     /// false.
     pub fn has_fault_machinery(&self) -> bool {
-        self.has_stochastic_faults() || !self.wedges.is_empty() || self.timeout.is_some()
+        self.fault.is_active() || !self.wedges.is_empty() || self.timeout.is_some()
     }
 
     /// Semantic validation beyond what the grammar enforces. Returns
@@ -522,12 +517,21 @@ impl Scenario {
                 Ok(())
             }
         };
+        let check_bounds = |min: &Option<f64>, max: &Option<f64>| {
+            for (key, bound) in [("min", min), ("max", max)] {
+                if let Some(b) = bound.filter(|b| !b.is_finite()) {
+                    return Err(format!("sla {kw} `{key}=` must be a finite number, got {b}"));
+                }
+            }
+            Ok(())
+        };
         match &sla.kind {
             SlaKind::Bandwidth { master, min, max } => {
                 check_master(master)?;
                 if min.is_none() && max.is_none() {
                     return Err("sla bandwidth needs a `min=` or `max=` bound".into());
                 }
+                check_bounds(min, max)?;
             }
             SlaKind::LatencyBus { .. } => {}
             SlaKind::LatencyMaster { master, .. } => {
@@ -558,6 +562,7 @@ impl Scenario {
                 if min.is_none() && max.is_none() {
                     return Err("sla utilization needs a `min=` or `max=` bound".into());
                 }
+                check_bounds(min, max)?;
             }
         }
         Ok(())

@@ -134,6 +134,21 @@ fn duplicate_declaration_names_are_hard_parse_errors_with_line_numbers() {
 }
 
 #[test]
+fn non_finite_sla_bounds_are_parse_errors() {
+    for (sla, bound) in [
+        ("sla bandwidth master=cpu min=nan", "`min=` must be a finite number, got NaN"),
+        ("sla bandwidth master=cpu min=inf", "`min=` must be a finite number, got inf"),
+        ("sla bandwidth master=cpu min=0.1 max=-inf", "`max=` must be a finite number, got -inf"),
+        ("sla utilization min=NaN", "`min=` must be a finite number, got NaN"),
+        ("sla utilization max=infinity", "`max=` must be a finite number, got inf"),
+    ] {
+        let text = format!("scenario bounds\nmaster cpu load=0.3\nphase p duration=1000\n{sla}\n");
+        let err = Scenario::parse(&text).expect_err(sla);
+        assert!(err.message.contains(bound), "{sla}: {}", err.message);
+    }
+}
+
+#[test]
 fn fuzz_smoke_finds_nothing_organically() {
     let report = fuzz(&FuzzConfig { seed: 7, iterations: 10, demo_failure: false });
     assert_eq!(report.iterations, 10);

@@ -76,7 +76,7 @@ impl TrafficClass {
 
     /// Total bus utilization the class targets (sum of offered loads as
     /// a fraction of bus capacity).
-    pub fn target_utilization(self) -> f64 {
+    fn target_utilization(self) -> f64 {
         match self {
             TrafficClass::T3 => 0.40,
             // Low enough that every master's arrival rate stays below

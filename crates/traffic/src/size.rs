@@ -88,18 +88,6 @@ impl SizeDist {
         self.expect(f64::from)
     }
 
-    /// Expected squared message size `E[L²]` in words² — the second
-    /// moment the analytic queueing predictors need for
-    /// Pollaczek–Khinchine waiting times.
-    ///
-    /// ```
-    /// use traffic_gen::SizeDist;
-    /// assert_eq!(SizeDist::fixed(4).second_moment(), 16.0);
-    /// ```
-    pub fn second_moment(&self) -> f64 {
-        self.expect(|w| f64::from(w) * f64::from(w))
-    }
-
     /// Expectation of an arbitrary per-size function `f` under this
     /// distribution, computed exactly (every variant has finite
     /// support). This is how the analytic model derives tenure-duration

@@ -8,16 +8,20 @@
 //! cache fills, scratch buffers), then raises the flag across a long
 //! measured window and requires **zero** heap allocations.
 //!
+//! The analytic design-space scan is held to the same standard per
+//! point: its allocations must not grow with the ticket grid.
+//!
 //! The tally is thread-local so the test harness's own threads cannot
 //! pollute the count, and the flag is only consulted on allocation (not
 //! deallocation), so dropping the system afterwards is free.
 //!
 //! [`SaturateSource`]: lotterybus_repro::traffic::SaturateSource
 
+use analytic::{Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
 use lotterybus_repro::arbiters::ArbiterKind;
 use lotterybus_repro::experiments::hotpath::{hot_arbiter, HOT_PROTOCOLS};
 use lotterybus_repro::socsim::{BusConfig, Fleet, LaneBuilder, SystemBuilder};
-use lotterybus_repro::traffic::{SaturateSource, SourceKind};
+use lotterybus_repro::traffic::{SaturateSource, SizeDist, SourceKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -192,4 +196,40 @@ fn grouped_arbitration_steady_state_makes_zero_allocations() {
         counted, 0,
         "{counted} heap allocation(s) in a 20k-cycle grouped-arbitration window"
     );
+}
+
+#[test]
+fn analytic_scan_allocations_do_not_grow_with_the_ticket_grid() {
+    // Three saturating masters, so no cell is weight-blind and every
+    // protocol below scores its points one by one: 8³ points against
+    // 48³. With no short list, what is left is the per-point work and
+    // the per-cell setup (models, ticket tables, the order table).
+    let traffic = vec![TrafficInput { lambda: 0.03, size: SizeDist::fixed(16), stall: None }; 3];
+    let share = SlaTarget { master: 0, kind: TargetKind::MinShare(0.3) };
+    let latency = SlaTarget { master: 1, kind: TargetKind::MaxP99(400.0) };
+    for protocol in [
+        Protocol::LotteryStatic,
+        Protocol::DeficitRoundRobin,
+        Protocol::Tdma2Level,
+        Protocol::StaticPriority,
+    ] {
+        for targets in [vec![share], vec![share, latency]] {
+            let allocs = |max_tickets: u32| {
+                let mut space = SearchSpace::new(protocol, BusConfig::default(), traffic.clone());
+                space.max_tickets = max_tickets;
+                space.bursts = vec![8, 16];
+                ALLOCS.with(|allocs| allocs.set(0));
+                COUNTING.with(|counting| counting.set(true));
+                let report = analytic::search(&space, &targets, 0).expect("valid space");
+                COUNTING.with(|counting| counting.set(false));
+                assert_eq!(report.scanned, 2 * u64::from(max_tickets).pow(3));
+                ALLOCS.with(|allocs| allocs.get())
+            };
+            let (small, large) = (allocs(8), allocs(48));
+            assert_eq!(
+                small, large,
+                "{protocol} {targets:?}: {small} allocations at 8 tickets, {large} at 48"
+            );
+        }
+    }
 }

@@ -15,6 +15,13 @@
 //! most `1 − BLIND_HEADROOM`. The reference decides that from
 //! `MasterModel::demand` on its own, and some cases are built with
 //! their summed demand right at that threshold.
+//!
+//! `search` scores the water-fill protocols from per-ticket tables and
+//! computes only the metrics the targets read, and it evaluates a
+//! static-priority cell once per priority order. The reference
+//! evaluates every point in full, and counts a static-priority cell's
+//! evaluations as the distinct service orders (masters sorted by
+//! descending weight, ties by lower index) it sees among its points.
 
 use analytic::{
     search, Candidate, MasterModel, Prediction, Protocol, Scratch, SearchSpace, SlaTarget,
@@ -22,6 +29,7 @@ use analytic::{
 };
 use lotterybus_repro::socsim::BusConfig;
 use lotterybus_repro::traffic::SizeDist;
+use std::collections::HashSet;
 
 /// Seeded random spaces to compare.
 const CASES: u64 = 240;
@@ -138,9 +146,12 @@ struct Reference {
     scanned: u64,
     feasible: u64,
     candidates: Vec<Candidate>,
-    /// Evaluations the scan needs: one per weight-blind cell, every
-    /// point elsewhere.
+    /// Evaluations the scan needs: one per weight-blind cell, one per
+    /// distinct priority order in a static-priority cell, every point
+    /// elsewhere.
     evaluated: u64,
+    /// Static-priority cells where several points share an order.
+    repeated_order_cells: u64,
     /// Weight-blind cells that are not round-robin.
     blind_weighted_cells: u64,
     /// Lottery and deficit-RR cells whose summed demand lies within
@@ -158,6 +169,7 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
     let mut evaluated = 0u64;
     let mut blind_weighted_cells = 0u64;
     let mut near_threshold = [0u64; 2];
+    let mut repeated_order_cells = 0u64;
     let mut shortlist: Vec<Candidate> = Vec::new();
     let cell_points = u64::from(space.max_tickets).pow(n as u32);
 
@@ -179,7 +191,11 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
                 }
                 Protocol::Tdma2Level | Protocol::StaticPriority => false,
             };
-            evaluated += if blind { 1 } else { cell_points };
+            let priority = space.protocol == Protocol::StaticPriority;
+            if !priority {
+                evaluated += if blind { 1 } else { cell_points };
+            }
+            let mut orders: HashSet<Vec<usize>> = HashSet::new();
             let mut model = SystemModel::new(space.protocol, masters)
                 .with_tdma_block(space.tdma_block)
                 .with_drr_quantum(space.drr_quantum);
@@ -191,6 +207,11 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
                     m.weight = w;
                 }
                 model.evaluate(&mut scratch);
+                if priority {
+                    let mut order: Vec<usize> = (0..n).collect();
+                    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
+                    orders.insert(order);
+                }
                 // A weight-blind cell predicts every point bit for bit
                 // like its all-ones point.
                 if blind {
@@ -233,6 +254,10 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
                     break;
                 }
             }
+            if priority {
+                evaluated += orders.len() as u64;
+                repeated_order_cells += u64::from((orders.len() as u64) < cell_points);
+            }
         }
     }
 
@@ -242,6 +267,7 @@ fn reference_search(space: &SearchSpace, targets: &[SlaTarget], top: usize) -> R
         feasible,
         candidates: shortlist,
         evaluated,
+        repeated_order_cells,
         blind_weighted_cells,
         near_threshold,
     }
@@ -378,6 +404,10 @@ fn search_matches_the_reference_scan_on_random_spaces() {
     let mut blind_weighted_cells = 0;
     let mut listing = 0;
     let mut near_threshold = [0u64; 2];
+    let mut repeated_order_cells = 0;
+    // Cases whose targets are all shares, and cases with a latency
+    // target.
+    let mut target_sets = [0u64; 2];
     for case in 0..CASES {
         let (space, targets, top) = random_case(&mut rng);
         let report = search(&space, &targets, top).expect("random spaces are valid");
@@ -390,6 +420,11 @@ fn search_matches_the_reference_scan_on_random_spaces() {
         shortlisted += reference.candidates.len();
         listing += usize::from(top > 0);
         blind_weighted_cells += reference.blind_weighted_cells;
+        repeated_order_cells += reference.repeated_order_cells;
+        let latency = targets
+            .iter()
+            .any(|t| matches!(t.kind, TargetKind::MaxCyclesPerWord(_) | TargetKind::MaxP99(_)));
+        target_sets[usize::from(latency)] += 1;
         for (total, cells) in near_threshold.iter_mut().zip(reference.near_threshold) {
             *total += cells;
         }
@@ -408,5 +443,15 @@ fn search_matches_the_reference_scan_on_random_spaces() {
     assert!(
         near_threshold.iter().all(|&cells| cells >= 5),
         "lottery/DRR cells within 1e-5 of the threshold (blind, not blind): {near_threshold:?}"
+    );
+    // Both target-driven paths, and static-priority cells whose tied
+    // weights make points share an order.
+    assert!(
+        target_sets.iter().all(|&cases| cases >= 40),
+        "cases with share-only targets and with a latency target: {target_sets:?}"
+    );
+    assert!(
+        repeated_order_cells >= 20,
+        "only {repeated_order_cells} static-priority cells with repeated orders"
     );
 }
