@@ -283,8 +283,9 @@ pub struct SearchReport {
 /// # Errors
 ///
 /// Returns a description when the space is degenerate (no masters,
-/// zero tickets or bursts, a target naming an out-of-range master) or
-/// a target's bound is not finite.
+/// zero tickets or bursts, a target naming an out-of-range master), a
+/// target's bound is not finite, or a share target's bound lies outside
+/// `[0, 1]`.
 pub fn search(
     space: &SearchSpace,
     targets: &[SlaTarget],
@@ -297,6 +298,14 @@ pub fn search(
     }
     if let Some(t) = targets.iter().find(|t| !t.kind.bound().is_finite()) {
         return Err(format!("target on master {} has a non-finite bound: {:?}", t.master, t.kind));
+    }
+    if let Some(t) =
+        targets.iter().find(|t| !t.kind.reads_latency() && !(0.0..=1.0).contains(&t.kind.bound()))
+    {
+        return Err(format!(
+            "target on master {} has a share bound outside [0, 1]: {:?}",
+            t.master, t.kind
+        ));
     }
 
     let mut scan = Scan {
@@ -930,6 +939,18 @@ mod tests {
         ] {
             let e = search(&s, &[SlaTarget { master: 0, kind }], 5).unwrap_err();
             assert!(e.contains("non-finite bound"), "{e}");
+        }
+        for kind in [
+            TargetKind::MinShare(-1e10),
+            TargetKind::MinShare(-f64::MIN_POSITIVE),
+            TargetKind::MaxShare(1.5),
+        ] {
+            let e = search(&s, &[SlaTarget { master: 0, kind }], 5).unwrap_err();
+            assert!(e.contains("outside [0, 1]"), "{e}");
+        }
+        // The range's ends are valid shares.
+        for kind in [TargetKind::MinShare(0.0), TargetKind::MaxShare(1.0)] {
+            assert!(search(&s, &[SlaTarget { master: 0, kind }], 5).is_ok(), "{kind:?}");
         }
     }
 

@@ -158,6 +158,42 @@ fn non_finite_sla_bounds_exit_1_from_scenario_and_search() {
     }
 }
 
+#[test]
+fn out_of_range_share_bounds_exit_1_from_scenario_and_search() {
+    // A share bound below 0 or above 1 used to pass, and made `search
+    // --confirm 0` report every point feasible with margin `null`.
+    for (file, sla, message) in [
+        (
+            "neg-share",
+            "sla bandwidth master=cpu min=-1e10",
+            "`min=` must lie in [0, 1], got -10000000000",
+        ),
+        ("big-share", "sla bandwidth master=cpu max=1.5", "`max=` must lie in [0, 1], got 1.5"),
+        ("neg-util", "sla utilization min=-0.1", "`min=` must lie in [0, 1], got -0.1"),
+    ] {
+        let path = write_spec(
+            &format!("{file}.scenario"),
+            &format!(
+                "scenario bounds\nmaster cpu load=0.3\nmaster dma load=0.3\n\
+                 phase p duration=1000\n{sla}\n"
+            ),
+        );
+        for command in ["scenario", "search"] {
+            let mut cmd = binary();
+            cmd.arg(command).arg(&path);
+            if command == "search" {
+                cmd.args(["--confirm", "0"]);
+            }
+            let out = cmd.output().expect("run");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{command} `{sla}`: {err}");
+            assert!(err.contains(message), "{command} `{sla}`: {err}");
+            assert!(out.stdout.is_empty(), "{command} `{sla}` printed a report");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// Runs `cmd` and returns its output, failing the test if it has not
 /// exited within `secs` seconds (the child is killed first).
 fn output_within(mut cmd: Command, secs: u64) -> std::process::Output {

@@ -10,8 +10,11 @@
 //! * **ticket-update period** — how stale dynamic tickets may get before
 //!   the backlog-proportional policy stops helping;
 //! * **TDMA wheel layout** — contiguous blocks vs interleaved slots.
+//!
+//! Each group records its traffic once and replays it in every row
+//! ([`RecordedTraffic`]): the rows differ only in the knob.
 
-use crate::common::{self, RunSettings};
+use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::{TdmaArbiter, WheelLayout};
@@ -56,18 +59,16 @@ pub struct BurstRow {
 /// frequency against head-of-line blocking.
 pub fn burst_size(settings: &RunSettings) -> Vec<BurstRow> {
     let bursts = [1u32, 4, 16, 64];
+    let saturated = RecordedTraffic::record(&saturating_specs(4), settings);
+    let t6 = RecordedTraffic::record(
+        &TrafficClass::T6.specs_with_frame(&WEIGHTS, crate::fig6::TDMA_BLOCK),
+        settings,
+    );
     runner::map(settings, &bursts, |_, &max_burst| {
         let s = RunSettings { bus: BusConfig { max_burst, ..settings.bus }, ..*settings };
-        let sat = common::run_system(
-            &saturating_specs(4),
-            StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid"),
-            &s,
-        );
-        let t6 = common::run_system(
-            &TrafficClass::T6.specs_with_frame(&WEIGHTS, crate::fig6::TDMA_BLOCK),
-            StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid"),
-            &s,
-        );
+        let sat =
+            saturated.run(StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid"), &s);
+        let t6 = t6.run(StaticLotteryArbiter::with_seed(weight_tickets(), 3).expect("valid"), &s);
         BurstRow {
             max_burst,
             proportionality_error: proportionality_error(&common::bandwidth_fractions(&sat, 4)),
@@ -88,6 +89,7 @@ pub struct DrawSourceRow {
 /// Draw-source ablation: the hardware LFSR vs an ideal uniform RNG.
 pub fn draw_source(settings: &RunSettings) -> Vec<DrawSourceRow> {
     let sources = ["lfsr", "stdrng"];
+    let traffic = RecordedTraffic::record(&saturating_specs(4), settings);
     runner::map(settings, &sources, |_, &name| {
         // Arbiters are built inside the job (they are not `Send`).
         let arbiter = if name == "lfsr" {
@@ -96,7 +98,7 @@ pub fn draw_source(settings: &RunSettings) -> Vec<DrawSourceRow> {
             StaticLotteryArbiter::with_source(weight_tickets(), Box::new(StdRngSource::new(7)))
                 .expect("valid")
         };
-        let stats = common::run_system(&saturating_specs(4), arbiter, settings);
+        let stats = traffic.run(arbiter, settings);
         DrawSourceRow {
             source: name.into(),
             proportionality_error: proportionality_error(&common::bandwidth_fractions(&stats, 4)),
@@ -152,11 +154,12 @@ pub fn update_period(settings: &RunSettings) -> Vec<UpdatePeriodRow> {
         GeneratorSpec::poisson(0.045, SizeDist::fixed(16)),
     ];
     let periods = [1u64, 16, 256, 4096];
+    let traffic = RecordedTraffic::record(&specs, settings);
     runner::map(settings, &periods, |_, &period| {
         let tickets = TicketAssignment::new(vec![1, 1]).expect("valid");
         let mut arbiter = DynamicLotteryArbiter::with_seed(tickets, 5).expect("valid");
         arbiter.set_policy(Box::new(QueueProportionalPolicy::new(vec![1, 1])), period);
-        let stats = common::run_system(&specs, arbiter, settings);
+        let stats = traffic.run(arbiter, settings);
         UpdatePeriodRow { period, bursty_latency: stats.master(MasterId::new(0)).cycles_per_word() }
     })
 }
@@ -176,13 +179,13 @@ pub fn wheel_layout(settings: &RunSettings) -> Vec<WheelLayoutRow> {
     let slots: Vec<u32> = WEIGHTS.iter().map(|w| w * crate::fig6::TDMA_BLOCK).collect();
     let layouts =
         [("contiguous", WheelLayout::Contiguous), ("interleaved", WheelLayout::Interleaved)];
+    let traffic = RecordedTraffic::record(
+        &TrafficClass::T6.specs_with_frame(&WEIGHTS, crate::fig6::TDMA_BLOCK),
+        settings,
+    );
     runner::map(settings, &layouts, |_, &(name, layout)| {
         let arbiter = TdmaArbiter::new(&slots, layout).expect("valid wheel");
-        let stats = common::run_system(
-            &TrafficClass::T6.specs_with_frame(&WEIGHTS, crate::fig6::TDMA_BLOCK),
-            arbiter,
-            settings,
-        );
+        let stats = traffic.run(arbiter, settings);
         WheelLayoutRow { layout: name.into(), t6_latency: common::latencies(&stats, 4) }
     })
 }

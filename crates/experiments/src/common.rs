@@ -1,10 +1,30 @@
 //! Shared experiment plumbing: system assembly, runs, permutations.
+//!
+//! # Recorded traffic
+//!
+//! The paper holds the traffic fixed and varies the arbiter, and so do
+//! most experiments here: one spec set runs under several arbiters or
+//! bus configurations, every run with the same per-master seeds. Those
+//! experiments record the spec set's traffic once ([`RecordedTraffic`])
+//! before fanning out, replay it in every run, and drop it when they
+//! return: Figures 4 and 6(a) (24 priority and ticket orders), the
+//! Figure 4 time-series and Figure 6(b) (two arbiters each), the sweeps
+//! (9 ticket counts; 5 protocols per load), the starvation experiment's
+//! fairness row (5 protocols), the energy table (5 architectures) and
+//! each ablation group. A replay is exact: a run's statistics equal the
+//! live run's (`tests/kernel_equivalence.rs` checks every path).
+//!
+//! Traffic that runs once stays live, because recording it costs more
+//! than generating it during the run: Figure 12(a)–(c) run each class
+//! under one arbiter per call, and the starvation CDF is one system
+//! with its own seeds.
 
+use crate::runner;
 use arbiters::ArbiterKind;
 use socsim::{
     BusConfig, BusStats, Fleet, Kernel, LaneBuilder, MasterId, SystemBuilder, WindowSample,
 };
-use traffic_gen::{GeneratorSpec, SourceKind};
+use traffic_gen::{record_trace, GeneratorSpec, ReplaySource, SourceKind};
 
 /// Simulation window settings shared by all experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,17 +118,7 @@ pub fn run_system(
     arbiter: impl Into<ArbiterKind>,
     settings: &RunSettings,
 ) -> BusStats {
-    let lane = lane(specs, arbiter.into(), settings);
-    if settings.kernel == Kernel::Cycle && settings.metrics_window.is_none() {
-        let mut fleet = Fleet::build(vec![lane]).expect("experiment system is valid");
-        fleet.warm_up(settings.warmup);
-        fleet.run(settings.measure);
-        return fleet.stats(0).clone();
-    }
-    let mut system = build_system(lane, settings);
-    system.warm_up(settings.warmup);
-    system.run(settings.measure);
-    system.stats().clone()
+    run_lane(live_sources(specs, settings), arbiter.into(), settings)
 }
 
 /// Like [`run_system`], but also returns the windowed metric samples
@@ -127,8 +137,125 @@ pub fn run_system_timeseries(
     settings: &RunSettings,
     window: u64,
 ) -> (BusStats, Vec<WindowSample>) {
+    run_lane_timeseries(live_sources(specs, settings), arbiter.into(), settings, window)
+}
+
+/// The traffic of one spec set, generated once and replayed in every
+/// run that uses it (see [the module docs](self#recorded-traffic)).
+///
+/// [`RecordedTraffic::record`] runs master `C`*i+1*'s generator with
+/// the seed [`run_system`] gives it, from cycle 0 over the settings'
+/// warm-up and measured window, into one shared `(stamp, words)` trace
+/// per master. [`RecordedTraffic::run`] then builds the same system as
+/// [`run_system`] with [`ReplaySource`]s reading those traces in place,
+/// and returns the same statistics. Jobs borrow a recording read-only;
+/// it lives as long as the experiment call that made it.
+#[derive(Debug)]
+pub struct RecordedTraffic {
+    /// Per master, an unstarted replay of its trace; each run clones
+    /// it, which shares the trace.
+    masters: Vec<ReplaySource>,
+    /// The seed and cycle count recorded, checked against every run.
+    seed: u64,
+    cycles: u64,
+}
+
+impl RecordedTraffic {
+    /// Records `specs` for runs under `settings`: masters `C1..Cn`
+    /// seeded as in [`run_system`], over `warmup + measure` cycles. The
+    /// masters are recorded on the settings' workers.
+    pub fn record(specs: &[GeneratorSpec], settings: &RunSettings) -> Self {
+        let cycles = settings.warmup + settings.measure;
+        let masters = runner::map(settings, specs, |i, spec| {
+            let trace = record_trace(spec, master_seed(settings.seed, i), cycles);
+            ReplaySource::shared(spec.slave, trace.into())
+        });
+        RecordedTraffic { masters, seed: settings.seed, cycles }
+    }
+
+    /// [`run_system`] on the recorded traffic: the same system, the
+    /// same statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `settings` has another seed or window than the
+    /// recording, or if the system cannot be built.
+    pub fn run(&self, arbiter: impl Into<ArbiterKind>, settings: &RunSettings) -> BusStats {
+        run_lane(self.sources(settings), arbiter.into(), settings)
+    }
+
+    /// [`run_system_timeseries`] on the recorded traffic.
+    ///
+    /// # Panics
+    ///
+    /// As [`RecordedTraffic::run`], and if `window` is zero.
+    pub fn run_timeseries(
+        &self,
+        arbiter: impl Into<ArbiterKind>,
+        settings: &RunSettings,
+        window: u64,
+    ) -> (BusStats, Vec<WindowSample>) {
+        run_lane_timeseries(self.sources(settings), arbiter.into(), settings, window)
+    }
+
+    /// Fresh replays of every master's trace, for a run under
+    /// `settings`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `settings` has another seed or window than the
+    /// recording.
+    fn sources(&self, settings: &RunSettings) -> impl Iterator<Item = SourceKind> + '_ {
+        assert_eq!(
+            (self.seed, self.cycles),
+            (settings.seed, settings.warmup + settings.measure),
+            "traffic recorded for another seed or window"
+        );
+        self.masters.iter().map(|replay| SourceKind::from(replay.clone()))
+    }
+}
+
+/// The seed of master `index` in a system seeded with `seed`.
+fn master_seed(seed: u64, index: usize) -> u64 {
+    seed.wrapping_add(index as u64 * 0x9E37_79B9)
+}
+
+/// Live generators for `specs`, seeded per master by [`master_seed`]
+/// from [`RunSettings::seed`].
+fn live_sources<'a>(
+    specs: &'a [GeneratorSpec],
+    settings: &RunSettings,
+) -> impl Iterator<Item = SourceKind> + 'a {
+    let seed = settings.seed;
+    specs.iter().enumerate().map(move |(i, spec)| spec.build_kind(master_seed(seed, i)))
+}
+
+fn run_lane(
+    sources: impl Iterator<Item = SourceKind>,
+    arbiter: ArbiterKind,
+    settings: &RunSettings,
+) -> BusStats {
+    let lane = lane(sources, arbiter, settings);
+    if settings.kernel == Kernel::Cycle && settings.metrics_window.is_none() {
+        let mut fleet = Fleet::build(vec![lane]).expect("experiment system is valid");
+        fleet.warm_up(settings.warmup);
+        fleet.run(settings.measure);
+        return fleet.stats(0).clone();
+    }
+    let mut system = build_system(lane, settings);
+    system.warm_up(settings.warmup);
+    system.run(settings.measure);
+    system.stats().clone()
+}
+
+fn run_lane_timeseries(
+    sources: impl Iterator<Item = SourceKind>,
+    arbiter: ArbiterKind,
+    settings: &RunSettings,
+    window: u64,
+) -> (BusStats, Vec<WindowSample>) {
     let with_metrics = RunSettings { metrics_window: Some(window), ..*settings };
-    let mut system = build_system(lane(specs, arbiter.into(), &with_metrics), &with_metrics);
+    let mut system = build_system(lane(sources, arbiter, &with_metrics), &with_metrics);
     system.warm_up(settings.warmup);
     system.run(settings.measure);
     system.flush_metrics();
@@ -137,20 +264,16 @@ pub fn run_system_timeseries(
 }
 
 /// The lane description of one experiment system: masters `C1..Cn`
-/// driven by `specs`, per-master seeds derived from
-/// [`RunSettings::seed`] and the master index, the settings' bus config
-/// and optional metrics window.
+/// driven by `sources` (live or replayed), the settings' bus config and
+/// optional metrics window.
 fn lane(
-    specs: &[GeneratorSpec],
+    sources: impl Iterator<Item = SourceKind>,
     arbiter: ArbiterKind,
     settings: &RunSettings,
 ) -> LaneBuilder<ArbiterKind, SourceKind> {
     let mut lane = LaneBuilder::new(settings.bus);
-    for (i, spec) in specs.iter().enumerate() {
-        lane = lane.master(
-            format!("C{}", i + 1),
-            spec.build_kind(settings.seed.wrapping_add(i as u64 * 0x9E37_79B9)),
-        );
+    for (i, source) in sources.enumerate() {
+        lane = lane.master(format!("C{}", i + 1), source);
     }
     if let Some(window) = settings.metrics_window {
         lane = lane.metrics_window(window);
@@ -340,6 +463,37 @@ mod tests {
             );
             assert_eq!(cycle, other, "{} kernel perturbed an idle-heavy workload", kernel.name());
         }
+    }
+
+    #[test]
+    fn recorded_traffic_replays_the_live_runs_on_every_path() {
+        let settings = RunSettings { warmup: 1_000, measure: 8_000, ..RunSettings::quick() };
+        let specs = [
+            GeneratorSpec::poisson(0.05, traffic_gen::SizeDist::fixed(16)),
+            GeneratorSpec::bursty(2, 6, 0, 30, 90, 3, traffic_gen::SizeDist::uniform(1, 16)),
+            GeneratorSpec::periodic_jittered(24, 5, 30, traffic_gen::SizeDist::fixed(4)),
+        ];
+        let recorded = RecordedTraffic::record(&specs, &settings);
+        let rr = || RoundRobinArbiter::new(3).expect("valid");
+        for s in [settings, settings.with_kernel(Kernel::Fast), settings.with_metrics(500)] {
+            assert_eq!(recorded.run(rr(), &s), run_system(&specs, rr(), &s), "{s:?}");
+        }
+        assert_eq!(
+            recorded.run_timeseries(rr(), &settings, 1_000),
+            run_system_timeseries(&specs, rr(), &settings, 1_000)
+        );
+        // Recording on two workers changes nothing.
+        let parallel = RecordedTraffic::record(&specs, &settings.with_jobs(2));
+        assert_eq!(parallel.masters, recorded.masters);
+    }
+
+    #[test]
+    #[should_panic(expected = "another seed or window")]
+    fn recorded_traffic_refuses_other_settings() {
+        let settings = RunSettings { warmup: 100, measure: 1_000, ..RunSettings::quick() };
+        let recorded = RecordedTraffic::record(&saturating_specs(2), &settings);
+        let longer = RunSettings { measure: 2_000, ..settings };
+        recorded.run(RoundRobinArbiter::new(2).expect("valid"), &longer);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! The answer — data movement dominates, arbitration energy is noise —
 //! supports adopting the richer protocol.
 
-use crate::common::{self, RunSettings};
+use crate::common::{RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::{ArbiterKind, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter, WheelLayout};
@@ -38,13 +38,17 @@ pub struct EnergyTable {
     pub rows: Vec<EnergyRow>,
 }
 
-/// Runs the heavy uniform class T1 under every architecture and prices
-/// the runs with the 0.35 µm-class energy model.
+/// Runs the heavy uniform class T1 under every architecture, over one
+/// recording of its traffic, and prices the runs with the 0.35 µm-class
+/// energy model.
 pub fn run(settings: &RunSettings) -> EnergyTable {
     let weights = [1u32, 2, 3, 4];
     let lib = CellLibrary::cmos035();
     let model = EnergyModel::cmos035();
-    let specs = TrafficClass::T1.specs_with_frame(&weights, crate::fig6::TDMA_BLOCK);
+    let traffic = RecordedTraffic::record(
+        &TrafficClass::T1.specs_with_frame(&weights, crate::fig6::TDMA_BLOCK),
+        settings,
+    );
     let slots: Vec<u32> = weights.iter().map(|w| w * 6).collect();
 
     // Hardware estimates are precomputed (plain data crosses the thread
@@ -81,7 +85,7 @@ pub fn run(settings: &RunSettings) -> EnergyTable {
             .into(),
             other => panic!("unknown architecture {other}"),
         };
-        let stats = common::run_system(&specs, arbiter, settings);
+        let stats = traffic.run(arbiter, settings);
         let activity = ActivityCounts {
             words: stats.busy_cycles,
             decisions: stats.grants,

@@ -7,7 +7,7 @@
 //! (C1 received an average of ~0.1% across the combinations where it is
 //! lowest priority).
 
-use crate::common::{self, RunSettings};
+use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::StaticPriorityArbiter;
@@ -33,14 +33,15 @@ pub struct Fig4 {
 }
 
 /// Runs the Figure 4 experiment. The 24 permutations are independent
-/// simulations, so they fan out across `settings.jobs` workers with
-/// results collected in permutation order.
+/// simulations over one recording of the saturating traffic, so they
+/// fan out across `settings.jobs` workers with results collected in
+/// permutation order.
 pub fn run(settings: &RunSettings) -> Fig4 {
-    let specs = traffic_gen::classes::saturating_specs(4);
+    let traffic = RecordedTraffic::record(&traffic_gen::classes::saturating_specs(4), settings);
     let perms = common::permutations(4);
     let rows = runner::map(settings, &perms, |_, perm| {
         let arbiter = StaticPriorityArbiter::new(perm.clone()).expect("unique priorities");
-        let stats = common::run_system(&specs, arbiter, settings);
+        let stats = traffic.run(arbiter, settings);
         Fig4Row {
             assignment: common::permutation_label(perm),
             priorities: perm.clone(),
@@ -111,14 +112,15 @@ pub struct Fig4Timeseries {
 
 /// Runs the windowed starvation experiment. The measured interval is
 /// split into ~50 windows; the two arbiters are independent simulations
-/// and fan out across `settings.jobs` workers.
+/// over one recording of the saturating traffic and fan out across
+/// `settings.jobs` workers.
 pub fn run_timeseries(settings: &RunSettings) -> Fig4Timeseries {
     let window = (settings.measure / 50).max(1);
+    let traffic = RecordedTraffic::record(&traffic_gen::classes::saturating_specs(4), settings);
     let protocols = [0usize, 4]; // static priority, static lottery
     let series = runner::map(settings, &protocols, |_, &index| {
-        let specs = traffic_gen::classes::saturating_specs(4);
         let arbiter = common::protocol_arbiter(index, settings.seed);
-        let (_, samples) = common::run_system_timeseries(&specs, arbiter, settings, window);
+        let (_, samples) = traffic.run_timeseries(arbiter, settings, window);
         samples
             .iter()
             .map(|s| TimeWindow {

@@ -8,7 +8,7 @@
 //!   the highest-weight component's latency drops severalfold under the
 //!   lottery (the paper reports 8.55 → 2.7 cycles/word).
 
-use crate::common::{self, RunSettings};
+use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::{TdmaArbiter, WheelLayout};
@@ -39,16 +39,17 @@ pub struct Fig6a {
 }
 
 /// Runs Figure 6(a). Each ticket permutation is an independent
-/// simulation (the arbiter is constructed inside the job), so the 24
-/// rows fan out across `settings.jobs` workers.
+/// simulation over one recording of the saturating traffic (the arbiter
+/// is constructed inside the job), so the 24 rows fan out across
+/// `settings.jobs` workers.
 pub fn run_bandwidth(settings: &RunSettings) -> Fig6a {
-    let specs = traffic_gen::classes::saturating_specs(4);
+    let traffic = RecordedTraffic::record(&traffic_gen::classes::saturating_specs(4), settings);
     let perms = common::permutations(4);
     let rows = runner::map(settings, &perms, |_, perm| {
         let tickets = TicketAssignment::new(perm.clone()).expect("valid tickets");
         let arbiter = StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
             .expect("4-master LUT fits");
-        let stats = common::run_system(&specs, arbiter, settings);
+        let stats = traffic.run(arbiter, settings);
         Fig6aRow {
             assignment: common::permutation_label(perm),
             tickets: perm.clone(),
@@ -126,22 +127,23 @@ pub struct Fig6b {
 }
 
 /// Runs Figure 6(b) with the paper's weights 1:2:3:4 on traffic class
-/// `class` (the paper's illustrative class is T6).
+/// `class` (the paper's illustrative class is T6), both arbiters over
+/// one recording of the class's traffic.
 pub fn run_latency(class: TrafficClass, settings: &RunSettings) -> Fig6b {
     let weights = [1u32, 2, 3, 4];
-    let specs = class.specs_with_frame(&weights, TDMA_BLOCK);
+    let traffic = RecordedTraffic::record(&class.specs_with_frame(&weights, TDMA_BLOCK), settings);
     let (tdma_stats, lottery_stats) = runner::join(
         settings,
         || {
             let slots: Vec<u32> = weights.iter().map(|w| w * TDMA_BLOCK).collect();
             let tdma = TdmaArbiter::new(&slots, WheelLayout::Contiguous).expect("valid wheel");
-            common::run_system(&specs, tdma, settings)
+            traffic.run(tdma, settings)
         },
         || {
             let tickets = TicketAssignment::new(weights.to_vec()).expect("valid tickets");
             let lottery = StaticLotteryArbiter::with_seed(tickets, settings.seed as u32 | 1)
                 .expect("4-master LUT fits");
-            common::run_system(&specs, lottery, settings)
+            traffic.run(lottery, settings)
         },
     );
     Fig6b {

@@ -14,7 +14,9 @@
 //! 1. **Seed ownership.** `common::run_system` derives every traffic
 //!    source's seed from `RunSettings.seed` and the master index, and
 //!    every arbiter is constructed inside its job from plain inputs.
-//!    No job reads another job's RNG.
+//!    No job reads another job's RNG. Traffic recorded before a
+//!    fan-out (`common::RecordedTraffic`) uses the same seeds and is
+//!    read-only: each job replays it through a cursor of its own.
 //! 2. **Ordered collection.** [`map`] writes result *i* into slot *i*
 //!    regardless of which worker computed it or when it finished.
 //! 3. **No shared mutable state.** Jobs borrow their inputs (`Sync`)

@@ -8,7 +8,7 @@
 //! measured side by side, together with the fairness of the resulting
 //! allocation under every arbiter.
 
-use crate::common::{self, RunSettings};
+use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use lotterybus::{analysis, StaticLotteryArbiter, TicketAssignment};
@@ -93,13 +93,15 @@ fn cdf_curve(settings: &RunSettings) -> Vec<CdfPoint> {
         .collect()
 }
 
+/// The weighted fairness of each protocol, all five over one recording
+/// of the saturating traffic.
 fn fairness_row(settings: &RunSettings) -> Vec<f64> {
     let weights = [1u32, 2, 3, 4];
+    let traffic = RecordedTraffic::record(&traffic_gen::classes::saturating_specs(4), settings);
     let protocols: Vec<usize> = (0..FAIRNESS_PROTOCOLS.len()).collect();
     runner::map(settings, &protocols, |_, &protocol| {
         let arbiter = common::protocol_arbiter(protocol, settings.seed);
-        let stats =
-            common::run_system(&traffic_gen::classes::saturating_specs(4), arbiter, settings);
+        let stats = traffic.run(arbiter, settings);
         let weighted: Vec<f64> = (0..4)
             .map(|i| stats.bandwidth_fraction(MasterId::new(i)) / f64::from(weights[i]))
             .collect();

@@ -13,7 +13,7 @@
 //!   every arbitration protocol: the queueing "hockey stick" and where
 //!   each protocol's knee sits.
 
-use crate::common::{self, RunSettings};
+use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::ArbiterKind;
@@ -34,7 +34,8 @@ pub struct GranularityPoint {
 }
 
 /// Sweeps one component's ticket count against three single-ticket
-/// competitors on a saturated bus.
+/// competitors on a saturated bus, every count over one recording of
+/// the traffic.
 pub fn ticket_granularity(settings: &RunSettings) -> Vec<GranularityPoint> {
     let counts = [1u32, 2, 3, 5, 8, 13, 21, 34, 64];
     let arbiter_for = |k: u32| -> ArbiterKind {
@@ -46,9 +47,9 @@ pub fn ticket_granularity(settings: &RunSettings) -> Vec<GranularityPoint> {
     // Every master must offer more than any possible entitlement
     // (up to 64/67 ≈ 96 %), so each offers ~1.4× bus capacity.
     let spec = GeneratorSpec::poisson(0.09, SizeDist::fixed(16));
-    let stats: Vec<BusStats> = runner::map(settings, &counts, |_, &k| {
-        common::run_system(&vec![spec; 4], arbiter_for(k), settings)
-    });
+    let traffic = RecordedTraffic::record(&[spec; 4], settings);
+    let stats: Vec<BusStats> =
+        runner::map(settings, &counts, |_, &k| traffic.run(arbiter_for(k), settings));
     counts
         .iter()
         .zip(stats)
@@ -77,29 +78,33 @@ pub const LATENCY_PROTOCOLS: [&str; 5] =
 /// Sweeps total offered load and measures the tagged component's
 /// latency under each protocol. Loads are split by weight 1:2:3:4; the
 /// tagged component holds weight 4 (top priority / most slots / most
-/// tickets).
+/// tickets). Each load's traffic is recorded once and replayed under
+/// all five protocols.
 pub fn latency_vs_load(settings: &RunSettings) -> Vec<LoadPoint> {
     let weights = [1u32, 2, 3, 4];
     let loads = [0.3, 0.5, 0.7, 0.85, 1.0, 1.2];
+    let traffic: Vec<RecordedTraffic> = loads
+        .iter()
+        .map(|&load| {
+            let specs: Vec<GeneratorSpec> = weights
+                .iter()
+                .map(|&w| {
+                    let rate = load * f64::from(w) / 10.0 / 16.0;
+                    GeneratorSpec::poisson(rate, SizeDist::fixed(16))
+                })
+                .collect();
+            RecordedTraffic::record(&specs, settings)
+        })
+        .collect();
     // Flatten the (load × protocol) cross-product into one job list so
     // all 30 simulations fan out together; arbiters are built inside
     // each job from the lineup index ([`common::protocol_arbiter`]).
-    let cells: Vec<(f64, usize)> = loads
-        .iter()
-        .flat_map(|&load| (0..LATENCY_PROTOCOLS.len()).map(move |p| (load, p)))
+    let cells: Vec<(usize, usize)> = (0..loads.len())
+        .flat_map(|load| (0..LATENCY_PROTOCOLS.len()).map(move |p| (load, p)))
         .collect();
-    let cell_specs = |load: f64| -> Vec<GeneratorSpec> {
-        weights
-            .iter()
-            .map(|&w| {
-                let rate = load * f64::from(w) / 10.0 / 16.0;
-                GeneratorSpec::poisson(rate, SizeDist::fixed(16))
-            })
-            .collect()
-    };
     let latencies: Vec<Option<f64>> = runner::map(settings, &cells, |_, &(load, protocol)| {
         let arbiter = common::protocol_arbiter(protocol, settings.seed);
-        let stats = common::run_system(&cell_specs(load), arbiter, settings);
+        let stats = traffic[load].run(arbiter, settings);
         stats.master(MasterId::new(3)).cycles_per_word()
     });
     loads

@@ -517,10 +517,14 @@ impl Scenario {
                 Ok(())
             }
         };
+        // Bandwidth shares and utilization are fractions of the bus.
         let check_bounds = |min: &Option<f64>, max: &Option<f64>| {
             for (key, bound) in [("min", min), ("max", max)] {
                 if let Some(b) = bound.filter(|b| !b.is_finite()) {
                     return Err(format!("sla {kw} `{key}=` must be a finite number, got {b}"));
+                }
+                if let Some(b) = bound.filter(|b| !(0.0..=1.0).contains(b)) {
+                    return Err(format!("sla {kw} `{key}=` must lie in [0, 1], got {b}"));
                 }
             }
             Ok(())

@@ -149,6 +149,25 @@ fn non_finite_sla_bounds_are_parse_errors() {
 }
 
 #[test]
+fn share_bounds_outside_the_unit_interval_are_parse_errors() {
+    for (sla, bound) in [
+        ("sla bandwidth master=cpu min=-1e10", "`min=` must lie in [0, 1], got -10000000000"),
+        ("sla bandwidth master=cpu min=0.1 max=1.01", "`max=` must lie in [0, 1], got 1.01"),
+        ("sla utilization min=-0.5", "`min=` must lie in [0, 1], got -0.5"),
+        ("sla utilization max=2", "`max=` must lie in [0, 1], got 2"),
+    ] {
+        let text = format!("scenario bounds\nmaster cpu load=0.3\nphase p duration=1000\n{sla}\n");
+        let err = Scenario::parse(&text).expect_err(sla);
+        assert!(err.message.contains(bound), "{sla}: {}", err.message);
+    }
+    // The interval's ends are valid bounds.
+    for sla in ["sla bandwidth master=cpu min=0 max=1", "sla utilization min=0.0 max=1.0"] {
+        let text = format!("scenario bounds\nmaster cpu load=0.3\nphase p duration=1000\n{sla}\n");
+        Scenario::parse(&text).unwrap_or_else(|e| panic!("{sla}: {e}"));
+    }
+}
+
+#[test]
 fn fuzz_smoke_finds_nothing_organically() {
     let report = fuzz(&FuzzConfig { seed: 7, iterations: 10, demo_failure: false });
     assert_eq!(report.iterations, 10);

@@ -7,16 +7,23 @@ use crate::request::Transaction;
 use std::collections::VecDeque;
 
 /// A transaction that has been issued but not yet fully transferred.
+///
+/// A port queue holds one of these per outstanding transaction, and an
+/// overloaded master's queue grows for the whole run, so the entry is
+/// kept at 48 bytes: the two optional cycles are stored as [`Cycle`]s
+/// with [`Cycle::NEVER`] for "not yet", a cycle no run reaches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InFlight {
     txn: Transaction,
     remaining: u32,
-    first_grant: Option<Cycle>,
     /// Failed attempts (slave errors) so far.
     attempts: u32,
+    /// Cycle of the first grant, or [`Cycle::NEVER`] before it.
+    first_grant: Cycle,
     /// When the watchdog started observing this transaction at the
-    /// queue head (re-armed after each retry backoff).
-    watch_since: Option<Cycle>,
+    /// queue head (re-armed after each retry backoff), or
+    /// [`Cycle::NEVER`] while unwatched.
+    watch_since: Cycle,
 }
 
 impl InFlight {
@@ -32,7 +39,7 @@ impl InFlight {
 
     /// Cycle at which the transaction first received a grant, if any.
     pub fn first_grant(&self) -> Option<Cycle> {
-        self.first_grant
+        (self.first_grant != Cycle::NEVER).then_some(self.first_grant)
     }
 
     /// Failed (error-response) attempts so far.
@@ -137,9 +144,9 @@ impl MasterPort {
         self.queue.push_back(InFlight {
             txn,
             remaining: txn.words(),
-            first_grant: None,
             attempts: 0,
-            watch_since: None,
+            first_grant: Cycle::NEVER,
+            watch_since: Cycle::NEVER,
         });
     }
 
@@ -185,8 +192,10 @@ impl MasterPort {
             return None;
         }
         let head = self.queue.front_mut()?;
-        let since = *head.watch_since.get_or_insert(now);
-        Some(now - since)
+        if head.watch_since == Cycle::NEVER {
+            head.watch_since = now;
+        }
+        Some(now - head.watch_since)
     }
 
     /// Records a failed attempt (slave error response) on the head
@@ -207,7 +216,7 @@ impl MasterPort {
             RetryOutcome::Aborted { attempts }
         } else {
             let resume_at = now + 1 + policy.backoff_after(attempts);
-            head.watch_since = None;
+            head.watch_since = Cycle::NEVER;
             self.backoff_until = Some(resume_at);
             RetryOutcome::Retry { attempt: attempts, resume_at }
         }
@@ -306,7 +315,9 @@ impl MasterPort {
     #[inline]
     pub fn note_grant(&mut self, now: Cycle) {
         if let Some(head) = self.queue.front_mut() {
-            head.first_grant.get_or_insert(now);
+            if head.first_grant == Cycle::NEVER {
+                head.first_grant = now;
+            }
         }
     }
 
@@ -325,12 +336,12 @@ impl MasterPort {
         head.remaining -= words;
         // Progress re-arms the watchdog: it measures time wedged, not
         // total queue-head residency.
-        head.watch_since = None;
+        head.watch_since = Cycle::NEVER;
         if head.remaining == 0 {
             let done = self.queue.pop_front().expect("head exists");
             Some(Completion {
                 txn: done.txn,
-                first_grant: done.first_grant.expect("granted before completion"),
+                first_grant: done.first_grant().expect("granted before completion"),
                 finished_at: last_cycle + 1,
             })
         } else {
@@ -362,6 +373,18 @@ mod tests {
         assert_eq!(done.latency(), 7); // issued at 0, last word in cycle 6
         assert_eq!(done.wait(), 3);
         assert_eq!(port.pending_words(), 2); // second transaction now head
+    }
+
+    #[test]
+    fn queue_entries_are_48_bytes() {
+        assert_eq!(std::mem::size_of::<InFlight>(), 48);
+        // The sentinel stays behind the accessor: ungranted reads None.
+        let mut port = MasterPort::new(MasterId::new(0), "m0");
+        port.enqueue(txn(4, 0));
+        port.enqueue(txn(4, 1));
+        port.note_grant(Cycle::new(3));
+        assert_eq!(port.abort_head().and_then(|f| f.first_grant()), Some(Cycle::new(3)));
+        assert_eq!(port.abort_head().map(|f| f.first_grant()), Some(None));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::spec::{ArrivalSpec, GeneratorSpec};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use socsim::{Cycle, SlaveId, TrafficSource, Transaction};
 use std::collections::VecDeque;
 
@@ -16,6 +16,26 @@ const DRAW_AHEAD: u64 = 4096;
 /// draws start at its first poll, wherever that falls.
 const UNANCHORED: u64 = u64::MAX;
 
+/// The integer form of a Bernoulli draw at probability `p` in `(0, 1]`:
+/// a draw `bits` hits iff [`bernoulli_hit`]`(bits, bernoulli_threshold(p))`.
+///
+/// This is `gen_bool(p)`'s test on the same draw without the float
+/// path. `gen_bool` hits iff `(bits >> 11) · 2^-53 < p`; both sides
+/// are exact (a 53-bit integer scaled by a power of two), so for the
+/// integer `x = bits >> 11` that is `x < p · 2^53`, which holds iff
+/// `x < ⌈p · 2^53⌉`; the float product `p · 2^53` is exact as well, so
+/// its ceiling is the true one.
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Whether the 64 random bits `bits` hit a Bernoulli draw whose
+/// [`bernoulli_threshold`] is `threshold`.
+#[inline]
+fn bernoulli_hit(bits: u64, threshold: u64) -> bool {
+    bits >> 11 < threshold
+}
+
 /// A deterministic (seeded) stochastic traffic source.
 ///
 /// Internally the source keeps a small queue of generated-but-not-yet-due
@@ -26,7 +46,9 @@ const UNANCHORED: u64 = u64::MAX;
 /// Every arrival process is a schedule known ahead of time, so
 /// [`TrafficSource::next_event`] always reports a real horizon. The
 /// memoryless (Bernoulli) process makes one `gen_bool(rate)` draw per
-/// cycle from its first poll on, samples the message size right after
+/// cycle from its first poll on (made as the same comparison in
+/// integer form: `next_u64() >> 11 < ⌈rate · 2^53⌉`), samples the
+/// message size right after
 /// each hit, and stamps the message with the hit's cycle. A poll draws
 /// ahead up to the next hit, so the cycles before it need no poll; a
 /// poll that comes later than the horizon catches up over the skipped
@@ -125,14 +147,14 @@ impl StochasticSource {
                 // of the generator and the cursor, written back before
                 // each hit samples its size from the same generator.
                 let window_end = now.saturating_add(DRAW_AHEAD);
-                let rate = rate.min(1.0);
+                let threshold = bernoulli_threshold(rate.min(1.0));
                 loop {
                     let (mut rng, mut next) = (self.rng.clone(), self.next_event);
                     let mut hit = None;
                     while next <= window_end {
                         let cycle = next;
                         next += 1;
-                        if rng.gen_bool(rate) {
+                        if bernoulli_hit(rng.next_u64(), threshold) {
                             hit = Some(cycle);
                             break;
                         }
@@ -223,6 +245,42 @@ mod tests {
 
     fn drain(source: &mut StochasticSource, cycles: u64) -> Vec<(u64, u32)> {
         (0..cycles).filter_map(|c| source.poll(Cycle::new(c)).map(|t| (c, t.words()))).collect()
+    }
+
+    #[test]
+    fn integer_bernoulli_draw_agrees_with_gen_bool_draw_for_draw() {
+        let probabilities = [1e-300, 1e-4, 0.09, 0.25, 0.5, 1.0 - f64::EPSILON / 2.0, 1.0];
+        for (i, &p) in probabilities.iter().enumerate() {
+            let threshold = bernoulli_threshold(p);
+            let mut float_path = StdRng::seed_from_u64(0x5EED + i as u64);
+            let mut integer_path = float_path.clone();
+            let mut hits = 0u32;
+            for draw in 0..200_000 {
+                let expected = float_path.gen_bool(p);
+                assert_eq!(
+                    bernoulli_hit(integer_path.next_u64(), threshold),
+                    expected,
+                    "p = {p:e}, draw {draw}"
+                );
+                hits += u32::from(expected);
+            }
+            assert!(p < 1.0 || hits == 200_000, "p = 1 always hits");
+        }
+        // Random draws almost never land next to the threshold, so
+        // check the 53-bit values around it against `gen_bool`'s float
+        // comparison directly.
+        for &p in &probabilities {
+            let threshold = bernoulli_threshold(p);
+            for x in threshold.saturating_sub(2)..(threshold + 2).min(1 << 53) {
+                let float_hit = x as f64 * (1.0 / (1u64 << 53) as f64) < p;
+                assert_eq!(bernoulli_hit(x << 11, threshold), float_hit, "p = {p:e}, x = {x}");
+            }
+        }
+        // The thresholds at the edges: one hit value above zero, all
+        // 2^53 values at one.
+        assert_eq!(bernoulli_threshold(1e-300), 1);
+        assert_eq!(bernoulli_threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
+        assert_eq!(bernoulli_threshold(1.0), 1 << 53);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   message-size distribution ([`SizeDist`]).
 //! * [`StochasticSource`] — the [`socsim::TrafficSource`] implementation
 //!   produced by a spec, deterministic under a seed.
-//! * [`ReplaySource`] — replays an explicit `(cycle, words)` trace
-//!   (used for the paper's Figure 5 alignment experiment).
+//! * [`ReplaySource`] — replays an explicit `(cycle, words)` trace, a
+//!   cursor over a shared slice (used for the paper's Figure 5
+//!   alignment experiment, and to replay traffic [`record_trace`]
+//!   recorded once under several arbiters).
 //! * [`classes`] — the nine named traffic classes T1–T9 used in the
 //!   paper's Figure 12 experiments, plus the saturating class of
 //!   Figures 4/6(a).

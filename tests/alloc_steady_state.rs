@@ -21,9 +21,12 @@ use analytic::{Protocol, SearchSpace, SlaTarget, TargetKind, TrafficInput};
 use lotterybus_repro::arbiters::ArbiterKind;
 use lotterybus_repro::experiments::hotpath::{hot_arbiter, HOT_PROTOCOLS};
 use lotterybus_repro::socsim::{BusConfig, Fleet, LaneBuilder, SystemBuilder};
-use lotterybus_repro::traffic::{SaturateSource, SizeDist, SourceKind};
+use lotterybus_repro::traffic::{
+    record_trace, GeneratorSpec, ReplaySource, SaturateSource, SizeDist, SourceKind,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
@@ -196,6 +199,43 @@ fn grouped_arbitration_steady_state_makes_zero_allocations() {
         counted, 0,
         "{counted} heap allocation(s) in a 20k-cycle grouped-arbitration window"
     );
+}
+
+#[test]
+fn replayed_lane_steady_state_makes_zero_allocations() {
+    // A one-lane fleet replaying recorded Bernoulli traffic, as the
+    // experiments run it: four shared traces at 40% offered load in
+    // all, so queues stay short and only the replay cursors and the
+    // bus move. The trace is read in place; the poll builds each
+    // transaction on the stack.
+    let cycles = 40_000;
+    let traces: Vec<Arc<[(u64, u32)]>> = (0..4u64)
+        .map(|i| {
+            let spec = GeneratorSpec::poisson(0.0025 * (i + 1) as f64, SizeDist::fixed(16));
+            record_trace(&spec, 0xC0FFEE + i, cycles).into()
+        })
+        .collect();
+    for protocol in HOT_PROTOCOLS {
+        let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
+        for (i, trace) in traces.iter().enumerate() {
+            let replay = ReplaySource::shared(0, Arc::clone(trace));
+            lane = lane.master(format!("C{}", i + 1), SourceKind::from(replay));
+        }
+        let mut fleet =
+            Fleet::build(vec![lane.arbiter(hot_arbiter(protocol, 0xC0FFEE))]).expect("valid lane");
+        fleet.warm_up(cycles / 2);
+        ALLOCS.with(|allocs| allocs.set(0));
+        COUNTING.with(|counting| counting.set(true));
+        fleet.run(cycles / 2);
+        COUNTING.with(|counting| counting.set(false));
+        let counted = ALLOCS.with(|allocs| allocs.get());
+        let words: u64 = fleet.stats(0).masters().iter().map(|m| m.words).sum();
+        assert!(words > 5_000, "{protocol}: the replay moved only {words} words");
+        assert_eq!(
+            counted, 0,
+            "{protocol}: {counted} heap allocation(s) replaying recorded traffic"
+        );
+    }
 }
 
 #[test]

@@ -376,6 +376,17 @@ fn scalar_oracle<A: Arbiter>(specs: &[GeneratorSpec], arbiter: A, s: &RunSetting
     system.stats().clone()
 }
 
+/// The run paths of one experiment system under `settings`: the
+/// one-lane fleet (cycle kernel), the scalar `fast` kernel and the
+/// scalar cycle kernel with a metrics window.
+fn run_paths(settings: RunSettings) -> [(&'static str, RunSettings); 3] {
+    [
+        ("fleet", settings),
+        ("fast", settings.with_kernel(Kernel::Fast)),
+        ("metrics", settings.with_metrics(500)),
+    ]
+}
+
 #[test]
 fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
     // Every (protocol × workload) cell of the suite's experiment matrix
@@ -387,11 +398,7 @@ fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
     for p in 0..5 {
         for (name, specs) in suite_workloads() {
             let oracle = scalar_oracle(&specs, arbiter(p), &settings);
-            for (path, s) in [
-                ("fleet", settings),
-                ("fast", settings.with_kernel(Kernel::Fast)),
-                ("metrics", settings.with_metrics(500)),
-            ] {
+            for (path, s) in run_paths(settings) {
                 let stats = experiments::common::run_system(&specs, arbiter(p), &s);
                 assert_eq!(stats, oracle, "protocol {p} on the {name} workload: {path} diverged");
             }
@@ -405,6 +412,57 @@ fn fleet_matrix_every_suite_workload_lane_matches_its_scalar_run() {
         scalar_oracle(&sparse, rr2(), &settings),
         "two-master sparse lane diverged"
     );
+}
+
+#[test]
+fn recorded_traffic_matrix_every_suite_workload_matches_the_live_oracle() {
+    // The same matrix on recorded traffic: each workload is recorded
+    // once, as the experiments do, and replayed under every protocol on
+    // every run path. Each cell must equal the scalar cycle-kernel
+    // oracle of the live sources — the on–off classes (same-stamp burst
+    // backlogs), the jittered mix (stamps generated out of order) and
+    // the saturating masters (queues that grow for the whole run)
+    // included.
+    use experiments::common::RecordedTraffic;
+    let settings = short();
+    let arbiter = |p: usize| experiments::common::protocol_arbiter(p, settings.seed);
+    for (name, specs) in suite_workloads() {
+        let recorded = RecordedTraffic::record(&specs, &settings);
+        for p in 0..5 {
+            let oracle = scalar_oracle(&specs, arbiter(p), &settings);
+            for (path, s) in run_paths(settings) {
+                let stats = recorded.run(arbiter(p), &s);
+                assert_eq!(stats, oracle, "protocol {p} on recorded {name}: {path} diverged");
+            }
+        }
+    }
+    let sparse = vec![GeneratorSpec::poisson(0.01, SizeDist::fixed(8)); 2];
+    let rr2 = || lotterybus_repro::arbiters::RoundRobinArbiter::new(2).expect("valid");
+    assert_eq!(
+        RecordedTraffic::record(&sparse, &settings).run(rr2(), &settings),
+        scalar_oracle(&sparse, rr2(), &settings),
+        "recorded two-master sparse lane diverged"
+    );
+}
+
+#[test]
+fn recorded_traffic_replays_full_window_saturating_backlogs() {
+    // The suite's deepest backlogs: the saturating masters over the
+    // full 220k-cycle window, where a starved master's queue holds tens
+    // of thousands of transactions. Replays under static priority (the
+    // deepest queues) and the lottery equal the live one-lane fleet.
+    use experiments::common::RecordedTraffic;
+    let settings = RunSettings::new();
+    let specs = lotterybus_repro::traffic::classes::saturating_specs(4);
+    let recorded = RecordedTraffic::record(&specs, &settings);
+    for p in [0, 4] {
+        let arbiter = || experiments::common::protocol_arbiter(p, settings.seed);
+        assert_eq!(
+            recorded.run(arbiter(), &settings),
+            experiments::common::run_system(&specs, arbiter(), &settings),
+            "protocol {p}: full-window replay diverged"
+        );
+    }
 }
 
 #[test]
