@@ -373,15 +373,6 @@ impl SystemModel {
         self
     }
 
-    /// The effective word-space weight of master `i` under deficit
-    /// round-robin: `min(weight · drr_quantum, max_burst)`. The bus
-    /// clamps every grant to `max_burst` words and the arbiter visits
-    /// each backlogged master once per round, so quantum beyond one
-    /// full burst buys nothing.
-    pub fn drr_effective_weight(&self, i: usize) -> u32 {
-        drr_effective(self.masters[i].weight, self.drr_quantum, self.max_burst)
-    }
-
     /// The weight the water fill divides by for a master declaring
     /// `weight`: 1 under plain round-robin, which serves backlogged
     /// masters equally whatever their weights; the effective weight

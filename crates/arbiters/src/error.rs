@@ -21,6 +21,14 @@ pub enum ArbiterConfigError {
     DuplicatePriority(u32),
     /// Every master must own at least one slot / one token position.
     UnservedMaster(usize),
+    /// The TDMA timing wheel would hold more than
+    /// [`crate::tdma::MAX_WHEEL_SLOTS`] slots.
+    WheelTooLarge {
+        /// Slots the wheel would hold (saturating at `u64::MAX`).
+        slots: u64,
+        /// Maximum supported.
+        max: usize,
+    },
     /// A failover arbiter needs at least one cycle of patience before
     /// declaring its primary wedged.
     ZeroPatience,
@@ -42,6 +50,9 @@ impl fmt::Display for ArbiterConfigError {
             ArbiterConfigError::UnservedMaster(m) => {
                 write!(f, "master {m} owns no slot in the timing wheel")
             }
+            ArbiterConfigError::WheelTooLarge { slots, max } => {
+                write!(f, "TDMA timing wheel of {slots} slots exceeds the limit of {max} slots")
+            }
             ArbiterConfigError::ZeroPatience => {
                 write!(f, "failover patience must be at least 1 cycle")
             }
@@ -62,6 +73,8 @@ mod tests {
     fn messages_mention_offenders() {
         assert!(ArbiterConfigError::DuplicatePriority(3).to_string().contains('3'));
         assert!(ArbiterConfigError::UnservedMaster(2).to_string().contains('2'));
+        let wheel = ArbiterConfigError::WheelTooLarge { slots: 5_000_000, max: 1 << 20 };
+        assert!(wheel.to_string().contains("5000000") && wheel.to_string().contains("1048576"));
     }
 
     #[test]

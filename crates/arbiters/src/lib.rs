@@ -18,10 +18,6 @@
 //! * [`FailoverArbiter`] — a robustness wrapper around any of the
 //!   above: it detects a wedged or contract-violating primary and
 //!   permanently falls over to round-robin, keeping the bus serviced.
-//! * [`InstrumentedArbiter`] — an observability wrapper around any of
-//!   the above: counts decisions, idle cycles, contention and grants
-//!   per master through a shared [`ArbiterCounters`] handle without
-//!   changing the wrapped protocol's behaviour.
 //! * [`ArbiterKind`] — enum dispatch over every built-in protocol
 //!   (including both lottery managers), so the simulator's hot loop
 //!   makes direct calls instead of `Box<dyn Arbiter>` virtual calls.
@@ -48,7 +44,6 @@
 pub mod deficit_rr;
 pub mod error;
 pub mod failover;
-pub mod instrument;
 pub mod kind;
 pub mod round_robin;
 pub mod soa;
@@ -59,7 +54,6 @@ pub mod token_ring;
 pub use deficit_rr::DeficitRoundRobinArbiter;
 pub use error::ArbiterConfigError;
 pub use failover::FailoverArbiter;
-pub use instrument::{ArbiterCounters, InstrumentedArbiter};
 pub use kind::ArbiterKind;
 pub use round_robin::RoundRobinArbiter;
 pub use soa::{

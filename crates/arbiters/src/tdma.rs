@@ -3,6 +3,10 @@
 use crate::error::ArbiterConfigError;
 use socsim::{Arbiter, Cycle, Grant, MasterId, RequestMap, MAX_MASTERS};
 
+/// Most slots a timing wheel may hold: 2^20, the lottery's per-master
+/// ticket ceiling, which keeps a wheel at 8 MiB.
+pub const MAX_WHEEL_SLOTS: usize = 1 << 20;
+
 /// How reserved slots for each master are arranged around the timing
 /// wheel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,9 +61,9 @@ impl TdmaArbiter {
     ///
     /// # Errors
     ///
-    /// Returns an error if there are no masters, too many masters, or a
+    /// Returns an error if there are no masters, too many masters, a
     /// master reserves zero slots (it could then never be guaranteed
-    /// bandwidth).
+    /// bandwidth), or the wheel would exceed [`MAX_WHEEL_SLOTS`].
     pub fn new(slots_per_master: &[u32], layout: WheelLayout) -> Result<Self, ArbiterConfigError> {
         if slots_per_master.is_empty() {
             return Err(ArbiterConfigError::NoMasters);
@@ -72,6 +76,10 @@ impl TdmaArbiter {
         }
         if let Some(idle) = slots_per_master.iter().position(|&s| s == 0) {
             return Err(ArbiterConfigError::UnservedMaster(idle));
+        }
+        let slots: u64 = slots_per_master.iter().map(|&s| u64::from(s)).sum();
+        if slots > MAX_WHEEL_SLOTS as u64 {
+            return Err(ArbiterConfigError::WheelTooLarge { slots, max: MAX_WHEEL_SLOTS });
         }
         let wheel = match layout {
             WheelLayout::Contiguous => contiguous_wheel(slots_per_master),
@@ -279,6 +287,32 @@ mod tests {
     fn zero_slot_master_rejected() {
         let err = TdmaArbiter::new(&[2, 0], WheelLayout::Contiguous).unwrap_err();
         assert_eq!(err, ArbiterConfigError::UnservedMaster(1));
+    }
+
+    #[test]
+    fn wheel_size_is_bounded() {
+        let max = MAX_WHEEL_SLOTS as u32;
+        for layout in [WheelLayout::Contiguous, WheelLayout::Interleaved] {
+            let full = TdmaArbiter::new(&[max - 1, 1], layout).expect("a full wheel is valid");
+            assert_eq!(full.wheel().len(), MAX_WHEEL_SLOTS);
+            let err = TdmaArbiter::new(&[max, 1], layout).unwrap_err();
+            assert_eq!(
+                err,
+                ArbiterConfigError::WheelTooLarge {
+                    slots: u64::from(max) + 1,
+                    max: MAX_WHEEL_SLOTS
+                }
+            );
+            // A sum that would wrap in `u32` is counted exactly.
+            let err = TdmaArbiter::new(&[u32::MAX, u32::MAX, 2], layout).unwrap_err();
+            assert_eq!(
+                err,
+                ArbiterConfigError::WheelTooLarge {
+                    slots: 2 * u64::from(u32::MAX) + 2,
+                    max: MAX_WHEEL_SLOTS
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! ATM cells.
 
-use serde::{Deserialize, Serialize};
 use socsim::Cycle;
 
 /// Payload size of one ATM cell in 32-bit bus words: the 48-byte payload
@@ -10,7 +9,7 @@ pub const PAYLOAD_WORDS: u32 = 12;
 
 /// One ATM cell queued for forwarding: the address of its payload in the
 /// shared memory plus bookkeeping for latency accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtmCell {
     /// Destination output port (dense index).
     pub port: usize,

@@ -1,9 +1,7 @@
 //! Per-port performance reports (the rows of the paper's Table 1).
 
-use serde::{Deserialize, Serialize};
-
 /// Measured switch performance under one communication architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtmReport {
     /// Architecture name (arbiter protocol).
     pub architecture: String,

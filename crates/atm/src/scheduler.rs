@@ -4,14 +4,13 @@
 use crate::cell::AtmCell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use socsim::Cycle;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Cell-arrival pattern for one output port.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CellArrivals {
     /// Memoryless arrivals: a cell arrives each cycle with probability
     /// `rate` (heavily loaded data ports).

@@ -5,7 +5,6 @@ use crate::report::AtmReport;
 use crate::scheduler::{CellArrivals, CellScheduler};
 use arbiters::{StaticPriorityArbiter, TdmaArbiter, WheelLayout};
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
-use serde::{Deserialize, Serialize};
 use socsim::{Arbiter, BusConfig, FaultConfig, MasterId, RetryPolicy, SlaveId, SystemBuilder};
 use std::cell::RefCell;
 use std::error::Error;
@@ -13,7 +12,7 @@ use std::rc::Rc;
 
 /// Which communication architecture drives the switch's shared bus —
 /// the three rows of the paper's Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwitchArbiter {
     /// Static priority: port weights become priority levels.
     StaticPriority,
@@ -35,7 +34,7 @@ impl SwitchArbiter {
 }
 
 /// Configuration of the cell-forwarding unit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SwitchConfig {
     /// Cell-arrival pattern per output port.
     pub arrivals: Vec<CellArrivals>,

@@ -374,6 +374,10 @@ pub fn run_search_command(args: &[String]) -> Result<(String, bool), CommandErro
         .map_err(|e| CommandError::Failure(format!("cannot read `{}`: {e}", parsed.path)))?;
     let sc = Scenario::parse(&text)
         .map_err(|e| CommandError::Failure(format!("{}: {e}", parsed.path)))?;
+    // Refuse a design the scenario's own arbiter cannot build (a static
+    // lottery over more masters than its LUT holds, an oversized TDMA
+    // wheel) before scanning, with the message `scenario` prints.
+    scenario::build_arbiter(&sc).map_err(CommandError::Failure)?;
 
     let (targets, sim_only) = scan_targets(&sc);
     if targets.is_empty() {

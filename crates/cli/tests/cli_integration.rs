@@ -240,3 +240,112 @@ fn vanishing_loads_finish_promptly() {
     }
     std::fs::remove_file(&scenario).ok();
 }
+
+/// A spec with `n` light masters `m1..mn` under `arbiter`.
+fn spec_with_masters(arbiter: &str, n: usize) -> String {
+    let mut text = format!("arbiter = {arbiter}\ncycles = 1000\nwarmup = 100\n");
+    for i in 1..=n {
+        text += &format!("master m{i} weight={i} load=0.01 size=4\n");
+    }
+    text
+}
+
+/// A scenario with `n` light masters `m1..mn` under `arbiter` and one
+/// scannable SLA.
+fn scenario_with_masters(arbiter: &str, n: usize) -> String {
+    let mut text = format!("scenario limits\nseed = 1\narbiter = {arbiter}\n");
+    for i in 1..=n {
+        text += &format!("master m{i} weight={i} load=0.01 size=4\n");
+    }
+    text + "phase p duration=1000\nsla bandwidth master=m1 min=0.0\n"
+}
+
+/// Runs a spec (`command` empty) or `command` on a `.scenario` file and
+/// checks the exit code; a refusal must name `message` on stderr and
+/// print nothing on stdout.
+fn assert_run(label: &str, command: &str, text: &str, code: i32, message: &str) {
+    let ext = if command.is_empty() { "spec" } else { "scenario" };
+    let path = write_spec(&format!("{label}.{ext}"), text);
+    let mut cmd = binary();
+    if !command.is_empty() {
+        cmd.arg(command);
+    }
+    cmd.arg(&path);
+    if command == "search" {
+        cmd.args(["--confirm", "0"]);
+    }
+    let out = output_within(cmd, 60);
+    std::fs::remove_file(&path).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{label}: {err}");
+    if code == 0 {
+        assert!(!out.stdout.is_empty(), "{label}: no report");
+    } else {
+        assert!(err.contains(message), "{label}: {err}");
+        assert!(out.stdout.is_empty(), "{label}: printed a report");
+    }
+}
+
+#[test]
+fn master_limits_hold_at_their_boundaries_through_every_entry_point() {
+    let lut = "at most 12 masters supported";
+    let bus = "at most 32 supported";
+    let scan = "search supports 1..=16 masters, got 17";
+    // (arbiter, masters, entry point, exit code, message)
+    let table: [(&str, usize, &str, i32, &str); 14] = [
+        ("lottery", 12, "", 0, ""),
+        ("lottery", 13, "", 1, lut),
+        ("lottery", 12, "scenario", 0, ""),
+        ("lottery", 13, "scenario", 1, lut),
+        // `search` builds the scenario's own arbiter before scanning.
+        ("lottery", 12, "search", 0, ""),
+        ("lottery", 13, "search", 1, lut),
+        ("rr", 16, "search", 0, ""),
+        ("rr", 17, "search", 1, scan),
+        ("rr", 32, "", 0, ""),
+        ("rr", 33, "", 1, bus),
+        ("rr", 32, "scenario", 0, ""),
+        ("rr", 33, "scenario", 1, bus),
+        ("rr", 33, "search", 1, bus),
+        ("lottery", 17, "search", 1, lut),
+    ];
+    for (arbiter, n, command, code, message) in table {
+        let label =
+            format!("limit-{arbiter}-{n}-{}", if command.is_empty() { "spec" } else { command });
+        let text = if command.is_empty() {
+            spec_with_masters(arbiter, n)
+        } else {
+            scenario_with_masters(arbiter, n)
+        };
+        assert_run(&label, command, &text, code, message);
+    }
+}
+
+#[test]
+fn oversized_tdma_wheels_exit_1_from_spec_scenario_and_search() {
+    // Each master reserves weight × tdma-block slots. Both products
+    // used to go unchecked in `u32`: the wheel allocation aborted the
+    // process, or the slot count wrapped to a tiny reservation.
+    let message = "exceeds the limit of 1048576 slots";
+    for (label, block, weight) in
+        [("tdma-weight", 6u64, 4_294_967_295u64), ("tdma-block", 4_294_967_295, 1)]
+    {
+        let spec = format!(
+            "arbiter = tdma\ntdma-block = {block}\ncycles = 1000\n\
+             master a weight={weight} load=0.3\nmaster b weight=1 load=0.3\n"
+        );
+        assert_run(label, "", &spec, 1, message);
+        let scenario = format!(
+            "scenario wheel\narbiter = tdma\ntdma-block = {block}\n\
+             master a weight={weight} load=0.3 size=4\nmaster b weight=1 load=0.3 size=4\n\
+             phase p duration=1000\nsla bandwidth master=a min=0.1\n"
+        );
+        assert_run(label, "scenario", &scenario, 1, message);
+        assert_run(label, "search", &scenario, 1, message);
+    }
+    // A wrapping product (715827883 × 6 = 2^32 + 2) is refused too.
+    let wrap = "scenario wrap\narbiter = tdma\nmaster a weight=715827883 load=0.3 size=4\n\
+                master b weight=1 load=0.3 size=4\nphase p duration=1000\n\
+                sla bandwidth master=a min=0.1\n";
+    assert_run("tdma-wrap", "scenario", wrap, 1, "TDMA timing wheel of 4294967304 slots");
+}

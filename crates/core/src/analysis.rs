@@ -62,44 +62,6 @@ pub fn lotteries_for_confidence(tickets: u32, total: u32, confidence: f64) -> u3
     ((1.0 - confidence).ln() / loss.ln()).ceil() as u32
 }
 
-/// Hoeffding bound on bandwidth-share convergence: the probability that
-/// a contender's empirical win fraction over `lotteries` drawings
-/// deviates from its ticket fraction `t/T` by more than `epsilon` is at
-/// most `2·exp(−2·n·ε²)`.
-///
-/// # Panics
-///
-/// Panics if `total` is zero, `tickets > total`, or `epsilon` is not
-/// positive.
-pub fn share_deviation_probability(tickets: u32, total: u32, lotteries: u32, epsilon: f64) -> f64 {
-    assert!(total > 0, "total tickets must be nonzero");
-    assert!(tickets <= total, "a contender cannot hold more than all tickets");
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    (2.0 * (-2.0 * f64::from(lotteries) * epsilon * epsilon).exp()).min(1.0)
-}
-
-/// Smallest number of lotteries after which a contender's empirical
-/// share is within `epsilon` of its ticket fraction with probability at
-/// least `confidence` (by the Hoeffding bound — conservative).
-///
-/// # Panics
-///
-/// Panics if `epsilon` is not positive or `confidence` is not in
-/// `(0, 1)`.
-///
-/// ```
-/// use lotterybus::analysis::lotteries_for_share_accuracy;
-/// // Within 2 points of the entitled share, 99% confident:
-/// let n = lotteries_for_share_accuracy(0.02, 0.99);
-/// assert!(n > 5_000 && n < 10_000);
-/// ```
-pub fn lotteries_for_share_accuracy(epsilon: f64, confidence: f64) -> u32 {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    assert!((0.0..1.0).contains(&confidence) && confidence > 0.0, "confidence must be in (0, 1)");
-    let n = ((2.0 / (1.0 - confidence)).ln() / (2.0 * epsilon * epsilon)).ceil();
-    n as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,24 +121,6 @@ mod tests {
     #[should_panic(expected = "never wins")]
     fn zero_ticket_expected_wait_panics() {
         let _ = expected_lotteries_to_win(0, 10);
-    }
-
-    #[test]
-    fn share_bound_decays_with_lotteries() {
-        let p_few = share_deviation_probability(3, 10, 100, 0.05);
-        let p_many = share_deviation_probability(3, 10, 10_000, 0.05);
-        assert!(p_many < p_few);
-        assert!(p_many < 1e-20);
-        assert_eq!(share_deviation_probability(3, 10, 1, 0.001), 1.0, "bound is capped at 1");
-    }
-
-    #[test]
-    fn share_accuracy_bound_is_consistent() {
-        let n = lotteries_for_share_accuracy(0.05, 0.95);
-        assert!(share_deviation_probability(1, 10, n, 0.05) <= 0.05 + 1e-12);
-        // Tighter epsilon needs quadratically more lotteries.
-        let n_tight = lotteries_for_share_accuracy(0.025, 0.95);
-        assert!(n_tight >= 3 * n, "{n_tight} vs {n}");
     }
 
     #[test]

@@ -146,14 +146,7 @@ impl DynamicLotteryArbiter {
         self.epoch += 1;
     }
 
-    /// Replaces the draw source (for ablations). The boxed source is
-    /// dispatched virtually; use [`DynamicLotteryArbiter::set_source_kind`]
-    /// for a built-in source on the devirtualized path.
-    pub fn set_source(&mut self, source: Box<dyn RandomSource>) {
-        self.source = RandomSourceKind::Custom(source);
-    }
-
-    /// Replaces the draw source with an enum-dispatched built-in.
+    /// Replaces the draw source (for ablations).
     pub fn set_source_kind(&mut self, source: RandomSourceKind) {
         self.source = source;
     }

@@ -6,8 +6,6 @@
 //! provides software-exact models of maximal-length Galois LFSRs for
 //! widths 2–32 bits.
 
-use serde::{Deserialize, Serialize};
-
 /// Feedback masks for maximal-length Galois LFSRs of width 2..=32.
 ///
 /// Index `w - 2` holds the mask for width `w`. Each mask corresponds to a
@@ -115,7 +113,7 @@ fn step_table(width: u32) -> &'static StepTable {
 /// for _ in 0..15 { lfsr.step(); }
 /// assert_eq!(lfsr.state(), seed);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lfsr {
     state: u32,
     mask: u32,

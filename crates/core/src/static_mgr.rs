@@ -90,8 +90,7 @@ impl StaticLotteryArbiter {
 
     /// Creates a static lottery manager with an explicit draw source
     /// (used by ablations comparing LFSR draws with ideal uniform draws).
-    /// The boxed source is dispatched virtually; see
-    /// [`StaticLotteryArbiter::with_source_kind`] for the direct path.
+    /// The boxed source is dispatched virtually.
     ///
     /// # Errors
     ///
@@ -103,13 +102,9 @@ impl StaticLotteryArbiter {
         Self::with_source_kind(tickets, RandomSourceKind::Custom(source))
     }
 
-    /// Creates a static lottery manager with an enum-dispatched built-in
-    /// draw source.
-    ///
-    /// # Errors
-    ///
-    /// See [`StaticLotteryArbiter::new`].
-    pub fn with_source_kind(
+    /// Creates a static lottery manager with an enum-dispatched draw
+    /// source, refusing more masters than the LUT holds.
+    fn with_source_kind(
         tickets: TicketAssignment,
         source: RandomSourceKind,
     ) -> Result<Self, LotteryError> {

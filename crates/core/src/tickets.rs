@@ -1,7 +1,6 @@
 //! Lottery-ticket assignments and power-of-two scaling.
 
 use crate::error::LotteryError;
-use serde::{Deserialize, Serialize};
 use socsim::{MasterId, MAX_MASTERS};
 
 /// Largest ticket count a single master may hold. Bounding individual
@@ -28,7 +27,7 @@ pub const MAX_TICKETS_PER_MASTER: u32 = 1 << 20;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TicketAssignment {
     tickets: Vec<u32>,
 }

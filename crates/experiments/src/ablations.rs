@@ -22,7 +22,6 @@ use lotterybus::{
     DynamicLotteryArbiter, QueueProportionalPolicy, StaticLotteryArbiter, StdRngSource,
     TicketAssignment,
 };
-use serde::{Deserialize, Serialize};
 use socsim::{BusConfig, MasterId};
 use traffic_gen::classes::saturating_specs;
 use traffic_gen::TrafficClass;
@@ -45,7 +44,7 @@ fn proportionality_error(fractions: &[f64]) -> f64 {
 }
 
 /// One row of the burst-size ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BurstRow {
     /// Maximum burst size in words.
     pub max_burst: u32,
@@ -78,7 +77,7 @@ pub fn burst_size(settings: &RunSettings) -> Vec<BurstRow> {
 }
 
 /// One row of the draw-source ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrawSourceRow {
     /// Source name (`"lfsr"` or `"stdrng"`).
     pub source: String,
@@ -107,7 +106,7 @@ pub fn draw_source(settings: &RunSettings) -> Vec<DrawSourceRow> {
 }
 
 /// One row of the scaling-resolution ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingRow {
     /// Extra resolution bits used by the power-of-two scaling.
     pub extra_bits: u32,
@@ -136,7 +135,7 @@ pub fn scaling_resolution() -> Vec<ScalingRow> {
 }
 
 /// One row of the ticket-update-period ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdatePeriodRow {
     /// Cycles between policy re-evaluations.
     pub period: u64,
@@ -165,7 +164,7 @@ pub fn update_period(settings: &RunSettings) -> Vec<UpdatePeriodRow> {
 }
 
 /// One row of the wheel-layout ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WheelLayoutRow {
     /// Layout name.
     pub layout: String,
@@ -191,7 +190,7 @@ pub fn wheel_layout(settings: &RunSettings) -> Vec<WheelLayoutRow> {
 }
 
 /// All ablations bundled for printing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ablations {
     /// Burst-size sweep.
     pub burst: Vec<BurstRow>,

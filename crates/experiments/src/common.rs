@@ -121,25 +121,6 @@ pub fn run_system(
     run_lane(live_sources(specs, settings), arbiter.into(), settings)
 }
 
-/// Like [`run_system`], but also returns the windowed metric samples
-/// of the measured interval. The window length is explicit (it is part
-/// of the experiment's definition, not a tuning knob), and only the
-/// measured interval lands in the series: warm-up samples are
-/// discarded with the warm-up statistics, and a trailing partial
-/// window is flushed as a final short sample.
-///
-/// # Panics
-///
-/// Panics if the system cannot be built or `window` is zero.
-pub fn run_system_timeseries(
-    specs: &[GeneratorSpec],
-    arbiter: impl Into<ArbiterKind>,
-    settings: &RunSettings,
-    window: u64,
-) -> (BusStats, Vec<WindowSample>) {
-    run_lane_timeseries(live_sources(specs, settings), arbiter.into(), settings, window)
-}
-
 /// The traffic of one spec set, generated once and replayed in every
 /// run that uses it (see [the module docs](self#recorded-traffic)).
 ///
@@ -184,7 +165,12 @@ impl RecordedTraffic {
         run_lane(self.sources(settings), arbiter.into(), settings)
     }
 
-    /// [`run_system_timeseries`] on the recorded traffic.
+    /// Like [`RecordedTraffic::run`], but also returns the windowed
+    /// metric samples of the measured interval. The window length is
+    /// explicit (it is part of the experiment's definition, not a tuning
+    /// knob), and only the measured interval lands in the series:
+    /// warm-up samples are discarded with the warm-up statistics, and a
+    /// trailing partial window is flushed as a final short sample.
     ///
     /// # Panics
     ///
@@ -420,9 +406,9 @@ mod tests {
     #[test]
     fn timeseries_covers_the_measured_interval() {
         let settings = RunSettings { warmup: 1_000, measure: 10_000, ..RunSettings::quick() };
-        let (stats, samples) = run_system_timeseries(
-            &saturating_specs(4),
-            RoundRobinArbiter::new(4).expect("valid"),
+        let (stats, samples) = run_lane_timeseries(
+            live_sources(&saturating_specs(4), &settings),
+            RoundRobinArbiter::new(4).expect("valid").into(),
             &settings,
             1_000,
         );
@@ -480,7 +466,7 @@ mod tests {
         }
         assert_eq!(
             recorded.run_timeseries(rr(), &settings, 1_000),
-            run_system_timeseries(&specs, rr(), &settings, 1_000)
+            run_lane_timeseries(live_sources(&specs, &settings), rr().into(), &settings, 1_000)
         );
         // Recording on two workers changes nothing.
         let parallel = RecordedTraffic::record(&specs, &settings.with_jobs(2));

@@ -15,11 +15,10 @@ use arbiters::{ArbiterKind, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbite
 use hwmodel::power::{estimate_energy, ActivityCounts, EnergyModel, EnergyReport};
 use hwmodel::{managers, CellLibrary};
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
-use serde::{Deserialize, Serialize};
 use traffic_gen::TrafficClass;
 
 /// One architecture's energy row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyRow {
     /// Architecture name.
     pub architecture: String,
@@ -32,7 +31,7 @@ pub struct EnergyRow {
 }
 
 /// The full energy comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyTable {
     /// Rows per architecture.
     pub rows: Vec<EnergyRow>,

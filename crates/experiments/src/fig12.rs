@@ -17,14 +17,13 @@ use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::{ArbiterKind, TdmaArbiter, WheelLayout};
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
-use serde::{Deserialize, Serialize};
 use traffic_gen::TrafficClass;
 
 /// The component weights used throughout Figure 12 (tickets and slots).
 pub const WEIGHTS: [u32; 4] = [1, 2, 3, 4];
 
 /// One class's bandwidth row of Figure 12(a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12aRow {
     /// Traffic class.
     pub class: TrafficClass,
@@ -35,7 +34,7 @@ pub struct Fig12aRow {
 }
 
 /// Figure 12(a): lottery bandwidth allocation across T1–T9.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig12a {
     /// One row per class.
     pub rows: Vec<Fig12aRow>,
@@ -102,7 +101,7 @@ impl std::fmt::Display for Fig12a {
 
 /// A latency surface: classes × components, one architecture
 /// (Figure 12(b) for TDMA, 12(c) for LOTTERYBUS).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencySurface {
     /// Architecture name.
     pub architecture: String,

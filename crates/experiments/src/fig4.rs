@@ -11,11 +11,10 @@ use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::StaticPriorityArbiter;
-use serde::{Deserialize, Serialize};
 
 /// One bar of Figure 4: a priority assignment and the measured
 /// per-component bandwidth fractions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Row {
     /// Priority assignment label, e.g. `"1234"` (C1 lowest … C4 highest).
     pub assignment: String,
@@ -26,7 +25,7 @@ pub struct Fig4Row {
 }
 
 /// The full figure: one row per priority permutation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4 {
     /// Rows in lexicographic assignment order (the paper's x-axis).
     pub rows: Vec<Fig4Row>,
@@ -79,7 +78,7 @@ impl Fig4 {
 
 /// One metrics window of the starvation time-series: when it started,
 /// how long it was, and what each component got within it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeWindow {
     /// First cycle of the window (measured interval starts at 0).
     pub start: u64,
@@ -100,7 +99,7 @@ pub struct TimeWindow {
 /// under priority C1 receives nothing in almost every window while its
 /// queue grows without bound, whereas the lottery's probabilistic
 /// grants give C1 a small share in window after window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig4Timeseries {
     /// Metrics window length in cycles.
     pub window: u64,

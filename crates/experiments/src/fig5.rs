@@ -12,7 +12,6 @@
 
 use crate::json::{Json, ToJson};
 use arbiters::{TdmaArbiter, WheelLayout};
-use serde::{Deserialize, Serialize};
 use socsim::{BusConfig, Kernel, MasterId, SystemBuilder};
 use traffic_gen::{GeneratorSpec, ReplaySource, SizeDist, SourceKind};
 
@@ -21,7 +20,7 @@ use traffic_gen::{GeneratorSpec, ReplaySource, SizeDist, SourceKind};
 pub const BLOCK: u32 = 6;
 
 /// Result of one trace replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Trace {
     /// How many slots early M3's requests arrive relative to its block.
     pub slots_early: u64,
@@ -32,7 +31,7 @@ pub struct Fig5Trace {
 }
 
 /// The full figure: the aligned trace and the phase-shifted trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig5 {
     /// Request trace 1: M3's requests aligned with its reservation.
     pub aligned: Fig5Trace,

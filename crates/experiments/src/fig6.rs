@@ -13,7 +13,6 @@ use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::{TdmaArbiter, WheelLayout};
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
-use serde::{Deserialize, Serialize};
 use traffic_gen::TrafficClass;
 
 /// Slots per weight unit in the TDMA wheels of the latency experiments
@@ -21,7 +20,7 @@ use traffic_gen::TrafficClass;
 pub const TDMA_BLOCK: u32 = 64;
 
 /// One bar of Figure 6(a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6aRow {
     /// Ticket assignment label, e.g. `"1234"`.
     pub assignment: String,
@@ -32,7 +31,7 @@ pub struct Fig6aRow {
 }
 
 /// Figure 6(a): lottery bandwidth sharing across ticket permutations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6a {
     /// Rows in lexicographic assignment order.
     pub rows: Vec<Fig6aRow>,
@@ -116,7 +115,7 @@ impl std::fmt::Display for Fig6a {
 
 /// Figure 6(b): per-component latency under TDMA vs LOTTERYBUS for one
 /// illustrative traffic class.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig6b {
     /// The traffic class used.
     pub class: TrafficClass,

@@ -10,10 +10,9 @@
 
 use crate::json::{Json, ToJson};
 use hwmodel::{managers, CellLibrary, ManagerReport};
-use serde::{Deserialize, Serialize};
 
 /// The hardware-complexity table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HwTable {
     /// Reports for the paper's 4-master configuration.
     pub four_master: Vec<ManagerReport>,

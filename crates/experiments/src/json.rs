@@ -1,8 +1,9 @@
 //! Minimal deterministic JSON emission for experiment results.
 //!
-//! The vendored `serde` is a no-op API stub (the build has no registry
-//! access), so results are serialized through this tiny value tree
-//! instead. Output is fully deterministic: object keys keep insertion
+//! Every JSON document the repository emits (suite results, scenario
+//! verdicts, search reports) is rendered through this tiny value tree;
+//! the build has no registry access, so there is no serialization
+//! framework behind it. Output is fully deterministic: object keys keep insertion
 //! order, floats render with Rust's shortest-roundtrip formatting, and
 //! non-finite floats become `null`. That determinism is load-bearing —
 //! the CI gate diffs the bytes of `--jobs 1` vs `--jobs N` suite runs.

@@ -12,13 +12,12 @@ use crate::common::{self, RecordedTraffic, RunSettings};
 use crate::json::{Json, ToJson};
 use crate::runner;
 use lotterybus::{analysis, StaticLotteryArbiter, TicketAssignment};
-use serde::{Deserialize, Serialize};
 use socsim::stats::jain_fairness_index;
 use socsim::{BusConfig, MasterId, SystemBuilder};
 use traffic_gen::{GeneratorSpec, SizeDist};
 
 /// One row of the win-within-n CDF.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CdfPoint {
     /// Number of lottery drawings.
     pub drawings: u32,
@@ -30,7 +29,7 @@ pub struct CdfPoint {
 }
 
 /// The starvation experiment results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Starvation {
     /// Tickets held by the observed component.
     pub tickets: u32,

@@ -18,12 +18,11 @@ use crate::json::{Json, ToJson};
 use crate::runner;
 use arbiters::ArbiterKind;
 use lotterybus::{StaticLotteryArbiter, TicketAssignment};
-use serde::{Deserialize, Serialize};
 use socsim::{BusStats, MasterId};
 use traffic_gen::{GeneratorSpec, SizeDist};
 
 /// One point of the ticket-granularity sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GranularityPoint {
     /// Tickets held by the swept component (competitors hold 1 each).
     pub tickets: u32,
@@ -62,7 +61,7 @@ pub fn ticket_granularity(settings: &RunSettings) -> Vec<GranularityPoint> {
 }
 
 /// One point of the latency-vs-load sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadPoint {
     /// Total offered load as a fraction of bus capacity.
     pub load: f64,
@@ -118,7 +117,7 @@ pub fn latency_vs_load(settings: &RunSettings) -> Vec<LoadPoint> {
 }
 
 /// Both sweeps bundled for printing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sweeps {
     /// Ticket-granularity curve.
     pub granularity: Vec<GranularityPoint>,

@@ -2,10 +2,9 @@
 
 use crate::json::{Json, ToJson};
 use atm_switch::{AtmReport, SwitchArbiter, SwitchConfig};
-use serde::{Deserialize, Serialize};
 
 /// The three rows of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table1 {
     /// Static priority, TDMA, LOTTERYBUS — in the paper's row order.
     pub rows: Vec<AtmReport>,

@@ -1,10 +1,8 @@
 //! The abstract standard-cell library.
 
-use serde::{Deserialize, Serialize};
-
 /// One library cell: an area in *cell grids* (the paper's unit for NEC's
 /// cell-based array) and a typical loaded propagation delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
     /// Area in cell grids.
     pub area_grids: f64,
@@ -26,7 +24,7 @@ impl Cell {
 /// absolute values substitute for NEC's proprietary CB-C9 VX data, but
 /// the ratios between cells are typical, so block-to-block comparisons
 /// hold.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellLibrary {
     /// Inverter.
     pub inv: Cell,

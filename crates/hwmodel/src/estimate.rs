@@ -1,6 +1,5 @@
 //! Area/delay estimates and their composition rules.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// An area/critical-path estimate for a hardware block.
@@ -16,7 +15,7 @@ use std::ops::Add;
 /// assert_eq!(a.then(b), HwEstimate::new(150.0, 3.0));
 /// assert_eq!(a.beside(b), HwEstimate::new(150.0, 2.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HwEstimate {
     /// Total area in cell grids.
     pub area_grids: f64,
@@ -55,12 +54,6 @@ impl HwEstimate {
     #[must_use]
     pub fn replicated(self, n: usize) -> HwEstimate {
         HwEstimate { area_grids: self.area_grids * n as f64, delay_ns: self.delay_ns }
-    }
-
-    /// Area-only contribution (e.g. storage off the critical path).
-    #[must_use]
-    pub fn area_only(self) -> HwEstimate {
-        HwEstimate { area_grids: self.area_grids, delay_ns: 0.0 }
     }
 
     /// The highest clock frequency (MHz) at which this block completes
@@ -108,11 +101,5 @@ mod tests {
         let a = HwEstimate::new(1.0, 2.0);
         assert!((a.max_freq_mhz() - 500.0).abs() < 1e-9);
         assert!(HwEstimate::ZERO.max_freq_mhz().is_infinite());
-    }
-
-    #[test]
-    fn area_only_drops_delay() {
-        let a = HwEstimate::new(10.0, 0.5).area_only();
-        assert_eq!(a, HwEstimate::new(10.0, 0.0));
     }
 }

@@ -3,11 +3,10 @@
 use crate::blocks;
 use crate::cells::CellLibrary;
 use crate::estimate::HwEstimate;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One named block inside a manager, with its estimate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockCost {
     /// Block name (e.g. `"range LUT"`).
     pub name: String,
@@ -19,7 +18,7 @@ pub struct BlockCost {
 }
 
 /// A complete area/critical-path report for one arbiter implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManagerReport {
     /// Implementation name.
     pub name: String,

@@ -16,10 +16,9 @@
 //! * **idle cycles** pay a small standby cost (clocking, leakage).
 
 use crate::estimate::HwEstimate;
-use serde::{Deserialize, Serialize};
 
 /// Per-event energy costs in picojoules, 0.35 µm-class defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy to drive one word across the shared bus wires.
     pub word_transfer_pj: f64,
@@ -49,7 +48,7 @@ impl Default for EnergyModel {
 /// model. Build it from a `socsim::BusStats` with
 /// `ActivityCounts { words: stats.busy_cycles, decisions: stats.grants,
 /// cycles: stats.cycles }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ActivityCounts {
     /// Words transferred (busy cycles).
     pub words: u64,
@@ -60,7 +59,7 @@ pub struct ActivityCounts {
 }
 
 /// An energy estimate for one run under one arbiter implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyReport {
     /// Energy spent moving data, in pJ.
     pub transfer_pj: f64,

@@ -20,9 +20,10 @@ use crate::phased::{mix, PhasedSource};
 use crate::sla::{evaluate, EvalInput, Violation};
 use crate::wedge::WedgingArbiter;
 use arbiters::kind::ArbiterKind;
+use arbiters::tdma::MAX_WHEEL_SLOTS;
 use arbiters::{
-    FailoverArbiter, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter, TokenRingArbiter,
-    WheelLayout,
+    ArbiterConfigError, FailoverArbiter, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter,
+    TokenRingArbiter, WheelLayout,
 };
 use experiments::json::Json;
 use lotterybus::{DynamicLotteryArbiter, StaticLotteryArbiter, TicketAssignment};
@@ -150,7 +151,8 @@ pub fn build_arbiter(sc: &Scenario) -> Result<ArbiterKind, String> {
 /// per master), wrapped in a [`WedgingArbiter`] when `wedges` is
 /// non-empty and in a [`FailoverArbiter`] when `failover` is set. The
 /// lottery LFSRs are seeded from the low 32 bits of `seed`, TDMA gives
-/// each weight unit `tdma_block` slots.
+/// each weight unit `tdma_block` slots (at most
+/// [`MAX_WHEEL_SLOTS`] in all).
 pub fn arbiter_chain(
     sel: ArbiterSel,
     weights: Vec<u32>,
@@ -174,7 +176,17 @@ pub fn arbiter_chain(
             StaticPriorityArbiter::new(weights).map_err(|e| e.to_string())?.into()
         }
         ArbiterSel::Tdma => {
-            let slots: Vec<u32> = weights.iter().map(|w| w * tdma_block).collect();
+            let slots: Option<Vec<u32>> =
+                weights.iter().map(|w| w.checked_mul(tdma_block)).collect();
+            let Some(slots) = slots else {
+                // Some master alone needs more than `u32::MAX` slots.
+                let slots = weights
+                    .iter()
+                    .fold(0u64, |sum, &w| sum.saturating_add(u64::from(w) * u64::from(tdma_block)));
+                return Err(
+                    ArbiterConfigError::WheelTooLarge { slots, max: MAX_WHEEL_SLOTS }.to_string()
+                );
+            };
             TdmaArbiter::new(&slots, WheelLayout::Contiguous).map_err(|e| e.to_string())?.into()
         }
         ArbiterSel::RoundRobin => RoundRobinArbiter::new(n).map_err(|e| e.to_string())?.into(),

@@ -1,7 +1,5 @@
 //! Bus configuration parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Static parameters of a shared bus, mirroring the knobs of the paper's
 /// test-bed (Figure 1: `BURST_SIZE=16, WIDTH=16, FREQ=66MHz, …`).
 ///
@@ -10,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// let cfg = BusConfig { max_burst: 8, ..BusConfig::default() };
 /// assert_eq!(cfg.max_burst, 8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusConfig {
     /// Maximum number of words a single grant may transfer before the
     /// master must re-arbitrate. Prevents a master from monopolizing the

@@ -33,11 +33,10 @@
 
 use crate::cycle::Cycle;
 use crate::ids::{MasterId, SlaveId};
-use serde::{Deserialize, Serialize};
 
 /// Fault-injection rates and shapes. All rates are per-opportunity
 /// probabilities in `[0, 1]`; the all-zero default injects nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Seed of the fault plan. Independent of traffic seeds.
     pub seed: u64,
@@ -128,7 +127,7 @@ impl FaultConfig {
 /// up to `max_retries` further attempts, separated by an exponential
 /// backoff (`backoff_base · backoff_factorᵏ⁻¹` cycles after the k-th
 /// failure, capped at [`RetryPolicy::MAX_BACKOFF`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Retries allowed after the first failed attempt; 0 aborts a
     /// transaction on its first error.
@@ -191,7 +190,7 @@ impl Default for RetryPolicy {
 }
 
 /// What kind of fault (or recovery action) occurred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The addressed slave returned an error response.
     SlaveError {
@@ -252,7 +251,7 @@ pub enum FaultKind {
 }
 
 /// One entry of the fault trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Cycle at which the fault occurred.
     pub cycle: Cycle,
@@ -294,7 +293,7 @@ fn mix(mut z: u64) -> u64 {
 /// // Reproducible: the same (seed, cycle, slave) always agrees.
 /// assert_eq!(hit, FaultPlan::new(cfg).slave_error_at(Cycle::new(3), SlaveId::new(0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     config: FaultConfig,
 }
@@ -387,7 +386,7 @@ impl FaultPlan {
 const FAULT_LOG_CAPACITY: usize = 1 << 16;
 
 /// The recorded fault trace of a run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     events: Vec<FaultEvent>,
     total: u64,

@@ -1,6 +1,5 @@
 //! Identifiers for bus components.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a bus master (a component that can initiate transactions,
@@ -8,7 +7,7 @@ use std::fmt;
 ///
 /// Masters are numbered densely from zero in the order they are added to a
 /// [`crate::SystemBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MasterId(usize);
 
 impl MasterId {
@@ -31,7 +30,7 @@ impl fmt::Display for MasterId {
 
 /// Identifies a bus slave (a component that only responds to transactions,
 /// e.g. an on-chip memory).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlaveId(usize);
 
 impl SlaveId {

@@ -38,7 +38,7 @@ impl InFlight {
     }
 
     /// Cycle at which the transaction first received a grant, if any.
-    pub fn first_grant(&self) -> Option<Cycle> {
+    fn first_grant(&self) -> Option<Cycle> {
         (self.first_grant != Cycle::NEVER).then_some(self.first_grant)
     }
 

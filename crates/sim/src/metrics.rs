@@ -34,8 +34,8 @@ use crate::stats::BusStats;
 /// metric registry.
 ///
 /// The counter tracks a cumulative total plus the value it had when the
-/// current window opened; [`Counter::roll`] closes the window and
-/// returns the in-window delta. Totals may be accumulated directly
+/// current window opened; [`BusMetrics`] closes the window at each
+/// window boundary and samples the in-window delta. Totals may be accumulated directly
 /// ([`Counter::add`]) or mirrored from an external cumulative source
 /// ([`Counter::observe`]), which is how [`BusMetrics`] windows the
 /// kernel's [`BusStats`] counters without touching the hot path.
@@ -45,9 +45,9 @@ use crate::stats::BusStats;
 /// let mut grants = Counter::new();
 /// grants.add(3);
 /// assert_eq!(grants.window(), 3);
-/// assert_eq!(grants.roll(), 3);      // close window 0
 /// grants.observe(5);                 // cumulative total is now 5
-/// assert_eq!(grants.window(), 2);    // 2 of them in window 1
+/// grants.observe(4);                 // totals never go backwards
+/// assert_eq!(grants.window(), 5);
 /// assert_eq!(grants.total(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,7 +85,7 @@ impl Counter {
 
     /// Closes the current window: returns the in-window count and opens
     /// a fresh window at the current total.
-    pub fn roll(&mut self) -> u64 {
+    fn roll(&mut self) -> u64 {
         let w = self.window();
         self.window_base = self.total;
         w
@@ -147,10 +147,7 @@ impl Gauge {
 /// }
 /// assert_eq!(h.count(), 4);
 /// assert_eq!(h.quantile(0.5), Some(4));
-/// let summary = h.roll();               // snapshot + clear
-/// assert_eq!(summary.count, 4);
-/// assert_eq!(summary.max, 100);
-/// assert_eq!(h.count(), 0);             // fresh window
+/// assert_eq!(h.quantile(1.0), Some(128));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedHistogram {
@@ -202,7 +199,7 @@ impl WindowedHistogram {
 
     /// Closes the window: returns a compact summary and clears the
     /// histogram for the next window.
-    pub fn roll(&mut self) -> LatencySummary {
+    fn roll(&mut self) -> LatencySummary {
         let summary = LatencySummary {
             count: self.count,
             p50: self.quantile(0.5).unwrap_or(0),

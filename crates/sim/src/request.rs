@@ -2,7 +2,6 @@
 
 use crate::cycle::Cycle;
 use crate::ids::{MasterId, SlaveId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of masters a single bus supports.
@@ -22,7 +21,7 @@ pub const MAX_MASTERS: usize = 32;
 /// let t = Transaction::new(SlaveId::new(0), 16, Cycle::new(5));
 /// assert_eq!(t.words(), 16);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Transaction {
     slave: SlaveId,
     words: u32,
@@ -102,14 +101,6 @@ impl RequestMap {
         assert!(words > 0, "a pending request must need at least one word");
         self.bits |= 1 << master.index();
         self.pending_words[master.index()] = words;
-    }
-
-    /// Deasserts `master`'s request line.
-    pub fn clear_pending(&mut self, master: MasterId) {
-        if master.index() < self.masters {
-            self.bits &= !(1 << master.index());
-            self.pending_words[master.index()] = 0;
-        }
     }
 
     /// Whether `master` has a pending request this cycle.
@@ -216,7 +207,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn set_and_clear_pending() {
+    fn set_pending_raises_lines() {
         let mut map = RequestMap::new(4);
         assert!(map.is_empty());
         map.set_pending(MasterId::new(1), 10);
@@ -225,9 +216,8 @@ mod tests {
         assert_eq!(map.pending_count(), 2);
         assert_eq!(map.pending_words(MasterId::new(1)), 10);
         assert_eq!(map.pending_words(MasterId::new(0)), 0);
-        map.clear_pending(MasterId::new(1));
-        assert!(!map.is_pending(MasterId::new(1)));
-        assert_eq!(map.bits(), 0b1000);
+        assert!(map.is_pending(MasterId::new(3)));
+        assert!(!map.is_pending(MasterId::new(2)));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Slave-side bus components.
 
 use crate::ids::SlaveId;
-use serde::{Deserialize, Serialize};
 
 /// A bus slave: a component that responds to transactions (e.g. an
 /// on-chip memory). The only performance-relevant property at the bus
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// let mem = Slave::new(SlaveId::new(0), "shared-mem");
 /// assert_eq!(mem.wait_states(), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Slave {
     id: SlaveId,
     name: String,

@@ -7,7 +7,6 @@
 
 use crate::ids::MasterId;
 use crate::master::Completion;
-use serde::{Deserialize, Serialize};
 
 /// A logarithmic histogram of per-transaction latencies: bucket *k*
 /// counts transactions whose latency lies in `[2^k, 2^(k+1))` cycles.
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.quantile(0.5), Some(4));    // half finish below 4 cycles
 /// assert_eq!(h.quantile(1.0), Some(128));  // the stragglers below 128
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -143,7 +142,7 @@ impl Default for LatencyHistogram {
 }
 
 /// Accumulated statistics for one master.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MasterStats {
     /// Words actually transferred over the bus (including words of
     /// transactions still in flight when the run ended).
@@ -201,7 +200,7 @@ impl MasterStats {
     /// Records a completed transaction of `words` words with the given
     /// end-to-end `latency` and initial `wait` (all in cycles).
     #[inline]
-    pub fn record_transaction(&mut self, words: u32, latency: u64, wait: u64) {
+    fn record_transaction(&mut self, words: u32, latency: u64, wait: u64) {
         self.transactions += 1;
         self.completed_words += u64::from(words);
         self.total_latency += latency;
@@ -235,7 +234,7 @@ pub fn jain_fairness_index(allocations: &[f64]) -> f64 {
 }
 
 /// Statistics for a whole simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BusStats {
     /// Total simulated cycles.
     pub cycles: u64,

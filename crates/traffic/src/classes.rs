@@ -20,10 +20,9 @@
 
 use crate::size::SizeDist;
 use crate::spec::GeneratorSpec;
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's nine communication traffic classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// Heavy memoryless traffic, 16-word messages.
     T1,

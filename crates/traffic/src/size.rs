@@ -1,7 +1,6 @@
 //! Message-size distributions.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Distribution of message sizes in bus words.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// let w = d.sample(&mut rng);
 /// assert!((4..=8).contains(&w));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SizeDist {
     /// Every message has exactly this many words.
     Fixed(u32),

@@ -4,11 +4,10 @@
 use crate::generator::StochasticSource;
 use crate::kind::SourceKind;
 use crate::size::SizeDist;
-use serde::{Deserialize, Serialize};
 use socsim::TrafficSource;
 
 /// The message *arrival process* of one component.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalSpec {
     /// One message every `period` cycles, starting at `phase`, each
     /// arrival delayed by an independent uniform jitter in `0..=jitter`.
@@ -57,7 +56,7 @@ pub enum ArrivalSpec {
 /// let spec = GeneratorSpec::poisson(0.02, SizeDist::fixed(16));
 /// assert!((spec.offered_load() - 0.32).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeneratorSpec {
     /// When messages arrive.
     pub arrival: ArrivalSpec,

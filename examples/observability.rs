@@ -1,6 +1,6 @@
-//! Observability tour: windowed metrics, streaming trace sinks, arbiter
-//! instrumentation, and phase profiling on a single starved-master
-//! system.
+//! Observability tour: windowed metrics, streaming trace sinks,
+//! per-master statistics with execution moves, and phase profiling on
+//! a single starved-master system.
 //!
 //! A four-master bus runs under a static-priority arbiter with `cpu`
 //! holding the lowest priority, so it starves — and every layer of the
@@ -11,16 +11,16 @@
 //! * **Streaming trace** — every grant/transfer as a JSONL event,
 //!   through the `Arc<Mutex<_>>` sink adapter so we keep a handle to
 //!   the sink after the system takes ownership.
-//! * **`InstrumentedArbiter`** — decision/contention/per-master grant
-//!   counters read from outside the system while it owns the arbiter.
+//! * **Statistics and moves** — per-master grants from the run's
+//!   `BusStats`, and the `MoveCounters` that say how the kernel
+//!   advanced time (steps, idle skips, polls).
 //! * **`PhaseProfiler`** — wall-clock cost of each cycle phase.
 //!
 //! Run with: `cargo run --release --example observability`
 
 use std::sync::{Arc, Mutex};
 
-use lotterybus_repro::arbiters::InstrumentedArbiter;
-use lotterybus_repro::socsim::{BusConfig, JsonlSink, SimPhase, SystemBuilder};
+use lotterybus_repro::socsim::{BusConfig, JsonlSink, MasterId, SimPhase, SystemBuilder};
 use lotterybus_repro::traffic::{GeneratorSpec, SizeDist};
 
 const NAMES: [&str; 4] = ["cpu", "dsp", "dma", "accel"];
@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Priorities 1..4 with `cpu` lowest; saturating traffic everywhere,
     // so the arbiter alone decides who makes progress.
     let arbiter = lotterybus_repro::arbiters::StaticPriorityArbiter::new(vec![1, 2, 3, 4])?;
-    let (arbiter, counters) = InstrumentedArbiter::new(arbiter, NAMES.len());
 
     // The JSONL sink streams into an in-memory buffer here; point it at
     // a `BufWriter<File>` to stream to disk (or use `trace sink=jsonl:`
@@ -70,16 +69,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  {name:<6} {:>5.1}%  [{bars}]", mean * 100.0);
     }
 
-    // 2. Arbiter counters, read from our retained handle.
+    // 2. Grants per master from the run's statistics, and the moves
+    //    the kernel made to simulate it (warm-up included).
+    let stats = system.stats();
     println!(
-        "\narbiter: {} decisions, {} contended, {} idle",
-        counters.decisions(),
-        counters.contended(),
-        counters.idle()
+        "\nbus: {} grants, {} contended arbitrations",
+        stats.grants, stats.contended_arbitrations
     );
     for (m, name) in NAMES.iter().enumerate() {
-        println!("  {name:<6} {:>6} grants", counters.grants(m));
+        println!("  {name:<6} {:>6} grants", stats.master(MasterId::new(m)).grants);
     }
+    let moves = system.moves();
+    println!(
+        "moves: {} over {} cycles ({} stepped, {} idle-skipped), {} source polls",
+        moves.moves,
+        moves.cycles(),
+        moves.stepped,
+        moves.idle_skipped,
+        moves.polls
+    );
 
     // 3. Streaming trace: how much did we capture, and did we lose any?
     let events = { sink.lock().unwrap().written() };
