@@ -44,6 +44,13 @@
 //!   evaluated in full by [`SystemModel::evaluate`], so every stored
 //!   prediction, and every margin, is bit-identical to a full
 //!   evaluation of that point.
+//!   A TDMA point is scanned but never feasible when the arbiter could
+//!   not build its wheel: `Σ w · tdma_block` above
+//!   [`MAX_WHEEL_SLOTS`]. The scan checks once per cell whether the
+//!   whole ticket grid fits; only a cell that does not fit checks each
+//!   point's ticket sum, and it neither evaluates nor counts the points
+//!   that fail. TDMA cells are never weight-blind, so no one-evaluation
+//!   cell stands for an unbuildable point.
 //! - **Static-priority cells** depend on the weights only through the
 //!   service order they induce (descending weight, ties by lower
 //!   index), which both the waterfall and Cobham's pass follow. Each
@@ -76,6 +83,7 @@ use crate::model::{
     self, drr_effective, MasterModel, Prediction, Protocol, Scratch, SystemModel, MAX_MASTERS,
 };
 use crate::{alloc, latency};
+use arbiters::tdma::MAX_WHEEL_SLOTS;
 use socsim::BusConfig;
 use traffic_gen::SizeDist;
 
@@ -269,7 +277,8 @@ pub struct SearchReport {
     /// order in a static-priority cell of at most 8 masters. The full
     /// evaluations of short-listed points are not counted.
     pub evaluated: u64,
-    /// Points satisfying every target.
+    /// Points satisfying every target whose arbiter can be built (a
+    /// TDMA wheel holds at most [`MAX_WHEEL_SLOTS`] slots).
     pub feasible: u64,
     /// Best feasible candidates, one per allocation shape, by
     /// descending margin.
@@ -346,8 +355,15 @@ pub fn search(
                 .with_drr_quantum(space.drr_quantum);
             model.max_burst = burst;
             scanned = scanned.saturating_add(cell_points);
-            let cell = Cell { model, ctx, scale, max_tickets: space.max_tickets };
+            let cell = Cell {
+                model,
+                ctx,
+                scale,
+                max_tickets: space.max_tickets,
+                ticket_cap: ticket_cap(space),
+            };
             if cell.model.weight_blind() {
+                debug_assert!(cell.ticket_cap.is_none(), "capped cells are never weight-blind");
                 scan.blind_cell(cell, cell_points);
             } else if space.protocol == Protocol::StaticPriority {
                 orders.fill(None);
@@ -376,6 +392,22 @@ struct Cell {
     ctx: ShapeCtx,
     scale: f64,
     max_tickets: u32,
+    /// The largest ticket sum the arbiter can build, when some point of
+    /// the grid exceeds it ([`ticket_cap`]).
+    ticket_cap: Option<u64>,
+}
+
+/// The largest ticket sum whose TDMA wheel fits in [`MAX_WHEEL_SLOTS`]
+/// slots at `space.tdma_block` slots per ticket, or `None` when every
+/// point of the grid fits: always for the other protocols, and for a
+/// TDMA grid whose largest sum, `masters · max_tickets`, fits.
+fn ticket_cap(space: &SearchSpace) -> Option<u64> {
+    if space.protocol != Protocol::Tdma2Level {
+        return None;
+    }
+    let cap = (MAX_WHEEL_SLOTS as u64).checked_div(u64::from(space.tdma_block))?;
+    let widest = space.traffic.len() as u64 * u64::from(space.max_tickets);
+    (widest > cap).then_some(cap)
 }
 
 /// The scan's running state across cells.
@@ -450,6 +482,7 @@ impl Scan<'_> {
 
     /// A water-fill cell, scored at every point by `prepared`, which
     /// reads its per-ticket tables for the masters the odometer moved.
+    /// Points above the cell's ticket cap are skipped unscored.
     fn prepared_cell(&mut self, mut cell: Cell, prepared: &mut Prepared) {
         let n = self.n;
         let mut weights = [1u32; MAX_MASTERS];
@@ -457,9 +490,14 @@ impl Scan<'_> {
             prepared.set(i, 1);
         }
         loop {
-            self.evaluated += 1;
-            let margin = prepared.margin(&cell.model, self.targets);
-            self.offer(&mut cell, &weights[..n], margin);
+            let buildable = cell
+                .ticket_cap
+                .is_none_or(|cap| weights[..n].iter().map(|&w| u64::from(w)).sum::<u64>() <= cap);
+            if buildable {
+                self.evaluated += 1;
+                let margin = prepared.margin(&cell.model, self.targets);
+                self.offer(&mut cell, &weights[..n], margin);
+            }
             let Some(moved) = advance(&mut weights[..n], cell.max_tickets) else { return };
             for (i, &w) in weights[..=moved].iter().enumerate() {
                 prepared.set(i, w);
@@ -1033,6 +1071,30 @@ mod tests {
 
     /// Two masters of 16-word messages with no stall, so each one's
     /// cycle demand is exactly `16·λ`, offering `total` between them.
+    #[test]
+    fn tdma_points_whose_wheel_overflows_are_infeasible() {
+        let mut s = two_masters(Protocol::Tdma2Level, 0.4, 1000);
+        s.tdma_block = 2000;
+        let targets = [SlaTarget { master: 0, kind: TargetKind::MinShare(0.05) }];
+        let report = search(&s, &targets, 8).unwrap();
+        // 524 · 2000 ≤ 2^20 < 525 · 2000: only the points with
+        // a + b ≤ 524 build, and each of them meets the target.
+        assert_eq!(report.scanned, 1_000_000);
+        assert_eq!((report.evaluated, report.feasible), (137_026, 137_026));
+        assert!(!report.candidates.is_empty());
+        for c in &report.candidates {
+            assert!(c.weights.iter().sum::<u32>() <= 524, "{c:?}");
+        }
+        // The cap is checked per point only when the widest point of
+        // the grid overflows.
+        s.max_tickets = 262;
+        assert_eq!(ticket_cap(&s), None);
+        s.max_tickets = 263;
+        assert_eq!(ticket_cap(&s), Some(524));
+        s.protocol = Protocol::LotteryStatic;
+        assert_eq!(ticket_cap(&s), None);
+    }
+
     fn two_masters(protocol: Protocol, total: f64, max_tickets: u32) -> SearchSpace {
         let m = TrafficInput { lambda: total / 32.0, size: SizeDist::fixed(16), stall: Some(0) };
         let mut s = SearchSpace::new(protocol, BusConfig::default(), vec![m; 2]);

@@ -349,3 +349,23 @@ fn oversized_tdma_wheels_exit_1_from_spec_scenario_and_search() {
                 sla bandwidth master=a min=0.1\n";
     assert_run("tdma-wrap", "scenario", wrap, 1, "TDMA timing wheel of 4294967304 slots");
 }
+
+#[test]
+fn search_counts_tdma_points_with_oversized_wheels_infeasible() {
+    // 524 · 2000 ≤ 2^20 < 525 · 2000 slots: of the million (a, b)
+    // points only the 137,026 with a + b ≤ 524 can be built, and each
+    // of them meets the target.
+    let scenario = "scenario wheel-limit\nseed = 3\narbiter = tdma\ntdma-block = 2000\n\
+                    master a weight=1 load=0.3 size=8\nmaster b weight=1 load=0.3 size=8\n\
+                    phase steady duration=20000\nsla bandwidth master=a min=0.2\n";
+    let path = write_spec("wheel-limit.scenario", scenario);
+    let out = binary().arg("search").arg(&path).args(["--confirm", "0"]).output().expect("run");
+    std::fs::remove_file(&path).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("scanned 1000000 design points (137026 evaluated)"), "{err}");
+    assert!(err.contains(": 137026 feasible"), "{err}");
+    let json = String::from_utf8(out.stdout).expect("utf8");
+    assert!(json.contains("\"points\":1000000"), "{json}");
+    assert!(json.contains("\"feasible\":137026"), "{json}");
+}

@@ -49,11 +49,10 @@ pub struct RunSettings {
     pub metrics_window: Option<u64>,
     /// Which simulation kernel every system built by [`run_system`]
     /// runs under (see `socsim::fastforward`). `Cycle`, the default,
-    /// runs the lane-exact one-lane fleet (`socsim::Fleet`) unless a
-    /// metrics window is set, and the scalar cycle-kernel system then;
-    /// `Fast` runs the scalar fast-forward kernel. Every kernel's
-    /// results are byte-identical to the cycle kernel's, so the suite
-    /// JSON never records this field.
+    /// runs the lane-exact one-lane fleet (`socsim::Fleet`), with or
+    /// without a metrics window; `Fast` runs the scalar fast-forward
+    /// kernel. Every kernel's results are byte-identical to the
+    /// per-cycle kernel's, so the suite JSON never records this field.
     pub kernel: Kernel,
 }
 
@@ -101,10 +100,9 @@ impl Default for RunSettings {
 /// Builds a single-bus system from per-master traffic specs and an
 /// arbiter, runs it, and returns the steady-state statistics.
 ///
-/// Under the cycle kernel without a metrics window the system runs as a
-/// one-lane [`Fleet`], the cycle kernel's lane-exact batched form;
-/// otherwise it runs as a scalar [`socsim::System`] under the settings'
-/// kernel. Every path returns the same statistics. The arbiter runs as
+/// Under the cycle kernel the system runs as a one-lane [`Fleet`], the
+/// cycle kernel's lane-exact batched form; otherwise it runs as a
+/// scalar [`socsim::System`] under the settings' kernel. Every path returns the same statistics. The arbiter runs as
 /// an [`ArbiterKind`], so both engines are built for one arbiter type
 /// and a built-in protocol's fleet lane can lower (see
 /// `socsim::fleet`).
@@ -222,10 +220,8 @@ fn run_lane(
     settings: &RunSettings,
 ) -> BusStats {
     let lane = lane(sources, arbiter, settings);
-    if settings.kernel == Kernel::Cycle && settings.metrics_window.is_none() {
-        let mut fleet = Fleet::build(vec![lane]).expect("experiment system is valid");
-        fleet.warm_up(settings.warmup);
-        fleet.run(settings.measure);
+    if settings.kernel == Kernel::Cycle {
+        let fleet = run_fleet(lane, settings);
         return fleet.stats(0).clone();
     }
     let mut system = build_system(lane, settings);
@@ -234,6 +230,8 @@ fn run_lane(
     system.stats().clone()
 }
 
+/// [`run_lane`] with a metrics window of `window` cycles, also returning
+/// the measured interval's samples (the partial tail window flushed).
 fn run_lane_timeseries(
     sources: impl Iterator<Item = SourceKind>,
     arbiter: ArbiterKind,
@@ -241,12 +239,30 @@ fn run_lane_timeseries(
     window: u64,
 ) -> (BusStats, Vec<WindowSample>) {
     let with_metrics = RunSettings { metrics_window: Some(window), ..*settings };
-    let mut system = build_system(lane(sources, arbiter, &with_metrics), &with_metrics);
+    let lane = lane(sources, arbiter, &with_metrics);
+    if settings.kernel == Kernel::Cycle {
+        let mut fleet = run_fleet(lane, &with_metrics);
+        fleet.flush_metrics();
+        let samples = fleet.metrics(0).expect("metrics enabled").samples().to_vec();
+        return (fleet.stats(0).clone(), samples);
+    }
+    let mut system = build_system(lane, &with_metrics);
     system.warm_up(settings.warmup);
     system.run(settings.measure);
     system.flush_metrics();
     let samples = system.metrics().expect("metrics enabled").samples().to_vec();
     (system.stats().clone(), samples)
+}
+
+/// Warms `lane` up and runs its measured window as a one-lane [`Fleet`].
+fn run_fleet(
+    lane: LaneBuilder<ArbiterKind, SourceKind>,
+    settings: &RunSettings,
+) -> Fleet<ArbiterKind, SourceKind> {
+    let mut fleet = Fleet::build(vec![lane]).expect("experiment system is valid");
+    fleet.warm_up(settings.warmup);
+    fleet.run(settings.measure);
+    fleet
 }
 
 /// The lane description of one experiment system: masters `C1..Cn`
@@ -464,10 +480,10 @@ mod tests {
         for s in [settings, settings.with_kernel(Kernel::Fast), settings.with_metrics(500)] {
             assert_eq!(recorded.run(rr(), &s), run_system(&specs, rr(), &s), "{s:?}");
         }
-        assert_eq!(
-            recorded.run_timeseries(rr(), &settings, 1_000),
-            run_lane_timeseries(live_sources(&specs, &settings), rr().into(), &settings, 1_000)
-        );
+        let live =
+            |s: &RunSettings| run_lane_timeseries(live_sources(&specs, s), rr().into(), s, 1_000);
+        assert_eq!(recorded.run_timeseries(rr(), &settings, 1_000), live(&settings));
+        assert_eq!(live(&settings.with_kernel(Kernel::Fast)), live(&settings), "time series");
         // Recording on two workers changes nothing.
         let parallel = RecordedTraffic::record(&specs, &settings.with_jobs(2));
         assert_eq!(parallel.masters, recorded.masters);

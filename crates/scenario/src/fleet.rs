@@ -6,13 +6,15 @@
 //! pack is purely an execution structure. Every scenario packs: a lane
 //! carries the phase, wedge and failover machinery (in its sources and
 //! arbiter chain) as well as fault plans, retry policies and watchdogs
-//! (in its bus). Verdicts are byte-identical to [`crate::run_scenario`]
-//! under any kernel: both runners build the same lane description, the
-//! fleet kernel is lane-exact against the scalar cycle kernel, and both
-//! assemble their [`Outcome`] through the same code.
+//! (in its bus). Verdicts are byte-identical to the scalar
+//! [`socsim::System`] runner under any kernel: both runners build the
+//! same lane description, the fleet kernel is lane-exact against the
+//! scalar per-cycle kernel, and both assemble their [`Outcome`] through
+//! the same code. [`crate::run_scenario`] runs a one-lane pack under
+//! the cycle kernel.
 
 use crate::model::Scenario;
-use crate::run::{assemble_outcome, lane_builder, probe, Outcome};
+use crate::run::{assemble_outcome, lane_builder, probe, Observations, Outcome};
 use socsim::fleet::Fleet;
 use socsim::{BusStats, Cycle, MasterId};
 
@@ -32,6 +34,13 @@ pub fn fleet_eligible(sc: &Scenario) -> bool {
 /// Returns the first validation or build error, formatted like the
 /// scalar runner's.
 pub fn run_scenarios_fleet(scs: &[&Scenario]) -> Result<Vec<Outcome>, String> {
+    let observed = observe_fleet(scs)?;
+    Ok(scs.iter().zip(&observed).map(|(sc, obs)| assemble_outcome(sc, obs)).collect())
+}
+
+/// Runs every scenario as a lane of one lockstep [`Fleet`] and returns
+/// what each lane observed, in input order.
+pub(crate) fn observe_fleet(scs: &[&Scenario]) -> Result<Vec<Observations>, String> {
     let mut lanes = Vec::with_capacity(scs.len());
     for sc in scs {
         sc.validate()?;
@@ -78,28 +87,34 @@ pub fn run_scenarios_fleet(scs: &[&Scenario]) -> Result<Vec<Outcome>, String> {
     }
     fleet.flush_metrics();
 
-    let outcomes = scs
+    let observed = scs
         .iter()
+        .zip(snaps.into_iter().zip(probes))
         .enumerate()
-        .map(|(lane, sc)| {
+        .map(|(lane, (sc, (snaps, probes)))| {
             let samples = fleet.metrics(lane).map(|m| m.samples().to_vec()).unwrap_or_default();
-            let counts: Vec<(u64, u64)> = (0..sc.masters.len())
+            let counts = (0..sc.masters.len())
                 .map(|m| {
                     let port = fleet.master(lane, MasterId::new(m));
                     (port.issued_transactions(), port.backlog_transactions() as u64)
                 })
                 .collect();
-            assemble_outcome(sc, &snaps[lane], &probes[lane], &samples, &counts)
+            Observations { snaps, probes, samples, counts }
         })
         .collect();
-    Ok(outcomes)
+    Ok(observed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::run_scenario;
+    use crate::run::observe_system;
     use socsim::Kernel;
+
+    /// The verdict of the scalar per-cycle oracle.
+    fn oracle(sc: &Scenario) -> Outcome {
+        assemble_outcome(sc, &observe_system(sc, Kernel::Cycle).expect("scalar runs"))
+    }
 
     fn parse(text: &str) -> Scenario {
         Scenario::parse(text).expect("valid scenario")
@@ -144,10 +159,9 @@ mod tests {
         assert!(fleet_eligible(&c));
         let packed = run_scenarios_fleet(&[&a, &b, &c]).expect("fleet runs");
         for (sc, fleet_outcome) in [&a, &b, &c].into_iter().zip(&packed) {
-            let scalar = run_scenario(sc, Kernel::Cycle).expect("scalar runs");
             assert_eq!(
                 fleet_outcome.to_json().render(),
-                scalar.to_json().render(),
+                oracle(sc).to_json().render(),
                 "verdict for `{}` diverges",
                 sc.name
             );
@@ -167,7 +181,6 @@ mod tests {
              sla losses max=0\n",
         );
         let packed = run_scenarios_fleet(&[&sc]).expect("fleet runs");
-        let scalar = run_scenario(&sc, Kernel::Cycle).expect("scalar runs");
-        assert_eq!(packed[0].to_json().render(), scalar.to_json().render());
+        assert_eq!(packed[0].to_json().render(), oracle(&sc).to_json().render());
     }
 }

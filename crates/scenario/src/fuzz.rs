@@ -29,7 +29,7 @@ use crate::model::{
     Arrival, Expectation, MasterDecl, PhaseDecl, Scenario, Sla, SlaKind, SlaveDecl,
 };
 use crate::phased::mix;
-use crate::run::run_scenario;
+use crate::run::{assemble_outcome, observe_system, run_scenario};
 use experiments::json::Json;
 use socsim::{Kernel, RetryPolicy};
 
@@ -236,8 +236,10 @@ fn check(sc: &Scenario) -> Option<(String, String)> {
             }
         }
     }
-    let cycle = match run_scenario(sc, Kernel::Cycle) {
-        Ok(o) => o,
+    // The per-cycle scalar system is the oracle the other engines
+    // answer to.
+    let cycle = match observe_system(sc, Kernel::Cycle) {
+        Ok(observed) => assemble_outcome(sc, &observed),
         Err(e) => return Some(("run-error".into(), e)),
     };
     let cycle_json = cycle.to_json().render();

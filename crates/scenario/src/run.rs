@@ -1,19 +1,21 @@
 //! Executes one scenario and renders its verdict.
 //!
-//! The runner assembles a fully concrete
-//! `System<ArbiterKind, PhasedSource>` (no virtual dispatch in the
-//! hot loop) from the scenario's lane description, runs the phase
-//! schedule with a statistics snapshot at every phase boundary, and
-//! feeds the snapshots plus the windowed metrics into the SLA
-//! evaluator. On top of the declared SLAs every run gets a built-in
-//! conservation check: each master's issued transactions must equal
-//! completed + aborted + still-queued.
+//! The runner builds the scenario's lane description over concrete
+//! `ArbiterKind` and `PhasedSource` types (no virtual dispatch in the
+//! hot loop), runs the phase schedule with a statistics snapshot at
+//! every phase boundary, and feeds the snapshots plus the windowed
+//! metrics into the SLA evaluator. Under [`Kernel::Cycle`] the lane runs
+//! as a one-lane [`socsim::Fleet`] ([`crate::run_scenarios_fleet`]),
+//! which batches tenures exactly; under [`Kernel::Fast`] it runs as a
+//! scalar [`System`] that idle-skips. On top of the declared SLAs every
+//! run gets a built-in conservation check: each master's issued
+//! transactions must equal completed + aborted + still-queued.
 //!
 //! Verdicts serialize to deterministic JSON via
 //! [`experiments::json::Json`] and deliberately contain no wall-clock
-//! or kernel information — the same scenario run under the
-//! cycle-accurate and fast-forward kernels must produce
-//! byte-identical verdicts, and CI diffs exactly that.
+//! or kernel information — the same scenario run on the one-lane fleet,
+//! the scalar fast-forward kernel and the scalar per-cycle kernel must
+//! produce byte-identical verdicts, and CI diffs exactly that.
 
 use crate::model::{ArbiterSel, Expectation, FailoverDecl, Scenario, WedgeWindow};
 use crate::phased::{mix, PhasedSource};
@@ -29,7 +31,7 @@ use experiments::json::Json;
 use lotterybus::{DynamicLotteryArbiter, StaticLotteryArbiter, TicketAssignment};
 use socsim::{
     Arbiter, BusConfig, BusStats, FaultConfig, Kernel, LaneBuilder, MasterId, Slave, SlaveId,
-    System, SystemBuilder,
+    System, SystemBuilder, WindowSample,
 };
 
 /// Per-phase slice of the verdict.
@@ -221,9 +223,9 @@ pub(crate) fn probe(arb: &ArbiterKind) -> (u64, u64) {
 
 /// Assembles a scenario's bus system as one lane description: bus,
 /// slaves, phased sources, fault plan, retry policy, watchdog, metrics
-/// window and arbiter chain. [`run_scenario`] builds it into a scalar
-/// system and the fleet runner packs it as a lane, so both run the same
-/// system.
+/// window and arbiter chain. The scalar runner builds it into a
+/// [`System`] and the fleet runner packs it as a lane, so both run the
+/// same system.
 pub(crate) fn lane_builder(
     sc: &Scenario,
 ) -> Result<LaneBuilder<ArbiterKind, PhasedSource>, String> {
@@ -247,9 +249,43 @@ pub(crate) fn lane_builder(
     Ok(lane.metrics_window(sc.metrics_window).arbiter(build_arbiter(sc)?))
 }
 
+/// What one scenario run observed, everything its verdict is assembled
+/// from ([`assemble_outcome`]). The scalar runner and the fleet runner
+/// ([`crate::fleet`]) both fill it, so both assemble verdicts through the
+/// identical code path.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Observations {
+    /// Statistics snapshot at every phase boundary.
+    pub snaps: Vec<BusStats>,
+    /// Cumulative (failovers, recoveries) at every phase boundary.
+    pub probes: Vec<(u64, u64)>,
+    /// Windowed metrics samples, the partial tail window flushed.
+    pub samples: Vec<WindowSample>,
+    /// Per-master `(issued, backlog)` transaction counts at the end.
+    pub counts: Vec<(u64, u64)>,
+}
+
 /// Runs one scenario under the chosen kernel and evaluates its SLAs.
 /// Verdicts are byte-identical under every kernel.
+///
+/// [`Kernel::Cycle`] runs the scenario as a one-lane fleet
+/// ([`crate::run_scenarios_fleet`]), the cycle kernel's lane-exact
+/// batched form; a scenario with a fault plan, retry policy or
+/// watchdog steps and idle-skips there. [`Kernel::Fast`] (and its
+/// alias [`Kernel::Tlm`]) runs a scalar [`System`] that idle-skips.
 pub fn run_scenario(sc: &Scenario, kernel: Kernel) -> Result<Outcome, String> {
+    let observed = if kernel == Kernel::Cycle {
+        crate::fleet::observe_fleet(&[sc])?.pop().expect("one scenario, one lane")
+    } else {
+        observe_system(sc, kernel)?
+    };
+    Ok(assemble_outcome(sc, &observed))
+}
+
+/// Runs one scenario as a scalar [`System`] under `kernel`. Under
+/// [`Kernel::Cycle`] that is the per-cycle reference oracle: it steps
+/// every cycle.
+pub(crate) fn observe_system(sc: &Scenario, kernel: Kernel) -> Result<Observations, String> {
     sc.validate()?;
     let mut system: System<ArbiterKind, PhasedSource> = SystemBuilder::from(lane_builder(sc)?)
         .kernel(kernel)
@@ -265,28 +301,19 @@ pub fn run_scenario(sc: &Scenario, kernel: Kernel) -> Result<Outcome, String> {
     }
     system.flush_metrics();
     let samples = system.metrics().map(|m| m.samples().to_vec()).unwrap_or_default();
-    let counts: Vec<(u64, u64)> = (0..sc.masters.len())
+    let counts = (0..sc.masters.len())
         .map(|i| {
             let port = system.master(MasterId::new(i));
             (port.issued_transactions(), port.backlog_transactions() as u64)
         })
         .collect();
-    Ok(assemble_outcome(sc, &snaps, &probes, &samples, &counts))
+    Ok(Observations { snaps, probes, samples, counts })
 }
 
 /// Evaluates the SLAs and the conservation check and assembles the
-/// verdict from a finished run's observations: per-phase statistics
-/// snapshots, arbiter probes, windowed metrics samples and per-master
-/// `(issued, backlog)` transaction counts. Shared by the scalar runner
-/// and the fleet runner ([`crate::fleet`]) so both assemble verdicts
-/// through the identical code path.
-pub(crate) fn assemble_outcome(
-    sc: &Scenario,
-    snaps: &[BusStats],
-    probes: &[(u64, u64)],
-    samples: &[socsim::WindowSample],
-    counts: &[(u64, u64)],
-) -> Outcome {
+/// verdict from a finished run's observations.
+pub(crate) fn assemble_outcome(sc: &Scenario, observed: &Observations) -> Outcome {
+    let Observations { snaps, probes, samples, counts } = observed;
     let mut violations = evaluate(&EvalInput { sc, snaps, probes, samples });
     let last = snaps.last().expect("at least one phase");
     conservation_check(sc, last, counts, &mut violations);
@@ -376,4 +403,83 @@ fn phase_reports(sc: &Scenario, snaps: &[BusStats], probes: &[(u64, u64)]) -> Ve
         start += phase.duration;
     }
     reports
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::observe_fleet;
+    use socsim::Fleet;
+    use std::path::{Path, PathBuf};
+
+    /// Every `.scenario` file of the repository's library, regression
+    /// corpus included, parsed, in path order.
+    fn library() -> Vec<(PathBuf, Scenario)> {
+        fn collect(dir: &Path, out: &mut Vec<PathBuf>) {
+            for entry in std::fs::read_dir(dir).expect("readable scenario dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    collect(&path, out);
+                } else if path.extension().is_some_and(|e| e == "scenario") {
+                    out.push(path);
+                }
+            }
+        }
+        let mut paths = Vec::new();
+        collect(&Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios"), &mut paths);
+        paths.sort();
+        assert!(paths.len() >= 25, "the library ships 25 scenarios, found {}", paths.len());
+        paths
+            .into_iter()
+            .map(|path| {
+                let text = std::fs::read_to_string(&path).expect("readable scenario");
+                let sc =
+                    Scenario::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+                (path, sc)
+            })
+            .collect()
+    }
+
+    /// Whether the scenario's bus carries a fault layer (fault plan,
+    /// retry policy or watchdog), whose fleet lane steps.
+    fn has_fault_layer(sc: &Scenario) -> bool {
+        sc.fault.is_active() || sc.retry.is_some() || sc.timeout.is_some()
+    }
+
+    #[test]
+    fn default_path_matches_the_per_cycle_oracle_on_every_library_scenario() {
+        for (path, sc) in library() {
+            let oracle = observe_system(&sc, Kernel::Cycle).expect("scalar runs");
+            let default = observe_fleet(&[&sc]).expect("fleet runs").pop().expect("one lane");
+            assert!(!oracle.samples.is_empty(), "{}: no windowed samples", path.display());
+            assert_eq!(default, oracle, "{}: observations diverge", path.display());
+            assert_eq!(
+                run_scenario(&sc, Kernel::Cycle).expect("runs").to_json().render(),
+                assemble_outcome(&sc, &oracle).to_json().render(),
+                "{}: verdict diverges",
+                path.display()
+            );
+        }
+    }
+
+    #[test]
+    fn fault_free_library_lanes_batch_almost_every_cycle() {
+        let mut batched_lanes = 0;
+        for (path, sc) in library() {
+            let mut fleet =
+                Fleet::build(vec![lane_builder(&sc).expect("valid lane")]).expect("valid fleet");
+            fleet.run(sc.total_cycles());
+            let moves = fleet.moves(0);
+            assert_eq!(moves.cycles(), sc.total_cycles(), "{}", path.display());
+            if has_fault_layer(&sc) {
+                // Fault lanes step and idle-skip (their fault machinery
+                // acts every cycle).
+                assert_eq!(moves.tenure_batched + moves.fused + moves.wheel_batched, 0);
+            } else {
+                assert!(moves.stepped_share() < 0.02, "{}: {moves:?}", path.display());
+                batched_lanes += 1;
+            }
+        }
+        assert!(batched_lanes >= 19, "{batched_lanes} fault-free scenarios");
+    }
 }

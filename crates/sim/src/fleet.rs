@@ -43,11 +43,17 @@
 //! Otherwise the move runs on to the run target or the chunk boundary,
 //! polling inline: a Bernoulli arrival no longer ends it.
 //!
-//! Moves 3 and 4 are skipped entirely on lanes with windowed metrics
-//! (whose gauges sample every busy cycle boundary) and on lanes with a
-//! fault plan, retry policy or watchdog (whose fault machinery acts
-//! every cycle): those lanes step and skip, exactly like the scalar
-//! fast kernel. The fused loop also needs tracing off.
+//! On a lane with windowed metrics a batch move also ends at the
+//! lane's next window boundary. The move's cycles then enter the
+//! registry at once: a window closes only on the move's last cycle,
+//! where the statistics and ports stand as a per-cycle step would leave
+//! them, and every completion inside the move notes its latency in the
+//! window it falls in. So the time-series stays exact.
+//!
+//! Moves 3 and 4 are skipped entirely on lanes with a fault plan, retry
+//! policy or watchdog (whose fault machinery acts every cycle): those
+//! lanes step and skip, exactly like the scalar fast kernel. The fused
+//! loop also needs tracing off.
 //!
 //! Moves 3 and 4 are what make fleets fast at saturation, where the
 //! scalar cycle kernel pays the full per-cycle cost: a saturated 8-word
@@ -79,7 +85,7 @@ use crate::fastforward::MoveCounters;
 use crate::fault::FaultEvent;
 use crate::ids::MasterId;
 use crate::lane::{idle_horizon, Lane};
-use crate::master::MasterPort;
+use crate::master::{Completion, MasterPort};
 use crate::metrics::BusMetrics;
 use crate::request::RequestMap;
 use crate::slave::Slave;
@@ -203,9 +209,9 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     /// scalar arbiter (heterogeneous packs, never-lowered protocols,
     /// lanes dissolved by [`Fleet::arbiter_mut`]).
     lowered: Vec<Option<(u32, u32)>>,
-    /// Whether the lane may batch tenures at all: no metrics registry
-    /// (its gauges sample every busy cycle boundary) and no fault layer
-    /// (its machinery acts every cycle).
+    /// Whether the lane may batch tenures at all: no fault layer (its
+    /// machinery acts every cycle). Lanes with windowed metrics batch,
+    /// clipped at their window boundaries.
     batch_ok: Vec<bool>,
     /// Whether the lane may take the fused arbitrate-plus-batch fast
     /// path: batching allowed and tracing off (the fused path elides
@@ -299,7 +305,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             );
             fleet.slaves.extend(parts.slaves);
             fleet.slave_offsets.push(fleet.slaves.len());
-            let batch_ok = parts.metrics.is_none() && parts.bus.faults.is_none();
+            let batch_ok = parts.bus.faults.is_none();
             fleet.batch_ok.push(batch_ok);
             fleet.fast_ok.push(batch_ok && !parts.trace.is_enabled());
             fleet.buses.push(parts.bus);
@@ -505,15 +511,21 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
 
     /// Advances one lane to `target`: an idle skip where nothing is due,
     /// a per-cycle step on lanes that may not batch, and a batch move
-    /// ([`Fleet::batch_lane`]) otherwise; the fleet's counterpart of the
-    /// scalar run loop.
+    /// ([`Fleet::batch_lane`]) otherwise, clipped at the lane's next
+    /// metrics window boundary; the fleet's counterpart of the scalar
+    /// run loop.
     fn advance_lane(&mut self, lane: usize, target: Cycle) {
         while self.now[lane] < target {
+            let now = self.now[lane];
             let horizon = self.idle_horizon_lane(lane).min(target);
-            if horizon > self.now[lane] {
+            if horizon > now {
                 self.with_lane(lane, |core| core.skip_to(horizon));
             } else if self.batch_ok[lane] {
-                self.batch_lane(lane, target);
+                let end = match &self.metrics[lane] {
+                    Some(metrics) => target.min(now + metrics.cycles_to_boundary()),
+                    None => target,
+                };
+                self.batch_lane(lane, end);
             } else {
                 self.step_lane(lane);
             }
@@ -659,13 +671,23 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     }
 
     /// Closes a batch move of `cycles` cycles on lane `lane`: cycle and
-    /// failover accounting, the move count and the clock. The parts of
-    /// the move credit their own kind of cycles.
+    /// failover accounting, the metrics registry, the move count and the
+    /// clock. The parts of the move credit their own kind of cycles.
+    ///
+    /// The move ends at or before the lane's next window boundary
+    /// ([`Fleet::advance_lane`] clips it), so a window closes at most
+    /// once, on the move's last cycle, over the statistics and ports a
+    /// step would leave there (see [`BusMetrics::skip_cycles`]).
     #[inline]
     fn finish_batch(&mut self, lane: usize, cycles: u64) {
+        let now = self.now[lane];
         self.stats[lane].record_cycles(cycles);
         self.stats[lane].failovers = self.arbiters[lane].failovers() - self.failover_baseline[lane];
-        self.now[lane] += cycles;
+        if let Some(metrics) = self.metrics[lane].as_mut() {
+            let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
+            metrics.skip_cycles(now, cycles, &self.stats[lane], &self.ports[lo..hi]);
+        }
+        self.now[lane] = now + cycles;
         self.moves[lane].moves += 1;
     }
 
@@ -712,7 +734,12 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 let last = start + (u64::from(burst) - 1);
                 let port = &mut self.ports[self.offsets[lane] + master.index()];
                 if let Some(done) = port.transfer(burst, last) {
-                    self.stats[lane].record_completion(master, &done);
+                    record_completion(
+                        &mut self.stats[lane],
+                        &mut self.metrics[lane],
+                        master,
+                        &done,
+                    );
                 }
                 consumed += u64::from(burst);
                 words_left -= burst;
@@ -730,8 +757,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// the ports, exactly as [`Bus::step`] builds it; the tenure it grants
     /// is replayed like [`Fleet::resume_tenure`], and the next boundary's
     /// poll phase runs before the next arbitration, as a step orders it.
-    /// Only lanes without tracing, metrics or a fault layer take this
-    /// path (`fast_ok`): it records no per-cycle trace detail.
+    /// Only lanes without tracing or a fault layer take this path
+    /// (`fast_ok`): it records no per-cycle trace detail.
     ///
     /// Wheel-lowered lanes with every master pending divert into the
     /// arithmetic slot walk ([`Fleet::wheel_batch_lane`]), covering many
@@ -812,7 +839,12 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                     self.stats[lane].record_words(winner, words);
                     let last = cursor + (span - 1);
                     if let Some(done) = self.ports[lo + winner.index()].transfer(words, last) {
-                        self.stats[lane].record_completion(winner, &done);
+                        record_completion(
+                            &mut self.stats[lane],
+                            &mut self.metrics[lane],
+                            winner,
+                            &done,
+                        );
                     }
                 } else {
                     self.buses[lane].set_tenure(winner, stall, words);
@@ -878,7 +910,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             let port = &mut self.ports[lo + m];
             port.note_grant(first);
             if let Some(done) = port.transfer(granted as u32, last) {
-                self.stats[lane].record_completion(id, &done);
+                record_completion(&mut self.stats[lane], &mut self.metrics[lane], id, &done);
             }
         }
         if masters >= 2 {
@@ -886,6 +918,22 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         }
         self.kernels[kernel].advance_wheel(slot, span);
         span
+    }
+}
+
+/// Accounts a completion inside a batch move: the lane's statistics,
+/// and its latency in the current metrics window, as a step's
+/// accounting phase notes it.
+#[inline]
+fn record_completion(
+    stats: &mut BusStats,
+    metrics: &mut Option<BusMetrics>,
+    master: MasterId,
+    done: &Completion,
+) {
+    stats.record_completion(master, done);
+    if let Some(metrics) = metrics.as_mut() {
+        metrics.note_completion(done.latency());
     }
 }
 
@@ -1152,8 +1200,9 @@ mod tests {
         assert!(matches!(err.error, BuildSystemError::InvalidConfig(_)));
     }
 
-    /// `shape`'s lane with trace and metrics off — the configuration
-    /// under which `fuse_tenures` is legal (`fast_ok`).
+    /// `shape`'s lane with tracing off — the configuration under which
+    /// `fuse_tenures` is legal (`fast_ok`) — and its metrics window, if
+    /// any.
     fn untraced_lane_for(shape: &LaneShape) -> LaneBuilder<FixedOrderArbiter, TestSource> {
         let mut lane = LaneBuilder::new(BusConfig::default()).slave(Slave::with_wait_states(
             SlaveId::new(0),
@@ -1163,6 +1212,9 @@ mod tests {
         for m in 0..shape.masters {
             lane = lane.master(format!("m{m}"), source_for(shape, m));
         }
+        if let Some(w) = shape.metrics {
+            lane = lane.metrics_window(w);
+        }
         lane.arbiter(FixedOrderArbiter::new(shape.masters))
     }
 
@@ -1171,25 +1223,37 @@ mod tests {
         // wait_states=0 additionally exercises the zero-stall grant
         // shortcut and the fused loop's in-loop winner poll;
         // wait_states=1 routes fused decisions through the stall arm.
+        // Metrics windows shorter than a tenure, and windows that are
+        // not multiples of it, clip moves mid-tenure and mid-stall;
+        // each clipped move must close its window where a step would.
         for wait_states in [0u32, 1] {
-            let shape = LaneShape {
-                masters: 4,
-                words: 8,
-                threshold: 0,
-                saturated: true,
-                wait_states,
-                metrics: None,
-            };
-            let mut fleet = Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
-            assert!(fleet.fast_ok[0], "untraced, metric-less lane must qualify for fusing");
-            assert_eq!(fleet.zero_stall[0], wait_states == 0);
-            let mut scalar = solo(untraced_lane_for(&shape));
-            // Odd slice lengths land window limits mid-tenure and
-            // mid-stall; exactness must survive every resume.
-            for slice in [1u64, 5, 63, 2, 640, 9, 3000, 17, 1000] {
-                fleet.run(slice);
-                scalar.run(slice);
+            for metrics in [None, Some(1), Some(2), Some(3), Some(7), Some(100)] {
+                let shape = LaneShape {
+                    masters: 4,
+                    words: 8,
+                    threshold: 0,
+                    saturated: true,
+                    wait_states,
+                    metrics,
+                };
+                let mut fleet = Fleet::build(vec![untraced_lane_for(&shape)]).expect("valid fleet");
+                assert!(fleet.fast_ok[0], "untraced lane must qualify for fusing");
+                assert_eq!(fleet.zero_stall[0], wait_states == 0);
+                let mut scalar = solo(untraced_lane_for(&shape));
+                // Odd slice lengths land window limits mid-tenure and
+                // mid-stall; exactness must survive every resume.
+                for slice in [1u64, 5, 63, 2, 640, 9, 3000, 17, 1000] {
+                    fleet.run(slice);
+                    scalar.run(slice);
+                    assert_lane_matches_scalar(&fleet, 0, &scalar);
+                }
+                fleet.flush_metrics();
+                scalar.flush_metrics();
                 assert_lane_matches_scalar(&fleet, 0, &scalar);
+                // A one-cycle metrics window makes every move a step.
+                let moves = fleet.moves(0);
+                let batched = moves.tenure_batched + moves.fused + moves.wheel_batched;
+                assert_eq!(batched == 0, metrics == Some(1), "{metrics:?}: {moves:?}");
             }
         }
     }

@@ -42,10 +42,11 @@ use crate::trace::BusTrace;
 ///
 /// A fleet lane batches and fuses tenures, polling the sources that
 /// come due inside a batch at their own cycles (see [`crate::fleet`]).
-/// Lanes with a fault plan, retry policy or watchdog step and skip idle
-/// spans exactly like the scalar fast kernel, but never batch tenures
-/// (their fault machinery acts every cycle). Lanes with windowed
-/// metrics skip idle spans but do not batch either.
+/// Lanes with windowed metrics batch too, each batch ending at or
+/// before the next window boundary. Lanes with a fault plan, retry
+/// policy or watchdog step and skip idle spans exactly like the scalar
+/// fast kernel, but never batch tenures (their fault machinery acts
+/// every cycle).
 #[derive(Debug)]
 pub struct LaneBuilder<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     pub(crate) config: BusConfig,

@@ -410,18 +410,35 @@ impl BusMetrics {
         }
     }
 
+    /// Cycles left in the current window, counting the cycle that closes
+    /// it: a span of this many cycles ends exactly on the next boundary.
+    /// Always at least 1.
+    #[inline]
+    pub fn cycles_to_boundary(&self) -> u64 {
+        self.window - self.cycles_in_window
+    }
+
     /// Counts `delta` elapsed cycles starting at `start` in one step,
     /// closing windows at the exact boundary cycles they would have
     /// closed at under per-cycle sampling — the Δ-cycle aware form of
-    /// [`BusMetrics::end_cycle`] used when the fast-forward kernel
-    /// jumps over an idle span.
+    /// [`BusMetrics::end_cycle`], called with `stats` and `masters` as
+    /// they stand after the span's last cycle.
     ///
-    /// Sound only for spans in which the observed state is frozen: no
-    /// grants, transfers, retries or faults happen, and no master's
-    /// request state changes (exactly the spans the kernel skips).
-    /// Every window closed inside the span then rolls zero deltas and
-    /// samples the same gauges per-cycle sampling would have, so the
-    /// resulting time-series is identical.
+    /// Sound for two kinds of span, and the time-series is then
+    /// identical to a per-cycle [`BusMetrics::end_cycle`] loop's:
+    ///
+    /// - **Frozen spans** of any length, in which the observed state
+    ///   does not change: no grants, transfers, retries or faults
+    ///   happen, and no master's request state or backlog changes
+    ///   (the idle spans the kernels skip). Every window closed inside
+    ///   the span rolls zero deltas and samples the same gauges.
+    /// - **Batched spans** of at most [`BusMetrics::cycles_to_boundary`]
+    ///   cycles, in which anything may change (the tenure batches of a
+    ///   fleet lane). At most one window closes, on the span's last
+    ///   cycle, so it rolls the counters and samples the gauges exactly
+    ///   where `end_cycle` would; the latency of every completion in
+    ///   the span must have been noted first
+    ///   ([`BusMetrics::note_completion`]).
     pub fn skip_cycles(
         &mut self,
         start: Cycle,
@@ -432,7 +449,7 @@ impl BusMetrics {
         let mut remaining = delta;
         let mut cursor = start;
         while remaining > 0 {
-            let to_boundary = self.window - self.cycles_in_window;
+            let to_boundary = self.cycles_to_boundary();
             if remaining < to_boundary {
                 self.cycles_in_window += remaining;
                 return;
@@ -634,6 +651,52 @@ mod tests {
             fast.flush(end, &stats, &ports);
             assert_eq!(slow.samples(), fast.samples(), "partial tail diverged");
         }
+
+        // A batched span may change anything when it ends at or before
+        // the next boundary. Here it ends exactly on one, after words,
+        // a grant, a completion and both backlogs changed: the window
+        // closes once, on the span's last cycle, over the state a step
+        // would see there.
+        let mut ports = vec![port_with_backlog(0, 3), port_with_backlog(1, 1)];
+        let mut stats = BusStats::new(2);
+        let mut slow = BusMetrics::new(10, 2);
+        let mut fast = BusMetrics::new(10, 2);
+        for c in 0..4 {
+            stats.record_cycle();
+            slow.end_cycle(Cycle::new(c), &stats, &ports);
+            fast.end_cycle(Cycle::new(c), &stats, &ports);
+        }
+        assert_eq!(fast.cycles_to_boundary(), 6);
+        let m0 = MasterId::new(0);
+        for c in 4..10 {
+            stats.record_cycle();
+            stats.record_words(m0, 1);
+            if c == 5 {
+                stats.record_grant(m0);
+                ports[0].note_grant(Cycle::new(c));
+            }
+            if c == 7 {
+                ports[1].enqueue(crate::request::Transaction::new(
+                    crate::ids::SlaveId::new(0),
+                    2,
+                    Cycle::new(c),
+                ));
+            }
+            if c == 8 {
+                let done = ports[0].transfer(4, Cycle::new(c)).expect("head completes");
+                stats.record_completion(m0, &done);
+                slow.note_completion(done.latency());
+                fast.note_completion(done.latency());
+            }
+            slow.end_cycle(Cycle::new(c), &stats, &ports);
+        }
+        fast.skip_cycles(Cycle::new(4), 6, &stats, &ports);
+        assert_eq!(slow.samples(), fast.samples(), "batched span diverged");
+        let window = &fast.samples()[0];
+        assert_eq!((window.grants, window.latency.count), (1, 1));
+        let depths: Vec<u64> = window.per_master.iter().map(|m| m.queue_depth).collect();
+        assert_eq!(depths, [2, 2], "gauges sampled after the span's changes");
+        assert_eq!(fast.cycles_to_boundary(), 10, "a fresh window opens");
     }
 
     #[test]

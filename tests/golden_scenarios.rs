@@ -1,6 +1,15 @@
 //! Golden snapshot of the `scenario` subcommand: the verdict JSON for
-//! the whole `scenarios/` library, byte-exact, under the cycle kernel,
-//! the fast kernel and fleet packing.
+//! the whole `scenarios/` library, byte-exact, on three engines:
+//!
+//! - `--kernel cycle` runs each scenario as a one-lane `Fleet`, which
+//!   batches tenures (fault lanes step and idle-skip);
+//! - `--kernel fast` runs each as a scalar `System` that idle-skips;
+//! - `--fleet` packs every scenario of a plan level into one `Fleet`.
+//!
+//! None of them steps every cycle. The per-cycle scalar oracle is
+//! checked against the default path, verdicts and windowed samples, by
+//! the `scenario` crate's unit test
+//! `default_path_matches_the_per_cycle_oracle_on_every_library_scenario`.
 //!
 //! The library is the one workload that switches generators at phase
 //! boundaries, so this pins where each phase's arrival processes start

@@ -117,31 +117,69 @@ fn fleet_batches_most_busy_cycles_of_bernoulli_lanes() {
     }
 }
 
+/// One saturate lane of `protocol` (four masters issuing 16-word
+/// messages back to back) run as a one-lane fleet, with an optional
+/// metrics window, and its solo scalar twin's statistics.
+fn saturate_lane_run(protocol: usize, window: Option<u64>) -> (BusStats, MoveCounters, BusStats) {
+    let sources = || (0..4).map(|_| SourceKind::from(SaturateSource::new(0, 16)));
+    let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
+    let mut solo = SystemBuilder::new(BusConfig::default());
+    for (i, (a, b)) in sources().zip(sources()).enumerate() {
+        lane = lane.master(format!("C{}", i + 1), a);
+        solo = solo.master(format!("C{}", i + 1), b);
+    }
+    if let Some(window) = window {
+        lane = lane.metrics_window(window);
+        solo = solo.metrics_window(window);
+    }
+    let mut fleet =
+        Fleet::build(vec![lane.arbiter(protocol_arbiter(protocol, SEED))]).expect("valid fleet");
+    let mut solo = solo.arbiter(protocol_arbiter(protocol, SEED)).build().expect("valid");
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    solo.warm_up(WARMUP);
+    solo.run(MEASURE);
+    (fleet.stats(0).clone(), *fleet.moves(0), solo.stats().clone())
+}
+
 #[test]
 fn fleet_fuses_back_to_back_saturate_tenures() {
     // Saturating sources refill their port the cycle its last message
     // completes; the fused loop runs that poll at the tenure boundary
     // and arbitrates on, so a lane makes at most one move per tenure.
     for protocol in 0..5 {
-        let sources = || (0..4).map(|_| SourceKind::from(SaturateSource::new(0, 16)));
-        let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
-        let mut solo = SystemBuilder::new(BusConfig::default());
-        for (i, (a, b)) in sources().zip(sources()).enumerate() {
-            lane = lane.master(format!("C{}", i + 1), a);
-            solo = solo.master(format!("C{}", i + 1), b);
-        }
-        let mut fleet = Fleet::build(vec![lane.arbiter(protocol_arbiter(protocol, SEED))])
-            .expect("valid fleet");
-        let mut solo = solo.arbiter(protocol_arbiter(protocol, SEED)).build().expect("valid");
-        fleet.warm_up(WARMUP);
-        fleet.run(MEASURE);
-        solo.warm_up(WARMUP);
-        solo.run(MEASURE);
-        let (stats, moves) = (fleet.stats(0), fleet.moves(0));
-        assert_eq!(stats, solo.stats(), "protocol {protocol}: statistics differ");
+        let (stats, moves, solo) = saturate_lane_run(protocol, None);
+        assert_eq!(stats, solo, "protocol {protocol}: statistics differ");
         assert_eq!(moves.cycles(), WARMUP + MEASURE, "protocol {protocol}: {moves:?}");
         assert!(stats.grants > 1_000, "protocol {protocol}: {} grants", stats.grants);
         assert!(moves.moves <= stats.grants, "protocol {protocol}: {moves:?}");
+        let batched = moves.fused + moves.wheel_batched;
+        assert!(batched as f64 > 0.99 * moves.cycles() as f64, "protocol {protocol}: {moves:?}");
+    }
+}
+
+/// Moves per saturate lane with a 512-cycle metrics window: one per
+/// window, as each batch move ends at the next window boundary (and
+/// every 1,024-cycle chunk boundary is one): 4 in the 2,000-cycle
+/// warm-up, whose last window the statistics reset cuts short, and 40
+/// in the 20,000 measured cycles (39 full windows and a 32-cycle tail).
+/// Without metrics a lane makes one move per chunk, 22 in all.
+const MOVES_WITH_512_CYCLE_WINDOWS: u64 = 44;
+
+#[test]
+fn metrics_lanes_batch_saturate_tenures_up_to_each_window_boundary() {
+    // The statistics stay those of the metrics-free run and of the
+    // scalar per-cycle kernel; only the moves split at window
+    // boundaries.
+    for protocol in 0..5 {
+        let (plain, plain_moves, _) = saturate_lane_run(protocol, None);
+        let (stats, moves, solo) = saturate_lane_run(protocol, Some(512));
+        assert_eq!(stats, plain, "protocol {protocol}: metrics changed the statistics");
+        assert_eq!(stats, solo, "protocol {protocol}: statistics differ from the scalar run");
+        assert_eq!(moves.cycles(), WARMUP + MEASURE, "protocol {protocol}: {moves:?}");
+        assert!(moves.stepped_share() <= 0.01, "protocol {protocol}: {moves:?}");
+        assert_eq!(plain_moves.moves, 22, "protocol {protocol}: {plain_moves:?}");
+        assert_eq!(moves.moves, MOVES_WITH_512_CYCLE_WINDOWS, "protocol {protocol}: {moves:?}");
         let batched = moves.fused + moves.wheel_batched;
         assert!(batched as f64 > 0.99 * moves.cycles() as f64, "protocol {protocol}: {moves:?}");
     }

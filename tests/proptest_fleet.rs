@@ -5,10 +5,12 @@
 //! must be *lane-exact*: every lane's statistics and fault log identical
 //! to the same system run solo through the scalar kernel. Lanes may
 //! carry a fault plan, a retry policy and a watchdog timeout, which
-//! make them step instead of batch. Two structural properties
-//! ride along: a one-lane fleet degenerates to the scalar kernel, and
-//! lane order is irrelevant (lanes never interact, so packing order is
-//! a pure layout choice).
+//! make them step instead of batch. Lanes with a windowed metrics
+//! registry batch too, clipped at their window boundaries, and their
+//! time-series must equal the scalar per-cycle kernel's. Two structural
+//! properties ride along: a one-lane fleet degenerates to the scalar
+//! kernel, and lane order is irrelevant (lanes never interact, so
+//! packing order is a pure layout choice).
 
 use lotterybus_repro::arbiters::{
     ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter,
@@ -16,6 +18,7 @@ use lotterybus_repro::arbiters::{
 use lotterybus_repro::lottery::{StaticLotteryArbiter, TicketAssignment};
 use lotterybus_repro::socsim::{
     BusConfig, BusStats, FaultConfig, FaultEvent, Fleet, LaneBuilder, RetryPolicy, SystemBuilder,
+    WindowSample,
 };
 use lotterybus_repro::traffic::{GeneratorSpec, SaturateSource, SizeDist, SourceKind};
 use proptest::prelude::*;
@@ -186,6 +189,44 @@ fn lane_recipe() -> impl Strategy<Value = LaneRecipe> {
         })
 }
 
+/// Metrics windows of the metrics-lane property: shorter than most
+/// tenures (1, 2, 7 cycles against bursts of up to 16 words), not a
+/// multiple of any burst above 1 (7), and longer than a tenure (64,
+/// 512).
+const WINDOWS: [u64; 5] = [1, 2, 7, 64, 512];
+
+/// A fault-free lane whose master 0 saturates (so the lane is busy and
+/// has tenures to batch), with a metrics window from [`WINDOWS`].
+fn metrics_lane_recipe() -> impl Strategy<Value = (LaneRecipe, u64)> {
+    (lane_recipe(), 1u32..24, 0usize..WINDOWS.len()).prop_map(|(mut recipe, words, window)| {
+        recipe.shapes[0] = SourceShape::Saturate { words };
+        recipe.fault = FaultRecipe { faults: None, retry: None, timeout: None };
+        (recipe, WINDOWS[window])
+    })
+}
+
+/// Statistics and flushed time-series of `lane` after the warm-up and
+/// measured window.
+type MetricsRun = (BusStats, Vec<WindowSample>);
+
+fn fleet_metrics_run(lane: LaneBuilder<ArbiterKind, SourceKind>) -> (MetricsRun, u64) {
+    let mut fleet = Fleet::build(vec![lane]).expect("valid lane");
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    fleet.flush_metrics();
+    let moves = fleet.moves(0);
+    let samples = fleet.metrics(0).expect("metrics on").samples().to_vec();
+    ((fleet.stats(0).clone(), samples), moves.tenure_batched + moves.fused + moves.wheel_batched)
+}
+
+fn scalar_metrics_run(lane: LaneBuilder<ArbiterKind, SourceKind>) -> MetricsRun {
+    let mut system = SystemBuilder::from(lane).build().expect("valid lane");
+    system.warm_up(WARMUP);
+    system.run(MEASURE);
+    system.flush_metrics();
+    (system.stats().clone(), system.metrics().expect("metrics on").samples().to_vec())
+}
+
 fn run_pack(recipes: &[LaneRecipe]) -> Vec<LaneRun> {
     let mut fleet =
         Fleet::build(recipes.iter().map(LaneRecipe::lane).collect()).expect("valid lanes");
@@ -219,6 +260,24 @@ proptest! {
     fn single_lane_fleet_degenerates_to_scalar(recipe in lane_recipe()) {
         let packed = run_pack(std::slice::from_ref(&recipe));
         prop_assert_eq!(&packed[0], &recipe.solo());
+    }
+
+    /// A lane with windowed metrics batches, and its one-lane fleet
+    /// equals the scalar per-cycle system: statistics and every window
+    /// sample. A one-cycle window makes every batch move a step.
+    #[test]
+    fn metrics_lanes_batch_and_match_the_per_cycle_kernel(
+        (recipe, window) in metrics_lane_recipe(),
+    ) {
+        let (fleet_run, batched) = fleet_metrics_run(recipe.lane().metrics_window(window));
+        let scalar_run = scalar_metrics_run(recipe.lane().metrics_window(window));
+        prop_assert_eq!(
+            &fleet_run, &scalar_run,
+            "window {} ({:?} protocol {}) diverged from the per-cycle kernel",
+            window, recipe.shapes, recipe.protocol
+        );
+        prop_assert!(!scalar_run.1.is_empty());
+        prop_assert_eq!(batched > 0, window > 1, "window {}: {} batched cycles", window, batched);
     }
 
     /// Lane order is a pure layout choice: shuffling the pack permutes
