@@ -77,10 +77,7 @@ impl Bus {
     /// changes which port horizon applies (see
     /// [`MasterPort::next_event_under_stall_faults`]).
     pub(crate) fn stall_faults_active(&self) -> bool {
-        self.faults
-            .as_ref()
-            .and_then(|layer| layer.plan.as_ref())
-            .is_some_and(|plan| plan.config().master_stall_rate > 0.0)
+        self.faults.as_ref().is_some_and(FaultLayer::draws_stalls)
     }
 
     /// The tenure in flight as `(owner, setup-stall cycles left, words
@@ -150,6 +147,66 @@ impl Bus {
         }
     }
 
+    /// Where a batch of the tenure in flight from `now` must end: the
+    /// first cycle before `bound` and the tenure's end at which the
+    /// fault prepass would act in a way the batch cannot replay (a
+    /// master-stall draw that fires, or a watchdog timeout), else the
+    /// earlier of the two. `bound` itself when the layer acts only at
+    /// grants. The poll phase of `now` must have run; `next_poll[i]` is
+    /// the next cycle at which port `i`'s source is polled.
+    ///
+    /// A port without work can request from its next poll on, so its
+    /// stall draws are scanned from there. On a lane with a watchdog
+    /// the batch also ends at the first cycle such a port could be
+    /// armed, so every head the batch watches is already queued at
+    /// `now` and [`Bus::replay_tenure_prepass`] knows its arming cycle.
+    pub(crate) fn tenure_fault_horizon(
+        &self,
+        masters: &[MasterPort],
+        next_poll: &[Cycle],
+        now: Cycle,
+        bound: Cycle,
+    ) -> Cycle {
+        let Some(layer) = self.faults.as_ref().filter(|layer| layer.acts_every_cycle()) else {
+            return bound;
+        };
+        let Some((owner, stall, words)) = self.tenure() else {
+            return bound;
+        };
+        let mut bound = bound.min(now + u64::from(stall) + u64::from(words));
+        for (port, &poll) in masters.iter().zip(next_poll) {
+            if port.id() == owner {
+                continue;
+            }
+            let live = if port.is_requesting() { now } else { poll.max(now) };
+            if let Some(timeout) = layer.timeout {
+                let deadline = port.watch_deadline(now, timeout);
+                bound = bound.min(deadline.unwrap_or_else(|| live.max(port.eligible_from())));
+            }
+            if let Some(plan) = layer.plan {
+                let from = live.max(port.stall_end());
+                if let Some(stall) = plan.next_master_stall(port.id(), from, bound) {
+                    bound = stall;
+                }
+            }
+        }
+        bound
+    }
+
+    /// Replays the fault prepass of the tenure cycles `[from, to)`,
+    /// which [`Bus::tenure_fault_horizon`] has cleared of stall draws
+    /// and timeouts: what remains is the watchdog arming each waiting
+    /// head.
+    pub(crate) fn replay_tenure_prepass(&self, masters: &mut [MasterPort], from: Cycle, to: Cycle) {
+        if self.faults.as_ref().is_none_or(|layer| layer.timeout.is_none()) {
+            return;
+        }
+        let owner = self.tenure().map(|(master, ..)| master);
+        for port in masters.iter_mut().filter(|port| owner != Some(port.id())) {
+            port.watch_span(from, to);
+        }
+    }
+
     /// Simulates one bus cycle.
     ///
     /// When idle, the request map is built from the master ports and the
@@ -168,7 +225,7 @@ impl Bus {
         stats: &mut BusStats,
         trace: &mut BusTrace,
     ) -> Option<(MasterId, Completion)> {
-        if self.faults.is_some() {
+        if self.faults.as_ref().is_some_and(FaultLayer::acts_every_cycle) {
             self.fault_prepass(masters, now, stats);
         }
         match self.state {

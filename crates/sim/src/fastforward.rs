@@ -15,10 +15,11 @@
 //! [`crate::Arbiter`], [`crate::MasterPort`]) returns the earliest
 //! cycle `>= now` at which the component acts in a way the skip path
 //! cannot reproduce arithmetically. Slaves and fault plans keep no
-//! per-cycle state, so they never bound a skip; the one per-cycle fault
-//! draw (master stalls) is pinned by
-//! [`crate::MasterPort::next_event_under_stall_faults`]. Three values
-//! matter:
+//! per-cycle state, so they never bound an idle skip; the one per-cycle
+//! fault draw (master stalls) is pinned by
+//! [`crate::MasterPort::next_event_under_stall_faults`]. Inside a busy
+//! tenure, which a fleet lane batches, the stall draws and the watchdog
+//! do bound the batch (see [`crate::fleet`]). Three values matter:
 //!
 //! * `now` — "do not skip over me". The conservative answer, and the
 //!   default for any component the kernel does not know; it degrades

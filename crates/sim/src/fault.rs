@@ -378,6 +378,16 @@ impl FaultPlan {
             1 + (self.draw(now.index(), STREAM_STALL_LENGTH, master.index() as u64) % span) as u32
         })
     }
+
+    /// The first cycle in `[from, to)` at which [`FaultPlan::master_stall_at`]
+    /// fires for `master`, or `None` when no draw there does. The plan
+    /// keeps no state, so a tenure batch finds its next stall draw by
+    /// scanning ahead.
+    pub fn next_master_stall(&self, master: MasterId, from: Cycle, to: Cycle) -> Option<Cycle> {
+        (from.index()..to.index())
+            .map(Cycle::new)
+            .find(|&cycle| self.master_stall_at(cycle, master).is_some())
+    }
 }
 
 /// Upper bound on retained fault-trace entries; beyond it the log
@@ -430,6 +440,19 @@ pub(crate) struct FaultLayer {
 impl FaultLayer {
     pub(crate) fn new(plan: Option<FaultPlan>, retry: RetryPolicy, timeout: Option<u64>) -> Self {
         FaultLayer { plan, retry, timeout, log: FaultLog::new() }
+    }
+
+    /// Whether the plan draws per-cycle master stalls.
+    pub(crate) fn draws_stalls(&self) -> bool {
+        self.plan.as_ref().is_some_and(|plan| plan.config().master_stall_rate > 0.0)
+    }
+
+    /// Whether the layer acts on cycles that do not arbitrate: it draws
+    /// master stalls or runs the watchdog. Otherwise every fault fires
+    /// at a grant, the bus's per-cycle fault prepass is a no-op, and
+    /// nothing bounds a tenure batch.
+    pub(crate) fn acts_every_cycle(&self) -> bool {
+        self.draws_stalls() || self.timeout.is_some()
     }
 }
 
@@ -528,6 +551,31 @@ mod tests {
             assert!(!plan.grant_dropped_at(now, MasterId::new(0)));
             assert!(plan.grant_corrupted_at(now, MasterId::new(0)).is_none());
             assert!(plan.master_stall_at(now, MasterId::new(0)).is_none());
+        }
+    }
+
+    #[test]
+    fn stall_horizon_is_the_first_firing_draw() {
+        for (seed, rate) in [(11, 0.05), (12, 0.5), (13, 1.0), (14, 0.0)] {
+            let cfg = FaultConfig {
+                seed,
+                master_stall_rate: rate,
+                master_stall_max: 4,
+                ..FaultConfig::default()
+            };
+            let plan = FaultPlan::new(cfg);
+            for master in 0..3 {
+                let id = MasterId::new(master);
+                for from in [0u64, 7, 300] {
+                    for len in [0u64, 1, 5, 200] {
+                        let (from, to) = (Cycle::new(from), Cycle::new(from + len));
+                        let scanned = (from.index()..to.index())
+                            .map(Cycle::new)
+                            .find(|&c| plan.master_stall_at(c, id).is_some());
+                        assert_eq!(plan.next_master_stall(id, from, to), scanned);
+                    }
+                }
+            }
         }
     }
 

@@ -50,10 +50,17 @@
 //! them, and every completion inside the move notes its latency in the
 //! window it falls in. So the time-series stays exact.
 //!
-//! Moves 3 and 4 are skipped entirely on lanes with a fault plan, retry
-//! policy or watchdog (whose fault machinery acts every cycle): those
-//! lanes step and skip, exactly like the scalar fast kernel. The fused
-//! loop also needs tracing off.
+//! On a lane with a fault plan, retry policy or watchdog (a *fault
+//! lane*) every arbitration is a step: `Bus::step` draws the grant and
+//! slave faults and applies the retry policy, written once. Tenure
+//! batching then replays the rest of each tenure, up to the first cycle
+//! at which the fault machinery would act inside it
+//! (`Bus::tenure_fault_horizon`): a master-stall draw that fires on a
+//! port other than the owner, or a watchdog deadline. The fault plan
+//! keeps no state, so its next stall draw is found by scanning ahead
+//! ([`crate::fault::FaultPlan::next_master_stall`]), and the watchdog
+//! arming of the replayed cycles is replayed with them. Fault lanes
+//! never fuse; the fused loop also needs tracing off.
 //!
 //! Moves 3 and 4 are what make fleets fast at saturation, where the
 //! scalar cycle kernel pays the full per-cycle cost: a saturated 8-word
@@ -209,13 +216,9 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     /// scalar arbiter (heterogeneous packs, never-lowered protocols,
     /// lanes dissolved by [`Fleet::arbiter_mut`]).
     lowered: Vec<Option<(u32, u32)>>,
-    /// Whether the lane may batch tenures at all: no fault layer (its
-    /// machinery acts every cycle). Lanes with windowed metrics batch,
-    /// clipped at their window boundaries.
-    batch_ok: Vec<bool>,
     /// Whether the lane may take the fused arbitrate-plus-batch fast
-    /// path: batching allowed and tracing off (the fused path elides
-    /// per-cycle trace detail).
+    /// path: no fault layer (whose draws act at every arbitration) and
+    /// tracing off (the fused path elides per-cycle trace detail).
     fast_ok: Vec<bool>,
     /// Whether every possible grant on this lane has a zero setup
     /// stall (no arbitration overhead, no wait states anywhere) — a
@@ -274,7 +277,6 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             arbiters: Vec::with_capacity(n),
             kernels: Vec::new(),
             lowered: vec![None; n],
-            batch_ok: Vec::with_capacity(n),
             fast_ok: Vec::with_capacity(n),
             zero_stall: Vec::with_capacity(n),
             stats: Vec::with_capacity(n),
@@ -305,9 +307,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             );
             fleet.slaves.extend(parts.slaves);
             fleet.slave_offsets.push(fleet.slaves.len());
-            let batch_ok = parts.bus.faults.is_none();
-            fleet.batch_ok.push(batch_ok);
-            fleet.fast_ok.push(batch_ok && !parts.trace.is_enabled());
+            fleet.fast_ok.push(parts.bus.faults.is_none() && !parts.trace.is_enabled());
             fleet.buses.push(parts.bus);
             fleet.arbiters.push(parts.arbiter);
             fleet.stats.push(parts.stats);
@@ -510,24 +510,21 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     }
 
     /// Advances one lane to `target`: an idle skip where nothing is due,
-    /// a per-cycle step on lanes that may not batch, and a batch move
-    /// ([`Fleet::batch_lane`]) otherwise, clipped at the lane's next
-    /// metrics window boundary; the fleet's counterpart of the scalar
-    /// run loop.
+    /// and a batch move ([`Fleet::batch_lane`]) otherwise, clipped at
+    /// the lane's next metrics window boundary; the fleet's counterpart
+    /// of the scalar run loop.
     fn advance_lane(&mut self, lane: usize, target: Cycle) {
         while self.now[lane] < target {
             let now = self.now[lane];
             let horizon = self.idle_horizon_lane(lane).min(target);
             if horizon > now {
                 self.with_lane(lane, |core| core.skip_to(horizon));
-            } else if self.batch_ok[lane] {
+            } else {
                 let end = match &self.metrics[lane] {
                     Some(metrics) => target.min(now + metrics.cycles_to_boundary()),
                     None => target,
                 };
                 self.batch_lane(lane, end);
-            } else {
-                self.step_lane(lane);
             }
         }
     }
@@ -558,15 +555,6 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             now: &mut self.now[lane],
             moves: &mut self.moves[lane],
         })
-    }
-
-    /// Simulates one cycle of lane `lane` through the shared core: poll
-    /// phase, [`Bus::step`], accounting.
-    fn step_lane(&mut self, lane: usize) {
-        self.with_lane(lane, |core| {
-            core.poll();
-            core.finish_step();
-        });
     }
 
     /// The idle event horizon of lane `lane` (see
@@ -646,13 +634,21 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// tenures back to back ([`Fleet::fuse_tenures`]) until `end`. Polls
     /// that come due meanwhile run inline at their own cycles
     /// ([`Fleet::poll_span`]), so a Bernoulli arrival no longer ends the
-    /// move.
+    /// move. On a lane with a fault layer a tenure batch also ends where
+    /// the fault machinery acts ([`Bus::tenure_fault_horizon`]), and
+    /// every arbitration is a step.
     fn batch_lane(&mut self, lane: usize, end: Cycle) {
         let now = self.now[lane];
         self.poll_span(lane, now, now + 1);
         let busy = self.buses[lane].is_busy();
         let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
         let fuses = self.fast_ok[lane] && self.ports[lo..hi].iter().any(MasterPort::is_requesting);
+        let end = if busy {
+            let (ports, polls) = (&self.ports[lo..hi], &self.poll_horizon[lo..hi]);
+            self.buses[lane].tenure_fault_horizon(ports, polls, now, end)
+        } else {
+            end
+        };
         if self.next_poll(lane).min(end) <= now + 1 || !(busy || fuses) {
             self.with_lane(lane, |core| core.finish_step());
             return;
@@ -698,11 +694,15 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// Exact because a tenure never re-arbitrates, and its owner's
     /// backlog changes only at its last word, whose poll comes before the
     /// transfer (see [`Fleet::poll_span`]). The poll phase of `cursor`
-    /// must have run.
+    /// must have run, and on a fault lane `end` must lie at or before
+    /// the tenure's fault horizon ([`Bus::tenure_fault_horizon`]): the
+    /// fault prepass of the replayed cycles then only arms watchdogs.
     fn resume_tenure(&mut self, lane: usize, cursor: Cycle, end: Cycle) -> u64 {
         let (_, stall, words) = self.buses[lane].tenure().expect("a tenure is in flight");
         let span = (u64::from(stall) + u64::from(words)).min(end - cursor);
         self.poll_span(lane, cursor + 1, cursor + span);
+        let (lo, hi) = (self.offsets[lane], self.offsets[lane + 1]);
+        self.buses[lane].replay_tenure_prepass(&mut self.ports[lo..hi], cursor, cursor + span);
         let consumed = self.batch_tenure(lane, cursor, span);
         self.moves[lane].tenure_batched += consumed;
         consumed
@@ -1279,11 +1279,12 @@ mod tests {
     }
 
     #[test]
-    fn fault_lanes_match_scalar_and_never_batch() {
+    fn fault_lanes_batch_tenures_and_match_scalar() {
         // Every shape with a fault plan, a retry policy and a watchdog.
-        // The lanes go through the shared bus and lane core (stepping and
-        // idle skips) and must match a scalar system built from the same
-        // lane description, fault log included, without a batch move.
+        // The lanes arbitrate through the shared bus and lane core, and
+        // batch their tenures up to the next stall draw or watchdog
+        // deadline; they must match a scalar system built from the same
+        // lane description, fault log included. They never fuse.
         let faulted = |shape: &LaneShape| {
             untraced_lane_for(shape)
                 .faults(FaultConfig {
@@ -1299,16 +1300,23 @@ mod tests {
         };
         let shapes = shapes();
         let mut fleet = Fleet::build(shapes.iter().map(faulted).collect()).expect("valid fleet");
-        assert!(fleet.fast_ok.iter().chain(&fleet.batch_ok).all(|&ok| !ok));
-        fleet.run(4_000);
+        assert!(fleet.fast_ok.iter().all(|&ok| !ok));
+        let mut scalars: Vec<_> = shapes.iter().map(|s| solo(faulted(s))).collect();
+        for slice in [3u64, 1, 700, 5, 2000, 64, 1227] {
+            fleet.run(slice);
+            for (lane, scalar) in scalars.iter_mut().enumerate() {
+                scalar.run(slice);
+                assert_lane_matches_scalar(&fleet, lane, scalar);
+                assert_eq!(fleet.fault_events(lane), scalar.fault_events(), "lane {lane} faults");
+            }
+        }
         for (lane, shape) in shapes.iter().enumerate() {
-            let mut scalar = solo(faulted(shape));
-            scalar.run(4_000);
-            assert_lane_matches_scalar(&fleet, lane, &scalar);
-            assert_eq!(fleet.fault_events(lane), scalar.fault_events(), "lane {lane} faults");
             assert!(!fleet.fault_events(lane).is_empty(), "lane {lane} drew no fault");
             let moves = fleet.moves(lane);
-            assert_eq!(moves.tenure_batched + moves.fused + moves.wheel_batched, 0);
+            // Hash sources keep the every-cycle horizon, so their lanes
+            // step like fault-free ones do.
+            assert_eq!(moves.tenure_batched > 0, shape.saturated, "lane {lane}: {moves:?}");
+            assert_eq!(moves.fused + moves.wheel_batched, 0, "lane {lane}: {moves:?}");
         }
     }
 

@@ -44,9 +44,9 @@ use crate::trace::BusTrace;
 /// come due inside a batch at their own cycles (see [`crate::fleet`]).
 /// Lanes with windowed metrics batch too, each batch ending at or
 /// before the next window boundary. Lanes with a fault plan, retry
-/// policy or watchdog step and skip idle spans exactly like the scalar
-/// fast kernel, but never batch tenures (their fault machinery acts
-/// every cycle).
+/// policy or watchdog step every arbitration and batch each tenure up
+/// to the next master-stall draw or watchdog deadline inside it; they
+/// never fuse.
 #[derive(Debug)]
 pub struct LaneBuilder<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     pub(crate) config: BusConfig,

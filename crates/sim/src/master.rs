@@ -198,6 +198,47 @@ impl MasterPort {
         Some(now - head.watch_since)
     }
 
+    /// The first cycle at which an injected stall no longer holds the
+    /// request line ([`Cycle::ZERO`] when none was set).
+    pub(crate) fn stall_end(&self) -> Cycle {
+        self.stall_until.unwrap_or(Cycle::ZERO)
+    }
+
+    /// The first cycle from which the request line may assert: the
+    /// injected stall and the retry backoff have both elapsed.
+    pub(crate) fn eligible_from(&self) -> Cycle {
+        self.stall_end().max(self.backoff_until.unwrap_or(Cycle::ZERO))
+    }
+
+    /// The first cycle `>= now` at which the watchdog would find this
+    /// port's head wedged for `timeout` cycles, were [`head_wait`]
+    /// called every cycle and nothing else happened to the port; `None`
+    /// without a head. An unwatched head is armed on its first eligible
+    /// cycle.
+    ///
+    /// [`head_wait`]: MasterPort::head_wait
+    pub(crate) fn watch_deadline(&self, now: Cycle, timeout: u64) -> Option<Cycle> {
+        let head = self.queue.front()?;
+        let eligible = self.eligible_from().max(now);
+        Some(if head.watch_since == Cycle::NEVER {
+            eligible.saturating_add(timeout)
+        } else {
+            head.watch_since.saturating_add(timeout).max(eligible)
+        })
+    }
+
+    /// Replays [`MasterPort::head_wait`] at every cycle of `[from, to)`,
+    /// where it finds the same head and returns less than the timeout:
+    /// only the arming remains.
+    pub(crate) fn watch_span(&mut self, from: Cycle, to: Cycle) {
+        let arm = self.eligible_from().max(from);
+        if let Some(head) = self.queue.front_mut() {
+            if head.watch_since == Cycle::NEVER && arm < to {
+                head.watch_since = arm;
+            }
+        }
+    }
+
     /// Records a failed attempt (slave error response) on the head
     /// transaction and applies `policy`: either the transaction stays
     /// queued behind an exponential backoff, or it exhausted its
@@ -285,9 +326,7 @@ impl MasterPort {
         if self.eligible_at(now) {
             return now;
         }
-        let stall = self.stall_until.unwrap_or(Cycle::ZERO);
-        let backoff = self.backoff_until.unwrap_or(Cycle::ZERO);
-        stall.max(backoff)
+        self.eligible_from()
     }
 
     /// The fast-forward horizon of this port when the fault plan draws

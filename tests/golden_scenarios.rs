@@ -2,7 +2,7 @@
 //! the whole `scenarios/` library, byte-exact, on three engines:
 //!
 //! - `--kernel cycle` runs each scenario as a one-lane `Fleet`, which
-//!   batches tenures (fault lanes step and idle-skip);
+//!   batches tenures (fault lanes step each arbitration);
 //! - `--kernel fast` runs each as a scalar `System` that idle-skips;
 //! - `--fleet` packs every scenario of a plan level into one `Fleet`.
 //!

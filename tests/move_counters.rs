@@ -10,12 +10,17 @@
 //! cycles covered by batched moves instead of per-cycle steps. A fleet
 //! runs a due Bernoulli poll inside its batch, so a hit no longer costs
 //! a step; only one-cycle windows do.
+//!
+//! Saturate lanes with one fault class each (master stalls, watchdog,
+//! grant drops, slave errors) match their scalar per-cycle twin, fault
+//! log included, and batch every tenure cycle that no fault acts in.
 
 use lotterybus_repro::arbiters::ArbiterKind;
 use lotterybus_repro::experiments::common::protocol_arbiter;
 use lotterybus_repro::socsim::fleet::{Fleet, LaneBuilder};
 use lotterybus_repro::socsim::{
-    BusConfig, BusStats, Cycle, MoveCounters, SystemBuilder, TrafficSource, Transaction,
+    BusConfig, BusStats, Cycle, FaultConfig, FaultEvent, MoveCounters, RetryPolicy, SystemBuilder,
+    TrafficSource, Transaction,
 };
 use lotterybus_repro::traffic::classes::saturating_specs;
 use lotterybus_repro::traffic::{SaturateSource, SourceKind};
@@ -182,5 +187,86 @@ fn metrics_lanes_batch_saturate_tenures_up_to_each_window_boundary() {
         assert_eq!(moves.moves, MOVES_WITH_512_CYCLE_WINDOWS, "protocol {protocol}: {moves:?}");
         let batched = moves.fused + moves.wheel_batched;
         assert!(batched as f64 > 0.99 * moves.cycles() as f64, "protocol {protocol}: {moves:?}");
+    }
+}
+
+/// A fault class that acts on a saturate lane while some master owns
+/// the bus, or at the grant that starts its tenure.
+#[derive(Debug, Clone, Copy)]
+enum FaultClass {
+    MasterStall,
+    Watchdog,
+    GrantDrop,
+    SlaveError,
+}
+
+/// A run's statistics and fault log.
+type FaultRun = (BusStats, Vec<FaultEvent>);
+
+/// The lottery saturate lane of [`saturate_lane_run`] with one fault
+/// class, run as a one-lane fleet: its statistics, fault log and moves,
+/// and its solo scalar per-cycle twin's statistics and fault log.
+fn fault_lane_run(class: FaultClass) -> (FaultRun, MoveCounters, FaultRun) {
+    let sources = || (0..4).map(|_| SourceKind::from(SaturateSource::new(0, 16)));
+    let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
+    let mut solo = SystemBuilder::new(BusConfig::default());
+    for (i, (a, b)) in sources().zip(sources()).enumerate() {
+        lane = lane.master(format!("C{}", i + 1), a);
+        solo = solo.master(format!("C{}", i + 1), b);
+    }
+    let plan = FaultConfig::with_seed(SEED);
+    let (lane, solo) = match class {
+        FaultClass::MasterStall => {
+            let plan = FaultConfig { master_stall_rate: 0.01, master_stall_max: 24, ..plan };
+            (lane.faults(plan), solo.faults(plan))
+        }
+        FaultClass::Watchdog => (lane.timeout(40), solo.timeout(40)),
+        FaultClass::GrantDrop => {
+            let plan = FaultConfig { grant_drop_rate: 0.02, ..plan };
+            (lane.faults(plan), solo.faults(plan))
+        }
+        FaultClass::SlaveError => {
+            let plan = FaultConfig { slave_error_rate: 0.02, ..plan };
+            let retry = RetryPolicy::exponential(3, 4);
+            (lane.faults(plan).retry_policy(retry), solo.faults(plan).retry_policy(retry))
+        }
+    };
+    let mut fleet = Fleet::build(vec![lane.arbiter(protocol_arbiter(4, SEED))]).expect("valid");
+    let mut solo = solo.arbiter(protocol_arbiter(4, SEED)).build().expect("valid");
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    solo.warm_up(WARMUP);
+    solo.run(MEASURE);
+    (
+        (fleet.stats(0).clone(), fleet.fault_events(0).to_vec()),
+        *fleet.moves(0),
+        (solo.stats().clone(), solo.fault_events().to_vec()),
+    )
+}
+
+/// Stepped and tenure-batched cycles of each [`fault_lane_run`] lane, of
+/// `WARMUP + MEASURE` = 22,000. Every arbitration steps (about 1,375
+/// grants of 16 words); a stall draw or a watchdog deadline inside a
+/// tenure ends its batch, and the cycle it acts in steps too. Before
+/// fault lanes batched, all 22,000 cycles stepped.
+const FAULT_LANE_MOVES: [(FaultClass, u64, u64); 4] = [
+    (FaultClass::MasterStall, 2_004, 19_996),
+    (FaultClass::Watchdog, 2_569, 19_431),
+    (FaultClass::GrantDrop, 1_392, 20_608),
+    (FaultClass::SlaveError, 1_408, 20_592),
+];
+
+#[test]
+fn fault_lanes_batch_tenures_between_fault_draws() {
+    for (class, stepped, batched) in FAULT_LANE_MOVES {
+        let (run, moves, solo) = fault_lane_run(class);
+        assert_eq!(run, solo, "{class:?}: diverged from the scalar per-cycle run");
+        assert!(!run.1.is_empty(), "{class:?}: no fault fired");
+        assert_eq!(moves.cycles(), WARMUP + MEASURE, "{class:?}: {moves:?}");
+        assert_eq!(
+            (moves.stepped, moves.tenure_batched),
+            (stepped, batched),
+            "{class:?}: {moves:?}"
+        );
     }
 }

@@ -4,8 +4,9 @@
 //! spread, seeds, and traffic shapes all drawn independently per lane —
 //! must be *lane-exact*: every lane's statistics and fault log identical
 //! to the same system run solo through the scalar kernel. Lanes may
-//! carry a fault plan, a retry policy and a watchdog timeout, which
-//! make them step instead of batch. Lanes with a windowed metrics
+//! carry a fault plan, a retry policy and a watchdog timeout; they
+//! batch their tenures up to the next master-stall draw or watchdog
+//! deadline, and step every arbitration. Lanes with a windowed metrics
 //! registry batch too, clipped at their window boundaries, and their
 //! time-series must equal the scalar per-cycle kernel's. Two structural
 //! properties ride along: a one-lane fleet degenerates to the scalar
@@ -72,22 +73,25 @@ struct FaultRecipe {
 
 fn fault_recipe() -> impl Strategy<Value = FaultRecipe> {
     // Rates in per-mille, low enough that traffic still flows.
-    let plan = (0u64..u64::MAX, 0u32..60, 0u32..6, (0u32..30, 0u32..30), 0u32..20).prop_map(
-        |(seed, error, outage, (drop, corrupt), stall)| FaultConfig {
+    let plan = (0u64..u64::MAX, 0u32..60, 0u32..6, (0u32..30, 0u32..30), (0u32..20, 1u32..=32))
+        .prop_map(|(seed, error, outage, (drop, corrupt), (stall, stall_max))| FaultConfig {
             seed,
             slave_error_rate: f64::from(error) / 1000.0,
             slave_outage_rate: f64::from(outage) / 1000.0,
             grant_drop_rate: f64::from(drop) / 1000.0,
             grant_corrupt_rate: f64::from(corrupt) / 1000.0,
             master_stall_rate: f64::from(stall) / 1000.0,
+            master_stall_max: stall_max,
             ..FaultConfig::default()
-        },
-    );
+        });
     let retry = (0u32..4, 1u64..8).prop_map(|(max, base)| RetryPolicy::exponential(max, base));
+    // Watchdog timeouts from one cycle up, so deadlines land inside
+    // tenures as well as between them.
+    let timeout = prop_oneof![1u64..40, 40u64..2_000];
     (
         prop_oneof![Just(None), plan.prop_map(Some)],
         prop_oneof![Just(None), retry.prop_map(Some)],
-        prop_oneof![Just(None), (50u64..2_000).prop_map(Some)],
+        prop_oneof![Just(None), timeout.prop_map(Some)],
     )
         .prop_map(|(faults, retry, timeout)| FaultRecipe { faults, retry, timeout })
 }
@@ -205,6 +209,40 @@ fn metrics_lane_recipe() -> impl Strategy<Value = (LaneRecipe, u64)> {
     })
 }
 
+/// A lane with a fault layer whose master 0 saturates with tenures of
+/// at least two cycles, so it has tenures to batch. The other masters
+/// do not saturate: against a one-cycle watchdog, waiting saturating
+/// masters would time out and refill on alternate cycles and leave no
+/// tenure cycle to batch.
+fn fault_lane_recipe() -> impl Strategy<Value = LaneRecipe> {
+    (lane_recipe(), 2u32..24, fault_recipe(), 1u64..40).prop_map(
+        |(mut recipe, words, mut fault, timeout)| {
+            recipe.shapes[0] = SourceShape::Saturate { words };
+            for shape in &mut recipe.shapes[1..] {
+                if let SourceShape::Saturate { words } = *shape {
+                    *shape = SourceShape::Periodic { period: 40, phase: 0, words };
+                }
+            }
+            if fault.faults.is_none() && fault.retry.is_none() && fault.timeout.is_none() {
+                fault.timeout = Some(timeout);
+            }
+            recipe.fault = fault;
+            recipe
+        },
+    )
+}
+
+/// Statistics, fault log and batched tenure cycles of `recipe`'s lane
+/// run as a one-lane fleet.
+fn fleet_fault_run(recipe: &LaneRecipe) -> (LaneRun, u64) {
+    let mut fleet = Fleet::build(vec![recipe.lane()]).expect("valid lane");
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    let moves = fleet.moves(0);
+    assert_eq!(moves.fused + moves.wheel_batched, 0, "fault lanes never fuse: {moves:?}");
+    ((fleet.stats(0).clone(), fleet.fault_events(0).to_vec()), moves.tenure_batched)
+}
+
 /// Statistics and flushed time-series of `lane` after the warm-up and
 /// measured window.
 type MetricsRun = (BusStats, Vec<WindowSample>);
@@ -278,6 +316,20 @@ proptest! {
         );
         prop_assert!(!scalar_run.1.is_empty());
         prop_assert_eq!(batched > 0, window > 1, "window {}: {} batched cycles", window, batched);
+    }
+
+    /// A fault lane batches its tenures up to the next master-stall
+    /// draw or watchdog deadline, and its one-lane fleet equals the
+    /// scalar per-cycle system: statistics and fault log.
+    #[test]
+    fn fault_lanes_batch_and_match_the_per_cycle_kernel(recipe in fault_lane_recipe()) {
+        let (fleet_run, batched) = fleet_fault_run(&recipe);
+        prop_assert_eq!(
+            &fleet_run, &recipe.solo(),
+            "{:?} ({:?} protocol {}) diverged from the per-cycle kernel",
+            recipe.fault, recipe.shapes, recipe.protocol
+        );
+        prop_assert!(batched > 0, "{:?}: no tenure cycle batched", recipe.fault);
     }
 
     /// Lane order is a pure layout choice: shuffling the pack permutes
