@@ -3,7 +3,7 @@
 use crate::arbiter::Arbiter;
 use crate::config::BusConfig;
 use crate::cycle::Cycle;
-use crate::fault::{FaultEvent, FaultKind, FaultLayer};
+use crate::fault::{FaultEvent, FaultKind, FaultLayer, FaultPlan};
 use crate::ids::{MasterId, SlaveId};
 use crate::master::{Completion, MasterPort, RetryOutcome};
 use crate::request::RequestMap;
@@ -73,11 +73,14 @@ impl Bus {
         self.faults.as_ref().map_or(&[], |layer| layer.log.events())
     }
 
-    /// Whether the fault layer draws per-cycle master stalls, which
+    /// The fault plan, when it draws per-cycle master stalls, which
     /// changes which port horizon applies (see
     /// [`MasterPort::next_event_under_stall_faults`]).
-    pub(crate) fn stall_faults_active(&self) -> bool {
-        self.faults.as_ref().is_some_and(FaultLayer::draws_stalls)
+    pub(crate) fn stall_plan(&self) -> Option<&FaultPlan> {
+        self.faults
+            .as_ref()
+            .filter(|layer| layer.draws_stalls())
+            .and_then(|layer| layer.plan.as_ref())
     }
 
     /// The tenure in flight as `(owner, setup-stall cycles left, words

@@ -17,7 +17,10 @@
 //! cannot reproduce arithmetically. Slaves and fault plans keep no
 //! per-cycle state, so they never bound an idle skip; the one per-cycle
 //! fault draw (master stalls) is pinned by
-//! [`crate::MasterPort::next_event_under_stall_faults`]. Inside a busy
+//! [`crate::MasterPort::next_event_under_stall_faults`], and for a port
+//! that only a retry backoff holds back, by the first draw that fires
+//! before the backoff ends ([`crate::FaultPlan::next_master_stall`],
+//! scanned no further than the rest of the horizon). Inside a busy
 //! tenure, which a fleet lane batches, the stall draws and the watchdog
 //! do bound the batch (see [`crate::fleet`]). Three values matter:
 //!
@@ -112,7 +115,11 @@ pub struct MoveCounters {
     pub tenure_batched: u64,
     /// Cycles covered by the fused arbitrate-and-batch loop.
     pub fused: u64,
-    /// Cycles covered by the arithmetic TDMA wheel walk.
+    /// Cycles covered by the fused loop's TDMA slot walk: single-word
+    /// grants walked with the lane's pending set held fixed, counted
+    /// arithmetically when every master is pending and slot by slot
+    /// inside the kernel otherwise. A TDMA lane's fused cycles that
+    /// remain are one arbitration each.
     pub wheel_batched: u64,
     /// Moves made: one per step, skip or batch.
     pub moves: u64,

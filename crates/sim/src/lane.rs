@@ -289,27 +289,45 @@ impl<R: Arbiter + ?Sized, S: TrafficSource> Lane<'_, R, S> {
     }
 }
 
-/// The event horizon of one system at `now`: the earliest cycle `>= now`
-/// at which any component does something the idle skip cannot
-/// replicate (see [`crate::fastforward`]). Returns `now` whenever the
-/// bus is busy or any request line is live, and [`Cycle::NEVER`] when
-/// nothing is scheduled at all. A bus drawing per-cycle master stalls
-/// uses the stall-aware port horizon.
+/// The event horizon of one system at `now`, clipped at `bound`: the
+/// earliest cycle `>= now` at which any component does something the
+/// idle skip cannot replicate (see [`crate::fastforward`]). Returns
+/// `now` whenever the bus is busy or any request line is live, and
+/// `bound` when nothing is scheduled before it.
+///
+/// A bus drawing per-cycle master stalls uses the stall-aware port
+/// horizon. A port that holds work but is held back only by a retry
+/// backoff draws a stall every cycle; the fault plan keeps no state, so
+/// its draws are scanned ahead ([`FaultPlan::next_master_stall`]) up to
+/// the horizon of everything else, and the first one that fires bounds
+/// the skip. The scan covers only cycles the skip then jumps.
+///
+/// [`FaultPlan::next_master_stall`]: crate::FaultPlan::next_master_stall
 pub(crate) fn idle_horizon<R: Arbiter + ?Sized, S: TrafficSource>(
     bus: &Bus,
     ports: &[MasterPort],
     sources: &[S],
     arbiter: &R,
     now: Cycle,
+    bound: Cycle,
 ) -> Cycle {
     if bus.is_busy() {
         return now;
     }
-    let stall_faults = bus.stall_faults_active();
-    let mut horizon = Cycle::NEVER;
-    for port in ports {
-        let h = if stall_faults {
-            port.next_event_under_stall_faults(now)
+    let stall_plan = bus.stall_plan();
+    let mut horizon = bound;
+    // Ports held back only by a retry backoff, whose stall draws are
+    // scanned once the rest of the horizon is known.
+    let mut backoff = 0u32;
+    for (i, port) in ports.iter().enumerate() {
+        let h = if stall_plan.is_some() {
+            let h = port.next_event_under_stall_faults(now);
+            if h == now && !port.is_requesting_at(now) {
+                backoff |= 1 << i;
+                port.eligible_from()
+            } else {
+                h
+            }
         } else {
             port.next_event(now)
         };
@@ -324,5 +342,15 @@ pub(crate) fn idle_horizon<R: Arbiter + ?Sized, S: TrafficSource>(
             return now;
         }
     }
-    fold_horizon(horizon, arbiter.next_event(now), now)
+    horizon = fold_horizon(horizon, arbiter.next_event(now), now);
+    if let Some(plan) = stall_plan {
+        while backoff != 0 {
+            let port = &ports[backoff.trailing_zeros() as usize];
+            backoff &= backoff - 1;
+            if let Some(draw) = plan.next_master_stall(port.id(), now, horizon) {
+                horizon = draw;
+            }
+        }
+    }
+    horizon
 }

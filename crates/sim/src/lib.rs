@@ -72,7 +72,7 @@ pub mod system;
 pub mod trace;
 pub mod vcd;
 
-pub use arbiter::{Arbiter, Grant, IntoArbiter, SoaKernel, WheelWalk};
+pub use arbiter::{Arbiter, Grant, IntoArbiter, SoaKernel, WalkShare};
 pub use bus::Bus;
 pub use config::BusConfig;
 pub use cycle::Cycle;

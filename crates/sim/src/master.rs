@@ -339,6 +339,11 @@ impl MasterPort {
     /// happens, so the stall's expiry is a safe horizon even if a retry
     /// backoff stretches further: the draw at expiry must be replayed
     /// at its exact cycle.
+    ///
+    /// A port held back only by a retry backoff draws every cycle, so
+    /// it reports `now`; the idle skip refines that with the fault plan,
+    /// skipping to the backoff's end or the first draw that fires before
+    /// it, whichever comes first.
     pub fn next_event_under_stall_faults(&self, now: Cycle) -> Cycle {
         if self.queue.is_empty() {
             return Cycle::NEVER;

@@ -331,8 +331,8 @@ impl BusStats {
     }
 
     /// Records `n` grants to `id` in one step — the batched form of
-    /// [`BusStats::record_grant`] used by the fleet's arithmetic TDMA
-    /// wheel walk. Equivalent to calling it `n` times.
+    /// [`BusStats::record_grant`] used by the fleet's TDMA slot walk.
+    /// Equivalent to calling it `n` times.
     #[inline]
     pub fn record_grants(&mut self, id: MasterId, n: u64) {
         self.grants += n;

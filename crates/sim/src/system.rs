@@ -487,7 +487,13 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
     /// i.e. whenever nothing may be skipped — and [`Cycle::NEVER`] when
     /// nothing is scheduled at all.
     pub fn idle_horizon(&self) -> Cycle {
-        idle_horizon(&self.bus, &self.masters, &self.sources, &self.arbiter, self.now)
+        self.idle_horizon_until(Cycle::NEVER)
+    }
+
+    /// [`System::idle_horizon`] clipped at `bound`, which also bounds the
+    /// scan for master-stall draws ahead of a retry backoff.
+    fn idle_horizon_until(&self, bound: Cycle) -> Cycle {
+        idle_horizon(&self.bus, &self.masters, &self.sources, &self.arbiter, self.now, bound)
     }
 
     /// Jumps simulation time from `now` to `target`, replicating the
@@ -512,7 +518,7 @@ impl<A: Arbiter, S: TrafficSource> System<A, S> {
         if self.kernel.skips_idle() {
             let end = self.now + cycles;
             while self.now < end {
-                let target = self.idle_horizon().min(end);
+                let target = self.idle_horizon_until(end);
                 if target > self.now {
                     self.skip_to(target);
                 } else {

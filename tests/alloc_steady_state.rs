@@ -161,7 +161,7 @@ fn grouped_arbitration_steady_state_makes_zero_allocations() {
     // Grouped (shared-table) arbitration: four identically-configured
     // lanes per protocol, so each protocol's lanes lower into ONE SoA
     // decision kernel. Batched draws, shared ticket tables and the
-    // TDMA wheel walk must all run off pre-built state — no per-cycle
+    // TDMA slot walk must all run off pre-built state — no per-cycle
     // or per-decision heap traffic.
     let pack: Vec<&str> = ["lottery-static", "tdma"]
         .into_iter()

@@ -14,16 +14,27 @@
 //! Saturate lanes with one fault class each (master stalls, watchdog,
 //! grant drops, slave errors) match their scalar per-cycle twin, fault
 //! log included, and batch every tenure cycle that no fault acts in.
+//! An idle lane whose master waits out a retry backoff skips to the
+//! backoff's end or its next stall draw instead of stepping the wait.
+//!
+//! Figure 12's TDMA lanes walk their wheel with the pending set held
+//! fixed and match their scalar per-cycle twin, metrics samples and
+//! port queues included; the busy T4 lane almost never arbitrates one
+//! cycle at a time.
 
-use lotterybus_repro::arbiters::ArbiterKind;
+use lotterybus_repro::arbiters::{ArbiterKind, RoundRobinArbiter, TdmaArbiter, WheelLayout};
 use lotterybus_repro::experiments::common::protocol_arbiter;
+use lotterybus_repro::experiments::fig12::WEIGHTS;
+use lotterybus_repro::experiments::fig6::TDMA_BLOCK;
 use lotterybus_repro::socsim::fleet::{Fleet, LaneBuilder};
 use lotterybus_repro::socsim::{
-    BusConfig, BusStats, Cycle, FaultConfig, FaultEvent, MoveCounters, RetryPolicy, SystemBuilder,
-    TrafficSource, Transaction,
+    BusConfig, BusStats, Cycle, FaultConfig, FaultEvent, FaultKind, MasterId, MasterPort,
+    MoveCounters, RetryPolicy, SystemBuilder, TrafficSource, Transaction, WindowSample,
 };
 use lotterybus_repro::traffic::classes::saturating_specs;
-use lotterybus_repro::traffic::{SaturateSource, SourceKind};
+use lotterybus_repro::traffic::{
+    GeneratorSpec, SaturateSource, SizeDist, SourceKind, TrafficClass,
+};
 
 const WARMUP: u64 = 2_000;
 const MEASURE: u64 = 20_000;
@@ -269,4 +280,119 @@ fn fault_lanes_batch_tenures_between_fault_draws() {
             "{class:?}: {moves:?}"
         );
     }
+}
+
+/// Stepped cycles of [`backoff_lane_run`] without stall draws: the
+/// periodic arrivals and the retried attempts, each a few steps.
+const BACKOFF_STEPPED_WITHOUT_STALLS: u64 = 393;
+
+/// One master issuing 8 words every 500 cycles to a slave that errs on
+/// half its attempts, retried up to 3 times after a backoff of 64
+/// cycles and more, with master stalls drawn at `stall_rate`, run for
+/// 100,000 cycles as a one-lane fleet: its statistics, fault log and
+/// moves, and its scalar per-cycle twin's statistics and fault log.
+fn backoff_lane_run(stall_rate: f64) -> (FaultRun, MoveCounters, FaultRun) {
+    let source = || GeneratorSpec::periodic(500, 0, SizeDist::fixed(8)).build_kind(SEED);
+    let plan = FaultConfig {
+        slave_error_rate: 0.5,
+        master_stall_rate: stall_rate,
+        ..FaultConfig::with_seed(SEED)
+    };
+    let retry = RetryPolicy::exponential(3, 64);
+    let arbiter = || ArbiterKind::from(RoundRobinArbiter::new(1).expect("valid"));
+    let lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default())
+        .master("C1", source())
+        .faults(plan)
+        .retry_policy(retry)
+        .arbiter(arbiter());
+    let mut solo = SystemBuilder::new(BusConfig::default())
+        .master("C1", source())
+        .faults(plan)
+        .retry_policy(retry)
+        .arbiter(arbiter())
+        .build()
+        .expect("valid");
+    let mut fleet = Fleet::build(vec![lane]).expect("valid fleet");
+    fleet.run(100_000);
+    solo.run(100_000);
+    (
+        (fleet.stats(0).clone(), fleet.fault_events(0).to_vec()),
+        *fleet.moves(0),
+        (solo.stats().clone(), solo.fault_events().to_vec()),
+    )
+}
+
+#[test]
+fn idle_lanes_skip_retry_backoffs_up_to_the_next_stall_draw() {
+    let (plain, plain_moves, plain_solo) = backoff_lane_run(0.0);
+    assert_eq!(plain, plain_solo, "diverged from the scalar per-cycle run");
+    assert_eq!(plain_moves.stepped, BACKOFF_STEPPED_WITHOUT_STALLS, "{plain_moves:?}");
+    let (run, moves, solo) = backoff_lane_run(0.001);
+    assert_eq!(run, solo, "diverged from the scalar per-cycle run, stalls drawn");
+    assert!(
+        run.1.iter().any(|event| matches!(event.kind, FaultKind::MasterStalled { .. })),
+        "no stall fired"
+    );
+    // Stall draws add a few steps where one fires; before backoffs were
+    // skipped, this lane stepped 21,834 of its 100,000 cycles.
+    assert!(moves.stepped < 2 * BACKOFF_STEPPED_WITHOUT_STALLS, "{moves:?}");
+}
+
+/// What a TDMA lane run is compared on: statistics, the flushed
+/// metrics samples, and each port's issued transactions and backlog.
+type TdmaRun = (BusStats, Vec<WindowSample>, Vec<(u64, u64)>);
+
+/// The Figure 12(b) lane of `class` (1:2:3:4 weights, 64-slot TDMA
+/// blocks, contiguous wheel) with a metrics window of 500 cycles, run
+/// as a one-lane fleet, and its solo scalar per-cycle twin.
+fn fig12_tdma_lane_run(class: TrafficClass) -> (TdmaRun, MoveCounters, TdmaRun) {
+    let specs = class.specs_with_frame(&WEIGHTS, TDMA_BLOCK);
+    let slots: Vec<u32> = WEIGHTS.iter().map(|w| w * TDMA_BLOCK).collect();
+    let arbiter = || ArbiterKind::from(TdmaArbiter::new(&slots, WheelLayout::Contiguous).unwrap());
+    let mut lane: LaneBuilder<ArbiterKind, SourceKind> =
+        LaneBuilder::new(BusConfig::default()).metrics_window(500);
+    let mut solo = SystemBuilder::new(BusConfig::default()).metrics_window(500);
+    for (i, spec) in specs.iter().enumerate() {
+        lane = lane.master(format!("C{}", i + 1), spec.build_kind(SEED + i as u64));
+        solo = solo.master(format!("C{}", i + 1), spec.build_kind(SEED + i as u64));
+    }
+    let mut fleet = Fleet::build(vec![lane.arbiter(arbiter())]).expect("valid fleet");
+    let mut solo = solo.arbiter(arbiter()).build().expect("valid");
+    fleet.warm_up(WARMUP);
+    fleet.run(MEASURE);
+    fleet.flush_metrics();
+    solo.warm_up(WARMUP);
+    solo.run(MEASURE);
+    solo.flush_metrics();
+    let ports = |port: &MasterPort| (port.issued_transactions(), port.backlog_words());
+    let ids = || (0..specs.len()).map(MasterId::new);
+    let fleet_run = (
+        fleet.stats(0).clone(),
+        fleet.metrics(0).expect("metrics on").samples().to_vec(),
+        ids().map(|id| ports(fleet.master(0, id))).collect(),
+    );
+    let solo_run = (
+        solo.stats().clone(),
+        solo.metrics().expect("metrics on").samples().to_vec(),
+        ids().map(|id| ports(solo.master(id))).collect(),
+    );
+    (fleet_run, *fleet.moves(0), solo_run)
+}
+
+#[test]
+fn tdma_lanes_walk_their_wheel_while_the_pending_set_holds() {
+    for class in TrafficClass::latency_set() {
+        let (run, moves, solo) = fig12_tdma_lane_run(class);
+        assert_eq!(run, solo, "{class}: diverged from the scalar per-cycle run");
+        assert_eq!(moves.cycles(), WARMUP + MEASURE, "{class}: {moves:?}");
+        assert!(moves.wheel_batched > 0, "{class}: {moves:?}");
+    }
+    // T4's frame-locked periodic masters keep the bus busy. Every busy
+    // cycle grants one slot, so a lane that arbitrated cycle by cycle
+    // would make one fused arbitration per busy cycle (all 22,000
+    // cycles fused before the walk took partial pending sets).
+    let (run, moves, _) = fig12_tdma_lane_run(TrafficClass::T4);
+    assert!(run.0.busy_cycles > MEASURE / 2, "{} busy cycles", run.0.busy_cycles);
+    assert!(moves.wheel_batched > MEASURE / 2, "{moves:?}");
+    assert!((moves.fused as f64) < 0.01 * run.0.busy_cycles as f64, "{moves:?}");
 }

@@ -1,7 +1,9 @@
 //! Property tests for the SoA lockstep fleet kernel.
 //!
-//! Random heterogeneous lane packs — protocol, master count, ticket
-//! spread, seeds, and traffic shapes all drawn independently per lane —
+//! Random heterogeneous lane packs — protocol (lottery, round-robin,
+//! static priority, deficit round-robin, or TDMA with tickets as slot
+//! counts in either wheel layout), master count, ticket spread, seeds,
+//! and traffic shapes all drawn independently per lane —
 //! must be *lane-exact*: every lane's statistics and fault log identical
 //! to the same system run solo through the scalar kernel. Lanes may
 //! carry a fault plan, a retry policy and a watchdog timeout; they
@@ -14,12 +16,13 @@
 //! packing order is a pure layout choice).
 
 use lotterybus_repro::arbiters::{
-    ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter,
+    ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter,
+    WheelLayout,
 };
 use lotterybus_repro::lottery::{StaticLotteryArbiter, TicketAssignment};
 use lotterybus_repro::socsim::{
-    BusConfig, BusStats, FaultConfig, FaultEvent, Fleet, LaneBuilder, RetryPolicy, SystemBuilder,
-    WindowSample,
+    BusConfig, BusStats, FaultConfig, FaultEvent, Fleet, LaneBuilder, MoveCounters, RetryPolicy,
+    SystemBuilder, WindowSample,
 };
 use lotterybus_repro::traffic::{GeneratorSpec, SaturateSource, SizeDist, SourceKind};
 use proptest::prelude::*;
@@ -96,10 +99,21 @@ fn fault_recipe() -> impl Strategy<Value = FaultRecipe> {
         .prop_map(|(faults, retry, timeout)| FaultRecipe { faults, retry, timeout })
 }
 
+/// The protocols a lane draws, by [`LaneRecipe::protocol`] index.
+const PROTOCOLS: [&str; 6] = [
+    "lottery",
+    "round-robin",
+    "static-priority",
+    "deficit-rr",
+    "tdma-contiguous",
+    "tdma-interleaved",
+];
+
 /// Everything needed to build one lane twice: once into a fleet, once
 /// as a solo scalar system. Master count is `tickets.len()`.
 #[derive(Debug, Clone)]
 struct LaneRecipe {
+    /// Index into [`PROTOCOLS`].
     protocol: usize,
     tickets: Vec<u32>,
     seed: u64,
@@ -111,24 +125,38 @@ struct LaneRecipe {
 type LaneRun = (BusStats, Vec<FaultEvent>);
 
 impl LaneRecipe {
+    fn name(&self) -> &'static str {
+        PROTOCOLS[self.protocol]
+    }
+
+    /// TDMA grants one word per slot, so its tenures have no cycles
+    /// left to batch; the fused loop walks its slots instead.
+    fn is_tdma(&self) -> bool {
+        self.name().starts_with("tdma")
+    }
+
     fn arbiter(&self) -> ArbiterKind {
         let masters = self.tickets.len();
-        match self.protocol {
-            0 => StaticLotteryArbiter::with_seed(
+        match self.name() {
+            "lottery" => StaticLotteryArbiter::with_seed(
                 TicketAssignment::new(self.tickets.clone()).expect("tickets are nonzero"),
                 self.seed as u32 | 1,
             )
             .expect("small LUT fits")
             .into(),
-            1 => RoundRobinArbiter::new(masters).expect("valid").into(),
+            "round-robin" => RoundRobinArbiter::new(masters).expect("valid").into(),
             // Priorities must be unique; the offset keeps the random
             // ticket spread (< 16) while de-duplicating across masters.
-            2 => {
+            "static-priority" => {
                 let priorities =
                     self.tickets.iter().enumerate().map(|(i, &t)| t + 16 * i as u32).collect();
                 StaticPriorityArbiter::new(priorities).expect("valid").into()
             }
-            _ => DeficitRoundRobinArbiter::new(&self.tickets, 8).expect("valid").into(),
+            "deficit-rr" => DeficitRoundRobinArbiter::new(&self.tickets, 8).expect("valid").into(),
+            "tdma-contiguous" => {
+                TdmaArbiter::new(&self.tickets, WheelLayout::Contiguous).expect("valid").into()
+            }
+            _ => TdmaArbiter::new(&self.tickets, WheelLayout::Interleaved).expect("valid").into(),
         }
     }
 
@@ -179,7 +207,7 @@ fn lane_recipe() -> impl Strategy<Value = LaneRecipe> {
     // The vendored proptest has no flat-map: draw tickets and shapes at
     // the maximum width and truncate both to the drawn master count.
     (
-        0usize..4,
+        0usize..PROTOCOLS.len(),
         1usize..=4,
         0u64..u64::MAX,
         proptest::collection::vec(1u32..9, 4usize..=4),
@@ -209,13 +237,15 @@ fn metrics_lane_recipe() -> impl Strategy<Value = (LaneRecipe, u64)> {
     })
 }
 
-/// A lane with a fault layer whose master 0 saturates with tenures of
-/// at least two cycles, so it has tenures to batch. The other masters
-/// do not saturate: against a one-cycle watchdog, waiting saturating
+/// A lane with a fault layer whose master 0 saturates with messages of
+/// at least three words, so it has tenures to batch: a tenure's grant
+/// cycle steps, and a one-cycle remainder (all a 2-word message leaves)
+/// is stepped too, so only longer tenures batch. The other masters do
+/// not saturate: against a one-cycle watchdog, waiting saturating
 /// masters would time out and refill on alternate cycles and leave no
 /// tenure cycle to batch.
 fn fault_lane_recipe() -> impl Strategy<Value = LaneRecipe> {
-    (lane_recipe(), 2u32..24, fault_recipe(), 1u64..40).prop_map(
+    (lane_recipe(), 3u32..24, fault_recipe(), 1u64..40).prop_map(
         |(mut recipe, words, mut fault, timeout)| {
             recipe.shapes[0] = SourceShape::Saturate { words };
             for shape in &mut recipe.shapes[1..] {
@@ -247,14 +277,13 @@ fn fleet_fault_run(recipe: &LaneRecipe) -> (LaneRun, u64) {
 /// measured window.
 type MetricsRun = (BusStats, Vec<WindowSample>);
 
-fn fleet_metrics_run(lane: LaneBuilder<ArbiterKind, SourceKind>) -> (MetricsRun, u64) {
+fn fleet_metrics_run(lane: LaneBuilder<ArbiterKind, SourceKind>) -> (MetricsRun, MoveCounters) {
     let mut fleet = Fleet::build(vec![lane]).expect("valid lane");
     fleet.warm_up(WARMUP);
     fleet.run(MEASURE);
     fleet.flush_metrics();
-    let moves = fleet.moves(0);
     let samples = fleet.metrics(0).expect("metrics on").samples().to_vec();
-    ((fleet.stats(0).clone(), samples), moves.tenure_batched + moves.fused + moves.wheel_batched)
+    ((fleet.stats(0).clone(), samples), *fleet.moves(0))
 }
 
 fn scalar_metrics_run(lane: LaneBuilder<ArbiterKind, SourceKind>) -> MetricsRun {
@@ -286,8 +315,8 @@ proptest! {
             let solo = recipe.solo();
             prop_assert_eq!(
                 lane_run, &solo,
-                "lane {} ({:?} protocol {}) diverged from its solo scalar run",
-                i, recipe.shapes, recipe.protocol
+                "lane {} ({:?} {}) diverged from its solo scalar run",
+                i, recipe.shapes, recipe.name()
             );
         }
     }
@@ -302,34 +331,43 @@ proptest! {
 
     /// A lane with windowed metrics batches, and its one-lane fleet
     /// equals the scalar per-cycle system: statistics and every window
-    /// sample. A one-cycle window makes every batch move a step.
+    /// sample. A one-cycle window makes every batch move a step; with a
+    /// longer one, a TDMA lane walks its slots.
     #[test]
     fn metrics_lanes_batch_and_match_the_per_cycle_kernel(
         (recipe, window) in metrics_lane_recipe(),
     ) {
-        let (fleet_run, batched) = fleet_metrics_run(recipe.lane().metrics_window(window));
+        let (fleet_run, moves) = fleet_metrics_run(recipe.lane().metrics_window(window));
         let scalar_run = scalar_metrics_run(recipe.lane().metrics_window(window));
         prop_assert_eq!(
             &fleet_run, &scalar_run,
-            "window {} ({:?} protocol {}) diverged from the per-cycle kernel",
-            window, recipe.shapes, recipe.protocol
+            "window {} ({:?} {}) diverged from the per-cycle kernel",
+            window, recipe.shapes, recipe.name()
         );
         prop_assert!(!scalar_run.1.is_empty());
-        prop_assert_eq!(batched > 0, window > 1, "window {}: {} batched cycles", window, batched);
+        let batched = moves.tenure_batched + moves.fused + moves.wheel_batched;
+        prop_assert_eq!(batched > 0, window > 1, "window {}: {:?}", window, moves);
+        if recipe.is_tdma() {
+            prop_assert_eq!(moves.wheel_batched > 0, window > 1, "window {}: {:?}", window, moves);
+        }
     }
 
     /// A fault lane batches its tenures up to the next master-stall
     /// draw or watchdog deadline, and its one-lane fleet equals the
-    /// scalar per-cycle system: statistics and fault log.
+    /// scalar per-cycle system: statistics and fault log. A TDMA lane
+    /// is exempt from batching: its one-word tenures end on their grant
+    /// cycle, which steps.
     #[test]
     fn fault_lanes_batch_and_match_the_per_cycle_kernel(recipe in fault_lane_recipe()) {
         let (fleet_run, batched) = fleet_fault_run(&recipe);
         prop_assert_eq!(
             &fleet_run, &recipe.solo(),
-            "{:?} ({:?} protocol {}) diverged from the per-cycle kernel",
-            recipe.fault, recipe.shapes, recipe.protocol
+            "{:?} ({:?} {}) diverged from the per-cycle kernel",
+            recipe.fault, recipe.shapes, recipe.name()
         );
-        prop_assert!(batched > 0, "{:?}: no tenure cycle batched", recipe.fault);
+        if !recipe.is_tdma() {
+            prop_assert!(batched > 0, "{:?}: no tenure cycle batched", recipe.fault);
+        }
     }
 
     /// Lane order is a pure layout choice: shuffling the pack permutes
