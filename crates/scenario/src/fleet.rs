@@ -93,6 +93,8 @@ pub(crate) fn observe_fleet(scs: &[&Scenario]) -> Result<Vec<Observations>, Stri
         .enumerate()
         .map(|(lane, (sc, (snaps, probes)))| {
             let samples = fleet.metrics(lane).map(|m| m.samples().to_vec()).unwrap_or_default();
+            // `Fleet::master` runs the lane's deferred polls first, so
+            // the counts read as the scalar runner's.
             let counts = (0..sc.masters.len())
                 .map(|m| {
                     let port = fleet.master(lane, MasterId::new(m));

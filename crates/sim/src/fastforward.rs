@@ -124,7 +124,9 @@ pub struct MoveCounters {
     /// Moves made: one per step, skip or batch.
     pub moves: u64,
     /// Source polls actually run; polls elided on busy cycles or
-    /// jumped by a skip are not counted.
+    /// jumped by a skip are not counted, nor are a fleet lane's
+    /// deferred polls until they run (when the port's queue drains or
+    /// the port is observed): those that never run are never counted.
     pub polls: u64,
 }
 

@@ -27,10 +27,10 @@
 //!    enqueue lands behind work the bus already sees, and the owner's
 //!    backlog changes only at its last word, whose poll comes before
 //!    the transfer, so every poll sees the backlog a step would show
-//!    it. A source that declares
-//!    [`TrafficSource::pure_while_backlogged`] and whose port holds work
-//!    is *elidable*: its polls are provable no-ops, so it is not polled
-//!    and never bounds a window.
+//!    it. A source whose port holds work is *elidable* when it declares
+//!    [`BacklogPolls::Elide`]: its polls are provable no-ops, so it is
+//!    not polled and never bounds a window. One that declares
+//!    [`BacklogPolls::Defer`] is *deferred* there (see below).
 //! 4. **The fused loop** serves back-to-back tenures of an idle lane,
 //!    running each boundary's poll phase before its arbitration, as a
 //!    step orders them. A lowered TDMA lane grants one word per slot,
@@ -47,6 +47,31 @@
 //! source that keeps the every-cycle default horizon is still stepped.
 //! Otherwise the move runs on to the run target or the chunk boundary,
 //! polling inline: a Bernoulli arrival no longer ends it.
+//!
+//! ## Deferred polls
+//!
+//! While a port holds work the bus reads nothing of it but its head:
+//! the request map carries the pending bit and the head's words, and
+//! every arbiter, the queue-proportional lottery policy included, reads
+//! only that. A source that ignores the backlog and stamps its own
+//! arrivals ([`BacklogPolls::Defer`]: replayed traces and the seeded
+//! generators) therefore need not be polled while its port is
+//! backlogged. Its cached horizon is parked when it comes due, and its
+//! polls run later, each at its own cycle and in order, at two points:
+//!
+//! * when a completion empties the port's queue, the polls due up to
+//!   that cycle run until one enqueues a transaction — the head
+//!   per-cycle stepping would show next — and the rest stay deferred;
+//! * when the port is observed ([`Fleet::master`]), every poll due
+//!   before the lane's clock runs.
+//!
+//! So the source's state and the port's queue come out as per-cycle
+//! polling leaves them, and the polls behind an overloaded port's head
+//! that no one observes never run. Windowed metrics read every port's
+//! queue depth and the fault layer acts on queued work, so lanes with
+//! either never defer; nor does a source that reads the backlog (the
+//! default [`BacklogPolls::Run`]). The scalar [`System`] polls every
+//! due cycle.
 //!
 //! On a lane with windowed metrics a batch move also ends at the
 //! lane's next window boundary. The move's cycles then enter the
@@ -87,7 +112,6 @@
 //! spawn overhead dominates.
 //!
 //! [`System`]: crate::System
-//! [`TrafficSource::pure_while_backlogged`]: crate::TrafficSource::pure_while_backlogged
 
 use crate::arbiter::{Arbiter, Grant, SoaKernel, WalkShare};
 use crate::bus::Bus;
@@ -102,7 +126,7 @@ use crate::metrics::BusMetrics;
 use crate::request::{RequestMap, MAX_MASTERS};
 use crate::slave::Slave;
 use crate::stats::BusStats;
-use crate::system::TrafficSource;
+use crate::system::{BacklogPolls, TrafficSource};
 use crate::trace::BusTrace;
 
 pub use crate::lane::LaneBuilder;
@@ -199,9 +223,18 @@ pub struct Fleet<A = Box<dyn Arbiter>, S = Box<dyn TrafficSource>> {
     /// Cached per-source poll horizons (parallel to `ports`), the fleet
     /// twin of `System::poll_horizon`.
     poll_horizon: Vec<Cycle>,
-    /// Cached [`TrafficSource::pure_while_backlogged`] per source, so
-    /// the batch legality scan costs one load instead of a dispatch.
-    pure_backlog: Vec<bool>,
+    /// Cached [`TrafficSource::backlog_polls`] per source, so the batch
+    /// legality scan costs one load instead of a dispatch.
+    /// [`BacklogPolls::Defer`] is kept only on lanes that may defer (no
+    /// metrics window, no fault layer) and reads as
+    /// [`BacklogPolls::Run`] elsewhere.
+    backlog_polls: Vec<BacklogPolls>,
+    /// Per source, the cached horizon of a port whose polls are
+    /// deferred, [`Cycle::NEVER`] otherwise. While a port is deferred
+    /// its `poll_horizon` is [`Cycle::NEVER`], so no poll phase, batch
+    /// bound or idle horizon sees it until [`Fleet::after_completion`]
+    /// or [`Fleet::settle`] runs its deferred polls.
+    deferred: Vec<Cycle>,
     /// Lane boundaries into the flattened slave table.
     slave_offsets: Vec<usize>,
     /// All registered slaves, lane-major.
@@ -282,7 +315,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             ports: Vec::new(),
             sources: Vec::new(),
             poll_horizon: Vec::new(),
-            pure_backlog: Vec::new(),
+            backlog_polls: Vec::new(),
+            deferred: Vec::new(),
             slave_offsets: Vec::with_capacity(n + 1),
             slaves: Vec::new(),
             buses: Vec::with_capacity(n),
@@ -307,8 +341,16 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         for (lane, spec) in lanes.into_iter().enumerate() {
             let parts = spec.assemble().map_err(|error| FleetBuildError { lane, error })?;
             fleet.ports.extend(parts.ports);
+            // Windowed metrics read every port's queue depth, and the
+            // fault layer acts on queued work: only other lanes defer.
+            let defers = parts.metrics.is_none() && parts.bus.faults.is_none();
             for source in parts.sources {
-                fleet.pure_backlog.push(source.pure_while_backlogged());
+                let polls = match source.backlog_polls() {
+                    BacklogPolls::Defer if !defers => BacklogPolls::Run,
+                    polls => polls,
+                };
+                fleet.backlog_polls.push(polls);
+                fleet.deferred.push(Cycle::NEVER);
                 fleet.sources.push(source);
                 fleet.poll_horizon.push(Cycle::ZERO);
             }
@@ -414,9 +456,60 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         &self.ports[self.offsets[lane]..self.offsets[lane + 1]]
     }
 
-    /// The master port `id` of lane `lane`.
-    pub fn master(&self, lane: usize, id: MasterId) -> &MasterPort {
+    /// The master port `id` of lane `lane`. Takes `&mut self` because
+    /// the lane's deferred polls run first ([`Fleet::settle`]), so the
+    /// port's queue and issue counts read as per-cycle stepping leaves
+    /// them, and a run continued afterwards stays exact.
+    pub fn master(&mut self, lane: usize, id: MasterId) -> &MasterPort {
+        self.settle(lane);
         &self.lane_ports(lane)[id.index()]
+    }
+
+    /// Runs every deferred poll of lane `lane` that per-cycle stepping
+    /// would have run by now, and hands the ports back to the ordinary
+    /// poll phases.
+    fn settle(&mut self, lane: usize) {
+        for i in self.offsets[lane]..self.offsets[lane + 1] {
+            if self.deferred[i] != Cycle::NEVER {
+                self.run_deferred(lane, i, self.now[lane], false);
+            }
+        }
+    }
+
+    /// A completion at `last` on port `i` of lane `lane`: if it emptied
+    /// a deferred port's queue, the port's deferred polls up to `last`
+    /// run until one enqueues a transaction. Per-cycle stepping had run
+    /// them by the end of `last` (a cycle's poll phase comes before its
+    /// bus phase), and the first of them to issue is the new head.
+    #[inline]
+    fn after_completion(&mut self, lane: usize, i: usize, last: Cycle) {
+        if self.deferred[i] != Cycle::NEVER && !self.ports[i].is_requesting() {
+            self.run_deferred(lane, i, last + 1, true);
+        }
+    }
+
+    /// Runs the deferred polls of port `i` of lane `lane` that fall
+    /// before `to`, each at its own cycle, in order. With `to_head` it
+    /// stops at the first that enqueues a transaction, and the port
+    /// stays deferred behind it; otherwise the port's polls are due at
+    /// their own cycles again.
+    fn run_deferred(&mut self, lane: usize, i: usize, to: Cycle, to_head: bool) {
+        let (port, source) = (&mut self.ports[i], &mut self.sources[i]);
+        let mut at = self.deferred[i];
+        while at < to {
+            self.moves[lane].polls += 1;
+            let txn = source.poll_with_backlog(at, port.backlog_transactions());
+            at = source.next_event(at + 1);
+            if let Some(txn) = txn {
+                port.enqueue(txn);
+                if to_head {
+                    self.deferred[i] = at;
+                    return;
+                }
+            }
+        }
+        self.deferred[i] = Cycle::NEVER;
+        self.poll_horizon[i] = at;
     }
 
     /// Copies a lowered lane's live kernel state back into its scalar
@@ -589,13 +682,17 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         )
     }
 
-    /// Whether source `i`'s polls are provable no-ops: it is pure while
-    /// backlogged and its port holds work. Such a source never bounds a
-    /// window and is never polled inside one; its cached horizon stays
-    /// due, so the first poll phase after its backlog drains polls it.
+    /// Whether source `i`'s polls need not run now: its port holds work
+    /// and the source's polls are provable no-ops
+    /// ([`BacklogPolls::Elide`]) or may be deferred
+    /// ([`BacklogPolls::Defer`]). Such a source never bounds a window.
+    /// A pure source is never polled inside one; its cached horizon
+    /// stays due, so the first poll phase after its backlog drains polls
+    /// it. A deferrable source is deferred when it comes due
+    /// ([`Fleet::poll_span`]).
     #[inline]
     fn elidable(&self, i: usize) -> bool {
-        self.pure_backlog[i] && self.ports[i].backlog_transactions() > 0
+        self.backlog_polls[i] != BacklogPolls::Run && self.ports[i].is_requesting()
     }
 
     /// The earliest cycle at which a source of lane `lane` that is not
@@ -612,6 +709,12 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     /// at its own cycle, source by source: a source whose cached horizon
     /// has passed is polled at `from`, then at each horizon it reports,
     /// until it is [elidable](Fleet::elidable) or its horizon reaches `to`.
+    /// An elidable deferrable source is deferred there: its horizon is
+    /// parked in `deferred` until its queue drains to empty
+    /// ([`Fleet::after_completion`]) or the port is observed
+    /// ([`Fleet::settle`]).
+    /// Only a pure source's horizon can lie below `from`; a deferred
+    /// source's polls never run late.
     ///
     /// Running the span's polls ahead of its bus work is exact when the
     /// bus reads no request line inside `(from, to)` (no arbitration, or
@@ -625,7 +728,14 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
         for i in self.offsets[lane]..self.offsets[lane + 1] {
             loop {
                 let at = self.poll_horizon[i].max(from);
-                if at >= to || self.elidable(i) {
+                if at >= to {
+                    break;
+                }
+                if self.elidable(i) {
+                    if self.backlog_polls[i] == BacklogPolls::Defer {
+                        self.deferred[i] =
+                            std::mem::replace(&mut self.poll_horizon[i], Cycle::NEVER);
+                    }
                     break;
                 }
                 let (port, source) = (&mut self.ports[i], &mut self.sources[i]);
@@ -667,7 +777,9 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             end
         };
         if self.next_poll(lane).min(end) <= now + 1 || !(busy || fuses) {
-            self.with_lane(lane, |core| core.finish_step());
+            if let Some(master) = self.with_lane(lane, |core| core.finish_step()) {
+                self.after_completion(lane, lo + master.index(), now);
+            }
             return;
         }
         let mut cursor = now;
@@ -749,14 +861,15 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                 // `pending_words`), so at most one completion can occur,
                 // on the batch's final word.
                 let last = start + (u64::from(burst) - 1);
-                let port = &mut self.ports[self.offsets[lane] + master.index()];
-                if let Some(done) = port.transfer(burst, last) {
+                let i = self.offsets[lane] + master.index();
+                if let Some(done) = self.ports[i].transfer(burst, last) {
                     record_completion(
                         &mut self.stats[lane],
                         &mut self.metrics[lane],
                         master,
                         &done,
                     );
+                    self.after_completion(lane, i, last);
                 }
                 consumed += u64::from(burst);
                 words_left -= burst;
@@ -876,6 +989,7 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
                             winner,
                             &done,
                         );
+                        self.after_completion(lane, lo + winner.index(), last);
                     }
                 } else {
                     self.buses[lane].set_tenure(winner, stall, words);
@@ -909,7 +1023,8 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
     fn walk_lane(&mut self, lane: usize, now: Cycle, span: u64) {
         self.poll_span(lane, now + 1, now + span);
         let lo = self.offsets[lane];
-        for (m, share) in self.shares[..self.masters(lane)].iter().enumerate() {
+        for m in 0..self.masters(lane) {
+            let share = self.shares[m];
             if share.grants == 0 {
                 continue;
             }
@@ -920,8 +1035,10 @@ impl<A: Arbiter, S: TrafficSource> Fleet<A, S> {
             self.stats[lane].record_words(id, share.grants as u32);
             let port = &mut self.ports[lo + m];
             port.note_grant(now + share.first);
-            if let Some(done) = port.transfer(share.grants as u32, now + share.last) {
+            let last = now + share.last;
+            if let Some(done) = port.transfer(share.grants as u32, last) {
                 record_completion(&mut self.stats[lane], &mut self.metrics[lane], id, &done);
+                self.after_completion(lane, lo + m, last);
             }
         }
         if self.scratch.pending_count() >= 2 {
@@ -983,7 +1100,7 @@ mod tests {
     }
 
     /// A saturate-style source upholding the pure-while-backlogged
-    /// contract, so fleet lanes batch tenures.
+    /// contract ([`BacklogPolls::Elide`]), so fleet lanes batch tenures.
     #[derive(Clone, Copy)]
     struct Saturating {
         words: u32,
@@ -998,8 +1115,8 @@ mod tests {
             (backlog == 0).then(|| Transaction::new(SlaveId::new(0), self.words, now))
         }
 
-        fn pure_while_backlogged(&self) -> bool {
-            true
+        fn backlog_polls(&self) -> BacklogPolls {
+            BacklogPolls::Elide
         }
     }
 
@@ -1030,10 +1147,10 @@ mod tests {
             }
         }
 
-        fn pure_while_backlogged(&self) -> bool {
+        fn backlog_polls(&self) -> BacklogPolls {
             match self {
-                TestSource::Hash(s) => s.pure_while_backlogged(),
-                TestSource::Saturating(s) => s.pure_while_backlogged(),
+                TestSource::Hash(s) => s.backlog_polls(),
+                TestSource::Saturating(s) => s.backlog_polls(),
             }
         }
     }
@@ -1125,7 +1242,7 @@ mod tests {
     }
 
     fn assert_lane_matches_scalar(
-        fleet: &Fleet<FixedOrderArbiter, TestSource>,
+        fleet: &mut Fleet<FixedOrderArbiter, TestSource>,
         lane: usize,
         scalar: &System<FixedOrderArbiter, TestSource>,
     ) {
@@ -1162,7 +1279,7 @@ mod tests {
             let mut scalar = scalar_for(shape);
             scalar.run(5_000);
             scalar.flush_metrics();
-            assert_lane_matches_scalar(&fleet, lane, &scalar);
+            assert_lane_matches_scalar(&mut fleet, lane, &scalar);
         }
     }
 
@@ -1179,7 +1296,7 @@ mod tests {
             scalar.warm_up(1_000);
             scalar.run(3_000);
             scalar.flush_metrics();
-            assert_lane_matches_scalar(&fleet, lane, &scalar);
+            assert_lane_matches_scalar(&mut fleet, lane, &scalar);
         }
     }
 
@@ -1254,11 +1371,11 @@ mod tests {
                 for slice in [1u64, 5, 63, 2, 640, 9, 3000, 17, 1000] {
                     fleet.run(slice);
                     scalar.run(slice);
-                    assert_lane_matches_scalar(&fleet, 0, &scalar);
+                    assert_lane_matches_scalar(&mut fleet, 0, &scalar);
                 }
                 fleet.flush_metrics();
                 scalar.flush_metrics();
-                assert_lane_matches_scalar(&fleet, 0, &scalar);
+                assert_lane_matches_scalar(&mut fleet, 0, &scalar);
                 // A one-cycle metrics window makes every move a step.
                 let moves = fleet.moves(0);
                 let batched = moves.tenure_batched + moves.fused + moves.wheel_batched;
@@ -1282,7 +1399,7 @@ mod tests {
             fleet.run(slice);
             for (lane, scalar) in scalars.iter_mut().enumerate() {
                 scalar.run(slice);
-                assert_lane_matches_scalar(&fleet, lane, scalar);
+                assert_lane_matches_scalar(&mut fleet, lane, scalar);
             }
         }
     }
@@ -1315,7 +1432,7 @@ mod tests {
             fleet.run(slice);
             for (lane, scalar) in scalars.iter_mut().enumerate() {
                 scalar.run(slice);
-                assert_lane_matches_scalar(&fleet, lane, scalar);
+                assert_lane_matches_scalar(&mut fleet, lane, scalar);
                 assert_eq!(fleet.fault_events(lane), scalar.fault_events(), "lane {lane} faults");
             }
         }
@@ -1339,7 +1456,7 @@ mod tests {
         for slice in [1u64, 3, 7, 2, 64, 5, 333, 11, 1000] {
             fleet.run(slice);
             scalar.run(slice);
-            assert_lane_matches_scalar(&fleet, 0, &scalar);
+            assert_lane_matches_scalar(&mut fleet, 0, &scalar);
         }
     }
 }

@@ -241,11 +241,13 @@ impl<R: Arbiter + ?Sized, S: TrafficSource> Lane<'_, R, S> {
     }
 
     /// The bus and accounting phases of a step, for a caller that has
-    /// run the poll phase.
+    /// run the poll phase. Returns the master whose transaction
+    /// completed, if any.
     #[inline]
-    pub(crate) fn finish_step(&mut self) {
+    pub(crate) fn finish_step(&mut self) -> Option<MasterId> {
         let completed = self.bus_step();
         self.end_cycle(completed);
+        completed.map(|(master, _)| master)
     }
 
     /// The accounting phase of a step: statistics, failovers and the

@@ -88,6 +88,6 @@ pub use profile::{PhaseProfiler, SimPhase};
 pub use request::{RequestMap, Transaction, MAX_MASTERS};
 pub use slave::Slave;
 pub use stats::{BusStats, MasterStats};
-pub use system::{IntoSource, System, SystemBuilder, TrafficSource};
+pub use system::{BacklogPolls, IntoSource, System, SystemBuilder, TrafficSource};
 pub use trace::{BusTrace, JsonlSink, RingSink, TraceEvent, TraceSink};
 pub use vcd::VcdSink;

@@ -59,29 +59,17 @@ pub trait TrafficSource {
         now
     }
 
-    /// Whether polling this source is a guaranteed no-op while its master
-    /// still has work queued.
+    /// What a kernel may do with this source's polls while its master's
+    /// port holds work (see [`BacklogPolls`]).
     ///
-    /// Returning `true` is a contract with the batched kernels (the
-    /// fleet's tenure batching in [`crate::fleet`]): whenever the port's
-    /// backlog is `>= 1`, [`TrafficSource::poll_with_backlog`] returns
-    /// `None` **without mutating any internal state**, and
-    /// [`TrafficSource::next_event`] returns its argument unchanged (the
-    /// conservative every-cycle default). Under that contract a kernel
-    /// may elide the per-cycle poll for the whole stretch a backlog is
-    /// known to persist — every elided poll is a provable no-op, so
-    /// states and statistics stay byte-identical to polling every cycle.
-    /// Such a source never bounds a fleet batch while its port holds
-    /// work.
-    ///
-    /// The default is `false`, which is always correct: the source is
-    /// polled whenever its [`TrafficSource::next_event`] horizon comes
+    /// The default, [`BacklogPolls::Run`], is always correct: the source
+    /// is polled whenever its [`TrafficSource::next_event`] horizon comes
     /// due — inside a fleet batch too, at its own cycle — and a source
-    /// that keeps the every-cycle default horizon is stepped. Only
-    /// stateless backlog-gated sources (e.g. `SaturateSource` in the
-    /// `traffic-gen` crate) should override this.
-    fn pure_while_backlogged(&self) -> bool {
-        false
+    /// that keeps the every-cycle default horizon is stepped. Any other
+    /// answer is a contract with the batched kernels (the fleet in
+    /// [`crate::fleet`]), stated on its variant.
+    fn backlog_polls(&self) -> BacklogPolls {
+        BacklogPolls::Run
     }
 }
 
@@ -98,9 +86,48 @@ impl<T: TrafficSource + ?Sized> TrafficSource for Box<T> {
         (**self).next_event(now)
     }
 
-    fn pure_while_backlogged(&self) -> bool {
-        (**self).pure_while_backlogged()
+    fn backlog_polls(&self) -> BacklogPolls {
+        (**self).backlog_polls()
     }
+}
+
+/// What a kernel may do with a [`TrafficSource`]'s polls while its
+/// master's port holds work ([`TrafficSource::backlog_polls`]).
+///
+/// While a port holds work, the bus reads nothing of it but its head:
+/// the request map carries the pending bit and the head's words, and
+/// every arbiter reads only that. Polls that cannot change the head may
+/// therefore be skipped or postponed, as long as the source's own state
+/// and the port's queue come out as polling every due cycle would
+/// leave them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum BacklogPolls {
+    /// Every poll runs when its horizon comes due. Always correct.
+    #[default]
+    Run,
+    /// The source is *pure while backlogged*: whenever the port's
+    /// backlog is `>= 1`, [`TrafficSource::poll_with_backlog`] returns
+    /// `None` **without mutating any internal state**, and
+    /// [`TrafficSource::next_event`] returns its argument unchanged
+    /// (the every-cycle default). Such polls are provable no-ops, so a
+    /// kernel may skip them for as long as the backlog persists; the
+    /// source never bounds a fleet batch meanwhile. Only stateless
+    /// backlog-gated sources (e.g. `SaturateSource` in the
+    /// `traffic-gen` crate) should answer this.
+    Elide,
+    /// The source ignores the backlog and stamps its own arrivals:
+    /// [`TrafficSource::poll_with_backlog`] behaves as
+    /// [`TrafficSource::poll`], and the stream it emits depends only on
+    /// the cycles it is polled at. A kernel may then run the polls that
+    /// come due while the port holds work *late* — each still at its
+    /// own cycle, in order, with the horizon after each poll taken as
+    /// [`TrafficSource::next_event`] of the next cycle — once the
+    /// port's queue drains or someone observes the port. Every emission,
+    /// stamp and RNG draw is the one per-cycle polling makes; the queue
+    /// behind the head only fills later. Replayed traces
+    /// (`ReplaySource`) and the seeded generators (`StochasticSource`)
+    /// of the `traffic-gen` crate answer this.
+    Defer,
 }
 
 /// Conversion into the source slot of a [`SystemBuilder`]; the traffic

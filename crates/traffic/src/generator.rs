@@ -3,7 +3,7 @@
 use crate::spec::{ArrivalSpec, GeneratorSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use socsim::{Cycle, SlaveId, TrafficSource, Transaction};
+use socsim::{BacklogPolls, Cycle, SlaveId, TrafficSource, Transaction};
 use std::collections::VecDeque;
 
 /// Cycles a Bernoulli source draws ahead of a poll while looking for
@@ -235,6 +235,13 @@ impl TrafficSource for StochasticSource {
             }
         };
         horizon.max(now)
+    }
+
+    /// The generator ignores the backlog and stamps its own arrivals,
+    /// and its draws and emissions depend only on the cycles it is
+    /// polled at: its polls may be deferred.
+    fn backlog_polls(&self) -> BacklogPolls {
+        BacklogPolls::Defer
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::generator::StochasticSource;
 use crate::replay::ReplaySource;
 use crate::saturate::SaturateSource;
-use socsim::{Cycle, TrafficSource, Transaction};
+use socsim::{BacklogPolls, Cycle, TrafficSource, Transaction};
 use std::fmt;
 
 /// Enum dispatch over the built-in [`TrafficSource`] implementations.
@@ -66,8 +66,8 @@ impl TrafficSource for SourceKind {
     }
 
     #[inline]
-    fn pure_while_backlogged(&self) -> bool {
-        for_each_source!(self, inner => inner.pure_while_backlogged())
+    fn backlog_polls(&self) -> BacklogPolls {
+        for_each_source!(self, inner => inner.backlog_polls())
     }
 }
 
@@ -106,6 +106,8 @@ mod tests {
         let spec = GeneratorSpec::bursty(2, 5, 1, 40, 120, 3, SizeDist::uniform(1, 16));
         let mut direct = spec.build_kind(77);
         let mut boxed = SourceKind::Custom(spec.build_source(77));
+        assert_eq!(direct.backlog_polls(), BacklogPolls::Defer);
+        assert_eq!(boxed.backlog_polls(), BacklogPolls::Defer, "the box forwards the contract");
         for c in 0..5_000u64 {
             let now = Cycle::new(c);
             assert_eq!(direct.next_event(now), boxed.next_event(now), "horizon at {c}");
@@ -118,9 +120,11 @@ mod tests {
     #[test]
     fn replay_and_saturate_variants_delegate() {
         let mut replay = SourceKind::from(ReplaySource::new(0, &[(3, 4)]));
+        assert_eq!(replay.backlog_polls(), BacklogPolls::Defer);
         assert!(replay.poll(Cycle::new(2)).is_none());
         assert_eq!(replay.poll(Cycle::new(3)).expect("due").words(), 4);
         let mut saturate = SourceKind::from(SaturateSource::new(0, 8));
+        assert_eq!(saturate.backlog_polls(), BacklogPolls::Elide);
         assert!(saturate.poll_with_backlog(Cycle::ZERO, 0).is_some());
         assert!(saturate.poll_with_backlog(Cycle::new(1), 2).is_none());
     }

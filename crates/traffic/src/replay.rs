@@ -1,6 +1,6 @@
 //! Trace replay: issue an explicit list of transactions.
 
-use socsim::{Cycle, SlaveId, TrafficSource, Transaction};
+use socsim::{BacklogPolls, Cycle, SlaveId, TrafficSource, Transaction};
 use std::sync::Arc;
 
 /// Replays a fixed `(cycle, words)` trace as a traffic source.
@@ -95,6 +95,13 @@ impl TrafficSource for ReplaySource {
     #[inline]
     fn next_event(&self, now: Cycle) -> Cycle {
         self.trace.get(self.cursor).map_or(Cycle::NEVER, |&(cycle, _)| Cycle::new(cycle).max(now))
+    }
+
+    /// A replay ignores the backlog, and each poll emits the next entry
+    /// once its stamp is due: its polls may be deferred.
+    #[inline]
+    fn backlog_polls(&self) -> BacklogPolls {
+        BacklogPolls::Defer
     }
 }
 

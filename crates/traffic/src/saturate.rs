@@ -1,6 +1,6 @@
 //! An always-requesting source for saturated-bus measurements.
 
-use socsim::{Cycle, SlaveId, TrafficSource, Transaction};
+use socsim::{BacklogPolls, Cycle, SlaveId, TrafficSource, Transaction};
 
 /// A source that keeps its master's request line permanently asserted.
 ///
@@ -62,11 +62,11 @@ impl TrafficSource for SaturateSource {
     // `next_event` keeps the conservative default (`now`): the source
     // must be polled every cycle and is never fast-forwarded over.
 
-    fn pure_while_backlogged(&self) -> bool {
+    fn backlog_polls(&self) -> BacklogPolls {
         // With a backlog, `poll_with_backlog` returns `None` and touches
         // no state, and `next_event` keeps the identity default — exactly
         // the contract the fleet kernel's tenure batching requires.
-        true
+        BacklogPolls::Elide
     }
 }
 

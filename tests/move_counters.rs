@@ -21,9 +21,16 @@
 //! fixed and match their scalar per-cycle twin, metrics samples and
 //! port queues included; the busy T4 lane almost never arbitrates one
 //! cycle at a time.
+//!
+//! A Figure 4 lane (four replayed saturating masters under static
+//! priority, full window) defers the polls of its backlogged ports: it
+//! runs about one poll per grant instead of one per recorded arrival,
+//! and still matches its scalar per-cycle twin, port queues included.
 
-use lotterybus_repro::arbiters::{ArbiterKind, RoundRobinArbiter, TdmaArbiter, WheelLayout};
-use lotterybus_repro::experiments::common::protocol_arbiter;
+use lotterybus_repro::arbiters::{
+    ArbiterKind, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter, WheelLayout,
+};
+use lotterybus_repro::experiments::common::{protocol_arbiter, RunSettings};
 use lotterybus_repro::experiments::fig12::WEIGHTS;
 use lotterybus_repro::experiments::fig6::TDMA_BLOCK;
 use lotterybus_repro::socsim::fleet::{Fleet, LaneBuilder};
@@ -33,7 +40,7 @@ use lotterybus_repro::socsim::{
 };
 use lotterybus_repro::traffic::classes::saturating_specs;
 use lotterybus_repro::traffic::{
-    GeneratorSpec, SaturateSource, SizeDist, SourceKind, TrafficClass,
+    record_trace, GeneratorSpec, ReplaySource, SaturateSource, SizeDist, SourceKind, TrafficClass,
 };
 
 const WARMUP: u64 = 2_000;
@@ -395,4 +402,60 @@ fn tdma_lanes_walk_their_wheel_while_the_pending_set_holds() {
     assert!(run.0.busy_cycles > MEASURE / 2, "{} busy cycles", run.0.busy_cycles);
     assert!(moves.wheel_batched > MEASURE / 2, "{moves:?}");
     assert!((moves.fused as f64) < 0.01 * run.0.busy_cycles as f64, "{moves:?}");
+}
+
+/// Source polls of the Figure 4 lane below: one per grant, plus the
+/// polls that find nothing due when a drained port is refilled.
+/// Polling every recorded arrival, as the kernel did before it
+/// deferred backlogged ports, ran 43,998.
+const FIG4_LANE_POLLS: u64 = 13_756;
+
+/// Figure 4's lane for priorities 1234 on the full window (20,000
+/// warm-up and 200,000 measured cycles): its four saturating masters
+/// recorded with the experiment's seeds and replayed.
+fn fig4_lane_sources() -> Vec<SourceKind> {
+    let settings = RunSettings::new();
+    let cycles = settings.warmup + settings.measure;
+    saturating_specs(4)
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            // The experiments' per-master seed (`common::master_seed`).
+            let seed = settings.seed.wrapping_add(i as u64 * 0x9E37_79B9);
+            ReplaySource::shared(spec.slave, record_trace(spec, seed, cycles).into()).into()
+        })
+        .collect()
+}
+
+#[test]
+fn fig4_lanes_defer_the_polls_of_backlogged_ports() {
+    let settings = RunSettings::new();
+    let arbiter = || ArbiterKind::from(StaticPriorityArbiter::new(vec![1, 2, 3, 4]).unwrap());
+    let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(settings.bus);
+    let mut solo = SystemBuilder::new(settings.bus);
+    for (i, (a, b)) in fig4_lane_sources().into_iter().zip(fig4_lane_sources()).enumerate() {
+        lane = lane.master(format!("C{}", i + 1), a);
+        solo = solo.master(format!("C{}", i + 1), b);
+    }
+    let mut fleet = Fleet::build(vec![lane.arbiter(arbiter())]).expect("valid fleet");
+    let mut solo: lotterybus_repro::socsim::System<ArbiterKind, SourceKind> =
+        solo.arbiter(arbiter()).build().expect("valid");
+    fleet.warm_up(settings.warmup);
+    fleet.run(settings.measure);
+    solo.warm_up(settings.warmup);
+    solo.run(settings.measure);
+    let moves = *fleet.moves(0);
+    let grants: u64 = (0..4).map(|m| fleet.stats(0).master(MasterId::new(m)).grants).sum();
+    assert_eq!(fleet.stats(0), solo.stats(), "diverged from the scalar per-cycle run");
+    let ports = |port: &MasterPort| (port.issued_transactions(), port.backlog_words());
+    for m in 0..4 {
+        let id = MasterId::new(m);
+        assert_eq!(ports(fleet.master(0, id)), ports(solo.master(id)), "C{} port", m + 1);
+    }
+    assert!(solo.master(MasterId::new(0)).backlog_transactions() > 1_000, "C1 is backlogged");
+    assert_eq!(moves.cycles(), settings.warmup + settings.measure, "{moves:?}");
+    assert_eq!(moves.polls, FIG4_LANE_POLLS, "{moves:?} over {grants} grants");
+    // The observation above settled the deferred polls: every recorded
+    // arrival is polled by now.
+    assert!(fleet.moves(0).polls > 3 * FIG4_LANE_POLLS, "{:?}", fleet.moves(0));
 }

@@ -14,6 +14,12 @@
 //! properties ride along: a one-lane fleet degenerates to the scalar
 //! kernel, and lane order is irrelevant (lanes never interact, so
 //! packing order is a pure layout choice).
+//!
+//! Overloaded lanes whose replayed and generated sources defer their
+//! polls while their ports hold work are observed mid-run and at the
+//! end: statistics, port queues and issue counts equal the per-cycle
+//! kernel's, and lanes with a backlog-reading source or a metrics
+//! window never defer.
 
 use lotterybus_repro::arbiters::{
     ArbiterKind, DeficitRoundRobinArbiter, RoundRobinArbiter, StaticPriorityArbiter, TdmaArbiter,
@@ -21,10 +27,12 @@ use lotterybus_repro::arbiters::{
 };
 use lotterybus_repro::lottery::{StaticLotteryArbiter, TicketAssignment};
 use lotterybus_repro::socsim::{
-    BusConfig, BusStats, FaultConfig, FaultEvent, Fleet, LaneBuilder, MoveCounters, RetryPolicy,
-    SystemBuilder, WindowSample,
+    BusConfig, BusStats, Cycle, FaultConfig, FaultEvent, Fleet, LaneBuilder, MasterId, MasterPort,
+    MoveCounters, RetryPolicy, System, SystemBuilder, TrafficSource, Transaction, WindowSample,
 };
-use lotterybus_repro::traffic::{GeneratorSpec, SaturateSource, SizeDist, SourceKind};
+use lotterybus_repro::traffic::{
+    record_trace, GeneratorSpec, ReplaySource, SaturateSource, SizeDist, SourceKind,
+};
 use proptest::prelude::*;
 
 const WARMUP: u64 = 200;
@@ -302,6 +310,172 @@ fn run_pack(recipes: &[LaneRecipe]) -> Vec<LaneRun> {
     (0..fleet.len()).map(|i| (fleet.stats(i).clone(), fleet.fault_events(i).to_vec())).collect()
 }
 
+/// One master of an overloaded lane whose polls may be deferred.
+#[derive(Debug, Clone, Copy)]
+enum DeferShape {
+    /// A replayed recording of a Bernoulli process.
+    Replayed { rate_millis: u32, words: u32 },
+    /// A live Bernoulli process with uniform message sizes.
+    Bernoulli { rate_millis: u32, max_words: u32 },
+    /// A periodic process whose jitter stamps arrivals out of order.
+    Jittered { period: u64, jitter: u64, words: u32 },
+    /// On–off bursts whose messages share one stamp (`intra_gap` 0).
+    Bursts { burst_max: u32, off: u64, words: u32 },
+    /// A saturating master: pure while backlogged, never deferred.
+    Saturate { words: u32 },
+    /// A Bernoulli process held back while two transactions are queued
+    /// ([`Throttled`]): it reads the backlog, so it must never defer.
+    Throttled { rate_millis: u32, words: u32 },
+}
+
+/// Cycles a deferral lane runs in all, warm-up included; replayed
+/// traces are recorded over this window.
+const DEFER_CYCLES: u64 = WARMUP + MEASURE;
+
+impl DeferShape {
+    fn build(self, seed: u64) -> SourceKind {
+        let bernoulli =
+            |rate_millis: u32, size| GeneratorSpec::poisson(f64::from(rate_millis) / 1000.0, size);
+        match self {
+            DeferShape::Replayed { rate_millis, words } => {
+                let spec = bernoulli(rate_millis, SizeDist::fixed(words));
+                ReplaySource::shared(0, record_trace(&spec, seed, DEFER_CYCLES).into()).into()
+            }
+            DeferShape::Bernoulli { rate_millis, max_words } => {
+                bernoulli(rate_millis, SizeDist::uniform(1, max_words)).build_kind(seed)
+            }
+            DeferShape::Jittered { period, jitter, words } => {
+                GeneratorSpec::periodic_jittered(period, 0, jitter, SizeDist::fixed(words))
+                    .build_kind(seed)
+            }
+            DeferShape::Bursts { burst_max, off, words } => {
+                GeneratorSpec::bursty(1, burst_max, 0, off, 2 * off, 0, SizeDist::fixed(words))
+                    .build_kind(seed)
+            }
+            DeferShape::Saturate { words } => SaturateSource::new(0, words).into(),
+            DeferShape::Throttled { rate_millis, words } => {
+                let inner = bernoulli(rate_millis, SizeDist::fixed(words)).build_kind(seed);
+                SourceKind::Custom(Box::new(Throttled(inner)))
+            }
+        }
+    }
+}
+
+/// A source that holds new work back while its port has two
+/// transactions queued. It reads the backlog, so it keeps the default
+/// contract: every poll runs at its own cycle.
+struct Throttled(SourceKind);
+
+impl TrafficSource for Throttled {
+    fn poll(&mut self, now: Cycle) -> Option<Transaction> {
+        self.0.poll(now)
+    }
+
+    fn poll_with_backlog(&mut self, now: Cycle, backlog: usize) -> Option<Transaction> {
+        if backlog >= 2 {
+            None
+        } else {
+            self.0.poll(now)
+        }
+    }
+
+    fn next_event(&self, now: Cycle) -> Cycle {
+        self.0.next_event(now)
+    }
+}
+
+fn defer_shape() -> impl Strategy<Value = DeferShape> {
+    prop_oneof![
+        (50u32..400, 1u32..17)
+            .prop_map(|(rate_millis, words)| DeferShape::Replayed { rate_millis, words }),
+        (50u32..400, 1u32..17)
+            .prop_map(|(rate_millis, max_words)| DeferShape::Bernoulli { rate_millis, max_words }),
+        (2u64..30, 0u64..40, 1u32..17).prop_map(|(period, jitter, words)| DeferShape::Jittered {
+            period,
+            jitter,
+            words
+        }),
+        (1u32..6, 1u64..40, 1u32..17).prop_map(|(burst_max, off, words)| DeferShape::Bursts {
+            burst_max,
+            off,
+            words
+        }),
+        (1u32..17).prop_map(|words| DeferShape::Saturate { words }),
+        (50u32..400, 1u32..17)
+            .prop_map(|(rate_millis, words)| DeferShape::Throttled { rate_millis, words }),
+    ]
+}
+
+/// A lane of [`DeferShape`] masters under one of [`PROTOCOLS`], with
+/// an optional metrics window, observed after `mid` measured cycles.
+#[derive(Debug, Clone)]
+struct DeferRecipe {
+    /// Protocol, tickets and seed; its shapes and faults are unused.
+    base: LaneRecipe,
+    shapes: Vec<DeferShape>,
+    metrics: Option<u64>,
+    mid: u64,
+}
+
+impl DeferRecipe {
+    fn lane(&self) -> LaneBuilder<ArbiterKind, SourceKind> {
+        let mut lane: LaneBuilder<ArbiterKind, SourceKind> = LaneBuilder::new(BusConfig::default());
+        for (i, shape) in self.shapes.iter().enumerate() {
+            lane = lane.master(format!("M{}", i + 1), shape.build(self.base.master_seed(i)));
+        }
+        if let Some(window) = self.metrics {
+            lane = lane.metrics_window(window);
+        }
+        lane.arbiter(self.base.arbiter())
+    }
+}
+
+fn defer_recipe() -> impl Strategy<Value = DeferRecipe> {
+    (
+        lane_recipe(),
+        proptest::collection::vec(defer_shape(), 4usize..=4),
+        // A metrics window on about one lane in four.
+        (0u32..4, 1u64..600).prop_map(|(k, window)| (k == 0).then_some(window)),
+        1u64..MEASURE,
+    )
+        .prop_map(|(base, mut shapes, metrics, mid)| {
+            shapes.truncate(base.tickets.len());
+            DeferRecipe { base, shapes, metrics, mid }
+        })
+}
+
+/// Each port's issued transactions, queued transactions and queued
+/// words.
+type PortQueues = Vec<(u64, usize, u64)>;
+
+fn port_queue(port: &MasterPort) -> (u64, usize, u64) {
+    (port.issued_transactions(), port.backlog_transactions(), port.backlog_words())
+}
+
+/// Lane `lane`'s statistics and port queues, observed through
+/// [`Fleet::master`], which settles the lane's deferred polls. On a
+/// lane that may not defer, the observation runs no poll.
+fn observe_fleet_lane(
+    fleet: &mut Fleet<ArbiterKind, SourceKind>,
+    lane: usize,
+    defers: bool,
+) -> (BusStats, PortQueues) {
+    let polls = fleet.moves(lane).polls;
+    let ports: PortQueues = (0..fleet.masters(lane))
+        .map(|m| port_queue(fleet.master(lane, MasterId::new(m))))
+        .collect();
+    if !defers {
+        assert_eq!(fleet.moves(lane).polls, polls, "lane {lane} deferred polls");
+    }
+    (fleet.stats(lane).clone(), ports)
+}
+
+fn observe_system(system: &System<ArbiterKind, SourceKind>) -> (BusStats, PortQueues) {
+    let ports: PortQueues =
+        (0..system.masters()).map(|m| port_queue(system.master(MasterId::new(m)))).collect();
+    (system.stats().clone(), ports)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -367,6 +541,56 @@ proptest! {
         );
         if !recipe.is_tdma() {
             prop_assert!(batched > 0, "{:?}: no tenure cycle batched", recipe.fault);
+        }
+    }
+
+    /// Overloaded lanes of replayed, Bernoulli, jittered, on–off,
+    /// saturate and backlog-reading sources, some with a metrics
+    /// window, packed into one fleet: each lane is observed mid-run
+    /// (which settles its deferred polls), run on, and observed again,
+    /// and equals its per-cycle scalar twin every time in statistics,
+    /// port queues and issue counts, metrics samples included. Lanes
+    /// with a metrics window never defer.
+    #[test]
+    fn deferred_polls_match_the_per_cycle_kernel(
+        recipes in proptest::collection::vec(defer_recipe(), 1..4),
+    ) {
+        let mut fleet = Fleet::build(recipes.iter().map(DeferRecipe::lane).collect())
+            .expect("valid lanes");
+        let mut systems: Vec<System<ArbiterKind, SourceKind>> = recipes
+            .iter()
+            .map(|r| SystemBuilder::from(r.lane()).build().expect("valid lane"))
+            .collect();
+        fleet.warm_up(WARMUP);
+        for system in &mut systems {
+            system.warm_up(WARMUP);
+        }
+        for (lane, (recipe, system)) in recipes.iter().zip(&mut systems).enumerate() {
+            fleet.run_lane_until(lane, Cycle::new(WARMUP + recipe.mid));
+            system.run(recipe.mid);
+            prop_assert_eq!(
+                observe_fleet_lane(&mut fleet, lane, recipe.metrics.is_none()),
+                observe_system(system),
+                "lane {} ({:?} {}) diverged mid-run", lane, recipe.shapes, recipe.base.name()
+            );
+        }
+        for (lane, (recipe, system)) in recipes.iter().zip(&mut systems).enumerate() {
+            fleet.run_lane_until(lane, Cycle::new(DEFER_CYCLES));
+            system.run(MEASURE - recipe.mid);
+        }
+        fleet.flush_metrics();
+        for (lane, (recipe, system)) in recipes.iter().zip(&mut systems).enumerate() {
+            system.flush_metrics();
+            prop_assert_eq!(
+                observe_fleet_lane(&mut fleet, lane, recipe.metrics.is_none()),
+                observe_system(system),
+                "lane {} ({:?} {}) diverged at the end", lane, recipe.shapes, recipe.base.name()
+            );
+            prop_assert_eq!(
+                fleet.metrics(lane).map(|m| m.samples().to_vec()),
+                system.metrics().map(|m| m.samples().to_vec()),
+                "lane {} metrics diverged", lane
+            );
         }
     }
 
